@@ -182,6 +182,18 @@ def _step_deficit(laws: ModelLaws, rec: FrontRecord) -> float:
     return worst
 
 
+def step_deficit_totals(run: RunResult) -> tuple[float, float]:
+    """(lifetime-weighted, unweighted) sums of the fan-step entropy deficits
+    over the run's discretized-fan jumps; needs no reference-speed grid."""
+    weighted = unweighted = 0.0
+    for rec in run.records:
+        if rec.kind is WaveKind.RAREFACTION_STEP:
+            d = _step_deficit(run.laws, rec)
+            weighted += d * (rec.t1 - rec.t0)
+            unweighted += d
+    return weighted, unweighted
+
+
 def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> EntropyReport:
     laws = run.laws
     if k_grid is None:
@@ -196,10 +208,7 @@ def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> Entropy
                                              k, u))
             if not is_step:
                 rep.min_sharp = min(rep.min_sharp, u)
-        if is_step:
-            d = _step_deficit(laws, rec)
-            rep.negative_step_total += d * (rec.t1 - rec.t0)
-            rep.negative_step_total_unweighted += d
+    rep.negative_step_total, rep.negative_step_total_unweighted = step_deficit_totals(run)
     return rep
 
 

@@ -20,16 +20,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .analysis import entropy_report, record_rh_residual
-from .engine import (PiecewiseConstantDatum, RunResult, approximate_datum,
-                     random_mesh_datum, run)
+from .analysis import entropy_report, record_rh_residual, step_deficit_totals
+from .engine import (MONO_TOL, PiecewiseConstantDatum, RunResult,
+                     approximate_datum, random_mesh_datum, run)
 from .errors import InvariantViolation, PhasetrackError
 from .grid import GridMesh
 from .model import ModelLaws, Phase, TrafficState, laws_from_config
 from .scenario import (ExactSolution, TrafficLightConfig, build_scenario,
                        closed_form_table, last_passage_time)
-
-MONO_TOL = 1e-10
 
 
 def _fmt(v) -> str:
@@ -252,14 +250,11 @@ def cmd_run(args) -> int:
 
 
 def _ladder_level(payload) -> dict:
-    sc_kwargs, n, t_end, probe_frac = payload
-    sc = TrafficLightConfig(**sc_kwargs)
-    laws, datum = build_scenario(sc)
+    exact, n, t_end, probe_frac, strict = payload
+    sc, laws, table = exact.cfg, exact.laws, exact.table
     mesh = GridMesh(laws, n)
-    res = run(approximate_datum(datum, mesh), t_end, mesh)
-    table = closed_form_table(sc)
+    res = run(approximate_datum(exact.datum, mesh), t_end, mesh, strict=strict)
     sim_t = last_passage_time(res)
-    exact = ExactSolution(sc)
     t_probe = probe_frac * table.t_d1
     sim_diag = res.diagram_at(t_probe)
     window = (sc.x1 - 1.0, 1.0)
@@ -273,11 +268,11 @@ def _ladder_level(payload) -> dict:
             m = a + (b - a) * (j + 0.5) / 8
             l1 += laws.coord_distance(sim_diag.evaluate(m),
                                       exact.evaluate(t_probe, m)) * (b - a) / 8
-    rep = entropy_report(res)
+    negative_entropy, _ = step_deficit_totals(res)
     bad = audit_run(res)
     return dict(n=n, sim_t_last=sim_t, closed_form_t_d1=table.t_d1,
                 abs_error=abs(sim_t - table.t_d1), l1_error=l1,
-                negative_entropy=rep.negative_step_total,
+                negative_entropy=negative_entropy,
                 events=res.events, violations=len(bad))
 
 
@@ -290,29 +285,36 @@ def cmd_ladder(args) -> int:
         n_max = args.n_max if args.n_max is not None else cfg.scenario_cfg.n_levels[1]
         if n_min > n_max or n_min < 1:
             raise ValueError(f"bad level range {n_min}..{n_max}")
-        table = closed_form_table(cfg.scenario_cfg)
+        # the construction depends on the config alone: build it once and
+        # hand the same object to every level (pickled to --jobs workers)
+        exact = ExactSolution(cfg.scenario_cfg)
     except (PhasetrackError, ValueError, KeyError, configparser.Error) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    sc = cfg.scenario_cfg
+    sc, table = exact.cfg, exact.table
     t_end = cfg.t_end or 1.25 * table.t_last
     sc_kwargs = dict(gamma=sc.gamma, v_max=sc.v_max, w_max=sc.w_max, w_c=sc.w_c,
                      v_c=sc.v_c, x1=sc.x1, x2=sc.x2)
-    payloads = [(sc_kwargs, n, t_end, 0.5) for n in range(n_min, n_max + 1)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(_ladder_level, payloads))
-    else:
-        rows = [_ladder_level(p) for p in payloads]
+    payloads = [(exact, n, t_end, 0.5, args.strict) for n in range(n_min, n_max + 1)]
+    try:
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+                rows = list(ex.map(_ladder_level, payloads))
+        else:
+            rows = [_ladder_level(p) for p in payloads]
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "ladder.csv",
                ["n", "sim_t_last", "closed_form_t_d1", "abs_error",
-                "l1_error", "negative_entropy", "events"],
+                "l1_error", "negative_entropy", "events", "violations"],
                [(r["n"], r["sim_t_last"], r["closed_form_t_d1"], r["abs_error"],
-                 r["l1_error"], r["negative_entropy"], r["events"]) for r in rows])
+                 r["l1_error"], r["negative_entropy"], r["events"], r["violations"])
+                for r in rows])
     meta = dict(tool="phasetrack", version=__version__,
                 written_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 scenario=sc_kwargs, t_end=t_end,
@@ -348,7 +350,8 @@ def main(argv=None) -> int:
     p_lad.add_argument("--n-max", type=int, default=None)
     p_lad.add_argument("--jobs", type=int, default=1)
     p_lad.add_argument("--out", default="phasetrack-out")
-    p_lad.add_argument("--strict", action="store_true")
+    p_lad.add_argument("--strict", action="store_true",
+                       help="abort on the first violated invariant")
 
     args = ap.parse_args(argv)
     if args.command == "run":

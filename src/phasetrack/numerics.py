@@ -1,7 +1,9 @@
-"""Small numeric helpers: bracketed bisection, Gauss-Legendre panels, RK4."""
+"""Small numeric helpers: bracketed bisection, Gauss-Legendre panels,
+polyline interpolation."""
 
 from __future__ import annotations
 
+import bisect
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -63,36 +65,12 @@ def gauss_integrate(f: Callable[[float], float], a: float, b: float,
     return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
 
 
-def rk4_path(f: Callable[[float, float], float], t0: float, x0: float,
-             t1: float, nsteps: int) -> tuple[list[float], list[float]]:
-    """Integrate dx/dt = f(t, x) from (t0, x0) to t1 with classical RK4.
-
-    Returns the full (times, positions) polyline including both endpoints.
-    """
-    ts = [t0]
-    xs = [x0]
-    h = (t1 - t0) / nsteps
-    t, x = t0, x0
-    for _ in range(nsteps):
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        x += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        t += h
-        ts.append(t)
-        xs.append(x)
-    return ts, xs
-
-
 def interp_polyline(ts: Sequence[float], xs: Sequence[float], t: float) -> float:
     """Linear interpolation on a monotone polyline, clamped at the ends."""
     if t <= ts[0]:
         return xs[0]
     if t >= ts[-1]:
         return xs[-1]
-    import bisect
-
     i = bisect.bisect_right(ts, t) - 1
     f = (t - ts[i]) / (ts[i + 1] - ts[i])
     return xs[i] + f * (xs[i + 1] - xs[i])

@@ -88,7 +88,6 @@ class _Curves:
     def __init__(self, laws: ModelLaws, cfg: TrafficLightConfig):
         self.laws = laws
         self.cfg = cfg
-        p = laws.p
         self.lam_rmax = laws.lambda1(TrafficState(laws.R_max, 0.0, Phase.CONGESTED))
         self.u_wmax_vc = TrafficState(laws.p_inv(laws.W_max - laws.V_c), laws.V_c,
                                       Phase.CONGESTED)
@@ -100,9 +99,6 @@ class _Curves:
         self.t_a1 = self.t_a2 + (cfg.x1 - cfg.x2) / laws.lambda1(
             TrafficState(laws.R_c, 0.0, Phase.CONGESTED))
 
-        g = lambda r: p(r) + r * p.deriv(r)
-        self._fan_inv = lambda y: invert_increasing(g, laws.rho_free_crit,
-                                                    laws.R_max, y)
         self._c2_ts: list[float] = []
         self._c2_xs: list[float] = []
         self._integrate_c2()
@@ -110,7 +106,16 @@ class _Curves:
         self._pt1_xs: list[float] = []
         self._integrate_pt1()
 
-    # main centered fan
+    # main centered fan; plain methods rather than closures keep the
+    # construction picklable, so one build can ship to ladder workers
+    def _fan_g(self, r: float) -> float:
+        p = self.laws.p
+        return p(r) + r * p.deriv(r)
+
+    def _fan_inv(self, y: float) -> float:
+        laws = self.laws
+        return invert_increasing(self._fan_g, laws.rho_free_crit, laws.R_max, y)
+
     def fan_state(self, xi: float) -> TrafficState:
         laws = self.laws
         rho = self._fan_inv(laws.W_max - xi)
@@ -153,8 +158,12 @@ class _Curves:
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             if stop(mid, value(mid)) < 0.0:
+                if lo == mid:
+                    break       # (lo, hi) is a fixed point of the loop
                 lo = mid
             else:
+                if hi == mid:
+                    break
                 hi = mid
         t_b = 0.5 * (lo + hi)
         x_b = value(t_b)
@@ -201,8 +210,12 @@ class _Curves:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if self.ray_pos(mid, t) < x:
+                if lo == mid:
+                    break       # (lo, hi) is a fixed point of the loop
                 lo = mid
             else:
+                if hi == mid:
+                    break
                 hi = mid
         return 0.5 * (lo + hi)
 

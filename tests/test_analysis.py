@@ -4,7 +4,8 @@ import random
 import pytest
 
 import phasetrack as pt
-from phasetrack.analysis import entropy_report, record_rh_residual
+from phasetrack.analysis import (entropy_report, record_rh_residual,
+                                 step_deficit_totals)
 from phasetrack.errors import SamePhase, UnsupportedTestFunction
 from phasetrack.riemann import WaveKind
 
@@ -153,6 +154,24 @@ def test_entropy_report_aggregates(flat_laws, flat_mesh5, rng):
     ks = set(rep.k_grid)
     assert flat_laws.V_f in ks and flat_laws.V_c in ks
     assert len(rep.records) == len(res.records) * len(rep.k_grid)
+
+
+def test_step_deficit_totals_match_entropy_report(flat_laws, flat_mesh5, scenario_cfg,
+                                                 mesh5):
+    vac = flat_laws.vacuum()
+    uA = pt.TrafficState(flat_laws.p_inv(flat_laws.W_max), 0.0, pt.Phase.CONGESTED)
+    uB = pt.TrafficState(flat_laws.p_inv(flat_laws.W_max - flat_laws.V_c),
+                         flat_laws.V_c, pt.Phase.CONGESTED)
+    flat_datum = pt.PiecewiseConstantDatum((-6.0, -2.0, 0.0), (vac, uA, uB, vac))
+    _, light_datum = pt.build_scenario(scenario_cfg)
+    runs = [pt.run(pt.approximate_datum(flat_datum, flat_mesh5), 150.0, flat_mesh5),
+            pt.run(pt.approximate_datum(light_datum, mesh5), 430.0, mesh5)]
+    for res in runs:
+        rep = entropy_report(res)
+        weighted, unweighted = step_deficit_totals(res)
+        assert weighted > 0.0
+        assert weighted == rep.negative_step_total
+        assert unweighted == rep.negative_step_total_unweighted
 
 
 def test_entropy_deficit_halves(flat_laws):

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from phasetrack import cli, scenario
 from phasetrack.cli import main
+from phasetrack.errors import InvariantViolation
 
 SCENARIO_INI = """\
 [scenario]
@@ -164,3 +166,69 @@ def test_ladder_parallel_jobs(tmp_path):
     assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "5",
                  "--jobs", "2", "--out", str(out2)]) == 0
     assert (out1 / "ladder.csv").read_bytes() == (out2 / "ladder.csv").read_bytes()
+
+
+# ladder.csv of SCENARIO_INI, levels 4..5, as written before the exact
+# construction was shared across levels; the construction must not move a bit
+LADDER_4_5_GOLDEN = [
+    ["n", "sim_t_last", "closed_form_t_d1", "abs_error", "l1_error",
+     "negative_entropy", "events"],
+    ["4", "335.36932818818025", "333.81606715675446", "1.5532610314257909",
+     "1.0124426334326315e-10", "0.0016927172208691717", "35"],
+    ["5", "335.36932818818013", "333.81606715675446", "1.5532610314256772",
+     "1.0124434475961828e-10", "0.0008463714203644344", "67"],
+]
+
+
+def test_ladder_golden_columns(tmp_path):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI)
+    out = tmp_path / "lad"
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "5",
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(out / "ladder.csv")
+    assert [header[:7]] + [r[:7] for r in rows] == LADDER_4_5_GOLDEN
+    assert header[7:] == ["violations"]
+    assert [r[7:] for r in rows] == [["0"], ["0"]]
+
+
+def test_ladder_builds_construction_once(tmp_path, monkeypatch):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI)
+    builds = []
+    original = scenario._Curves.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(scenario._Curves, "__init__", counting_init)
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "5",
+                 "--jobs", "1", "--out", str(tmp_path / "lad")]) == 0
+    assert len(builds) == 1
+
+
+def test_ladder_strict_reaches_run(tmp_path, monkeypatch, capsys):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI)
+    seen = []
+    original = cli.run
+
+    def recording_run(*args, **kwargs):
+        seen.append(kwargs.get("strict"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "4",
+                 "--strict", "--out", str(tmp_path / "a")]) == 0
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "4",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert seen == [True, False]
+
+    def violating_run(*args, **kwargs):
+        raise InvariantViolation("TV increased by 1")
+
+    monkeypatch.setattr(cli, "run", violating_run)
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "4",
+                 "--strict", "--out", str(tmp_path / "c")]) == 3
+    assert "invariant violation: TV increased by 1" in capsys.readouterr().err

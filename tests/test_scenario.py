@@ -1,4 +1,6 @@
+import bisect
 import math
+import pickle
 
 import pytest
 
@@ -200,6 +202,25 @@ def test_exact_out_of_window(exact):
         exact.evaluate(exact.window_end + 1.0, 0.0)
     with pytest.raises(OutOfWindow):
         exact.evaluate(-1.0, 0.0)
+
+
+def test_exact_solution_pickle_round_trip(exact):
+    # one construction ships to ladder workers; the copy must answer alike
+    clone = pickle.loads(pickle.dumps(exact))
+    tab = exact.table
+    times = [0.5 * tab.a2[0], 0.5 * (tab.a2[0] + tab.a1[0]),
+             0.5 * (tab.a1[0] + tab.b1[0]), 0.5 * (tab.b2[0] + tab.c2[0]),
+             0.5 * (tab.c2[0] + tab.c1[0]), 0.5 * (tab.c1[0] + tab.t_d1)]
+    regions = set()
+    for t in times:
+        bounds = exact.breakpoints(t)
+        assert clone.breakpoints(t) == bounds
+        xs = [bounds[0] - 1.0, bounds[-1] + 1.0]
+        xs += [0.5 * (a + b) for a, b in zip(bounds, bounds[1:])]
+        for x in xs:
+            assert clone.evaluate(t, x) == exact.evaluate(t, x)
+            regions.add(exact._segments(t)[1][bisect.bisect_right(bounds, x)])
+    assert {"fan_main", "fan_reemitted", "fan_free"} <= regions
 
 
 def test_exact_reference_helper(scenario_cfg):
