@@ -11,7 +11,7 @@ from .grid import GridMesh, solve_approx
 from .engine import (FrontDiagram, FrontRecord, FunctionalLog,
                      PiecewiseConstantDatum, RunResult, approximate_datum,
                      count_phase_transitions, next_event, random_mesh_datum,
-                     resolve_interaction, run, temple_functional, tv_coords)
+                     run, temple_functional, tv_coords)
 from .analysis import (BumpTestFunction, EntropyReport, arz_entropy_pair,
                        classify_transition, entropy_k_grid, entropy_pair,
                        entropy_production, entropy_report, lwr_entropy_pair,
@@ -31,7 +31,7 @@ __all__ = [
     "entropy_pair", "entropy_production", "entropy_report",
     "exact_reference", "last_passage_time", "laws_from_config",
     "lwr_entropy_pair", "next_event", "random_mesh_datum",
-    "resolve_interaction", "rh_residual", "run", "sigma", "solve_approx",
+    "rh_residual", "run", "sigma", "solve_approx",
     "solve_arz", "solve_coupled", "solve_lwr", "step_entropy_deficit_bound",
     "temple_functional", "tv_coords", "validate_laws", "weak_residual",
 ]

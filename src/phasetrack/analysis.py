@@ -21,6 +21,28 @@ CLASS_TOL = 1e-10
 # jump conditions
 
 
+def jump_residuals(speed: float, left: TrafficState, right: TrafficState,
+                   W_left: float | None = None,
+                   W_right: float | None = None) -> tuple[float, float | None]:
+    """(mass residual, momentum residual) of a jump; the momentum residual
+    is None unless the conserved markers max(w2, W_c) of both sides are
+    given."""
+    mass = speed * (right.rho - left.rho) - (right.flow - left.flow)
+    if W_left is None:
+        return mass, None
+    yl = left.rho * W_left
+    yr = right.rho * W_right
+    return mass, speed * (yr - yl) - (yr * right.v - yl * left.v)
+
+
+def momentum_conserved(laws: ModelLaws, left: TrafficState, right: TrafficState) -> bool:
+    """Whether the momentum jump condition holds across a jump: between two
+    congested states, or across every front when the free speed is
+    constant."""
+    return (left.phase is Phase.CONGESTED and right.phase is Phase.CONGESTED) \
+        or laws.degenerate_free
+
+
 def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
                 right: TrafficState) -> tuple[float, float | None]:
     """(mass residual, momentum residual or None).
@@ -29,14 +51,9 @@ def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
     meaningful across every front only when the free speed is constant,
     otherwise only between two congested states.
     """
-    mass = speed * (right.rho - left.rho) - (right.flow - left.flow)
-    both_congested = (left.phase is Phase.CONGESTED and right.phase is Phase.CONGESTED)
-    if both_congested or laws.degenerate_free:
-        yl = left.rho * laws.marker_W(left)
-        yr = right.rho * laws.marker_W(right)
-        mom = speed * (yr - yl) - (yr * right.v - yl * left.v)
-        return mass, mom
-    return mass, None
+    if momentum_conserved(laws, left, right):
+        return jump_residuals(speed, left, right, laws.marker_W(left), laws.marker_W(right))
+    return jump_residuals(speed, left, right)
 
 
 def record_rh_residual(laws: ModelLaws, rec: FrontRecord):
@@ -291,10 +308,8 @@ def weak_residual(run: RunResult, phi: BumpTestFunction,
         b = min(rec.t1, t_hi)
         if b <= a:
             continue
-        dm = rec.speed * (rec.right.rho - rec.left.rho) - (rec.right.flow - rec.left.flow)
-        yl = rec.left.rho * laws.marker_W(rec.left)
-        yr = rec.right.rho * laws.marker_W(rec.right)
-        dq = rec.speed * (yr - yl) - (yr * rec.right.v - yl * rec.left.v)
+        dm, dq = jump_residuals(rec.speed, rec.left, rec.right,
+                                laws.marker_W(rec.left), laws.marker_W(rec.right))
         if dm == 0.0 and dq == 0.0:
             continue
         panels = min(64, max(1, math.ceil((b - a) / (0.25 * phi.t_radius))))

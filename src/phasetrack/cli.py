@@ -20,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .analysis import entropy_report, record_rh_residual, step_deficit_totals
+from .analysis import (entropy_report, jump_residuals, momentum_conserved,
+                       step_deficit_totals)
 from .engine import (MONO_TOL, PiecewiseConstantDatum, RunResult,
                      approximate_datum, random_mesh_datum, run)
 from .errors import InvariantViolation, PhasetrackError
@@ -157,8 +158,22 @@ def audit_run(res: RunResult) -> list[str]:
         dpt = log.phase_transitions[i] - log.phase_transitions[i - 1]
         if dpt > 0 or dpt % 2 != 0:
             bad.append(f"phase-transition count changed by {dpt} at t={log.ts[i]}")
+    laws = res.laws
+    # records share a few thousand state objects: one marker evaluation each
+    markers: dict[int, float] = {}
+
+    def marker(u: TrafficState) -> float:
+        w = markers.get(id(u))
+        if w is None:
+            w = markers[id(u)] = laws.marker_W(u)
+        return w
+
     for rec in res.records:
-        mass, mom = record_rh_residual(res.laws, rec)
+        left, right = rec.left, rec.right
+        if momentum_conserved(laws, left, right):
+            mass, mom = jump_residuals(rec.speed, left, right, marker(left), marker(right))
+        else:
+            mass, mom = jump_residuals(rec.speed, left, right)
         if abs(mass) > MONO_TOL:
             bad.append(f"mass jump condition violated ({mass}) on a front born t={rec.t0}")
             break

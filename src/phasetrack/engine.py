@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
-from .grid import GridMesh, VACUUM_IW, solve_approx
+from .grid import GridMesh, Node, VACUUM_IW, solve_approx
 from .model import ModelLaws, Phase, TrafficState
-from .riemann import WaveFan, WaveKind
+from .riemann import WaveKind
 
 TIME_GROUP_TOL = 1e-12
 MONO_TOL = 1e-10
@@ -194,39 +194,37 @@ def next_event(diagram: FrontDiagram) -> tuple[float, list[int]] | None:
     return t_star, idx
 
 
-def resolve_interaction(u_left: TrafficState, u_right: TrafficState,
-                        mesh: GridMesh) -> WaveFan:
-    """Riemann resolution between the outermost states of a colliding group."""
-    return solve_approx(mesh, u_left, u_right)
-
-
 # ---------------------------------------------------------------------------
 # functionals
 
 
-def _front_measures(mesh: GridMesh, left: TrafficState, right: TrafficState,
-                    kind: WaveKind | None) -> tuple[float, float, int]:
-    """(tv, temple, is_phase_transition) contributions of one front."""
-    laws = mesh.laws
-    ivl, iwl = mesh.index_of(left)
-    ivr, iwr = mesh.index_of(right)
-    dw1 = abs(mesh.v_value(ivl) - mesh.v_value(ivr))
-    dw2 = abs(mesh.w_value(iwl) - mesh.w_value(iwr))
+def _front_measures(mesh: GridMesh, l: Node, r: Node) -> tuple[float, float, int]:
+    """(tv, temple, is_phase_transition) contributions of the front between
+    nodes l and r."""
+    ivl, iwl = l
+    ivr, iwr = r
+    w_at = mesh.w_at
+    dw1 = abs(mesh.v_values[ivl] - mesh.v_values[ivr])
+    dw2 = abs(w_at[iwl] - w_at[iwr])
     tv = dw1 + dw2
     # the marker drop of a slow contact is counted twice once it exceeds a
     # full quantum: that is the wave-split budget of the functional
     delta = (ivl == ivr and ivl <= mesh.iv_vc and (iwl - iwr) >= 2)
     temple = tv + (dw2 if delta else 0.0)
-    is_pt = (left.phase is not right.phase)
-    return tv, temple, 1 if is_pt else 0
+    return tv, temple, 1 if (ivl == mesh.iv_free) != (ivr == mesh.iv_free) else 0
+
+
+def _diagram_measures(mesh: GridMesh, diagram: FrontDiagram):
+    for f in diagram.fronts:
+        yield _front_measures(mesh, mesh.index_of(f.left), mesh.index_of(f.right))
 
 
 def tv_coords(mesh: GridMesh, diagram: FrontDiagram) -> float:
-    return sum(_front_measures(mesh, f.left, f.right, f.kind)[0] for f in diagram.fronts)
+    return sum(m[0] for m in _diagram_measures(mesh, diagram))
 
 
 def temple_functional(mesh: GridMesh, diagram: FrontDiagram) -> float:
-    return sum(_front_measures(mesh, f.left, f.right, f.kind)[1] for f in diagram.fronts)
+    return sum(m[1] for m in _diagram_measures(mesh, diagram))
 
 
 def count_phase_transitions(diagram: FrontDiagram) -> int:
@@ -288,17 +286,18 @@ class FrontRecord:
 
 
 class _F:
-    """Live front in the simulation's doubly linked list."""
+    """Live front in the simulation's doubly linked list, between the mesh
+    nodes l and r ((iv, iw) ids)."""
 
-    __slots__ = ("x0", "t0", "speed", "left", "right", "kind",
+    __slots__ = ("x0", "t0", "speed", "l", "r", "kind",
                  "prev", "next", "alive", "tv", "temple", "pt")
 
-    def __init__(self, x0, t0, speed, left, right, kind):
+    def __init__(self, x0, t0, speed, l, r, kind):
         self.x0 = x0
         self.t0 = t0
         self.speed = speed
-        self.left = left
-        self.right = right
+        self.l = l
+        self.r = r
         self.kind = kind
         self.prev = None
         self.next = None
@@ -370,9 +369,12 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     Raw (unclassified) fronts of the initial diagram are first resolved into
     mesh Riemann fans at t = 0.  The functional log gets one row at t = 0 and
     one per interaction; with strict=True the monotonicity expectations are
-    enforced on the fly.
+    enforced on the fly.  Inside the loop fronts carry mesh node ids, and
+    each fan is read as solve_approx's node jumps; states are looked up
+    only to call solve_approx and for the records and the two snapshots.
     """
     laws = mesh.laws
+    states = mesh.states
     records: list[FrontRecord] = []
     log = FunctionalLog()
     counter = itertools.count()
@@ -381,53 +383,46 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     # initial resolution of the datum jumps
     head: _F | None = None
     tail: _F | None = None
-
-    def link(f: _F):
-        nonlocal head, tail
-        f.prev = tail
-        if tail is not None:
-            tail.next = f
-        else:
-            head = f
-        tail = f
-
-    left_state = diagram.left_state
     for raw in diagram.fronts:
-        fan = solve_approx(mesh, raw.left, raw.right)
-        for w in fan.waves:
-            link(_F(raw.x, 0.0, w.speed, w.left, w.right, w.kind))
+        for s, a, b, kind in solve_approx(mesh, raw.left, raw.right).jumps:
+            f = _F(raw.x, 0.0, s, a, b, kind)
+            f.prev = tail
+            if tail is not None:
+                tail.next = f
+            else:
+                head = f
+            tail = f
 
     tot_tv = tot_temple = 0.0
     n_waves = n_pts = 0
-
-    def measures(f: _F):
-        return _front_measures(mesh, f.left, f.right, f.kind)
-
+    init_fronts = []
     f = head
     while f is not None:
-        f.tv, f.temple, f.pt = measures(f)
+        f.tv, f.temple, f.pt = _front_measures(mesh, f.l, f.r)
         tot_tv += f.tv
         tot_temple += f.temple
         n_waves += 1
         n_pts += f.pt
+        init_fronts.append(DiagramFront(f.x0, f.speed, states[f.l],
+                                        states[f.r], f.kind))
         f = f.next
+    init_left = init_fronts[0].left if init_fronts else diagram.left_state
+    initial = FrontDiagram(0.0, init_left, init_fronts)
 
     log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
 
-    def pair_time(a: _F, b: _F) -> tuple[float, float] | None:
+    def collision_time(a: _F, b: _F) -> float | None:
         dv = a.speed - b.speed
         if dv <= 0.0:
             return None
-        t = ((b.x0 - b.speed * b.t0) - (a.x0 - a.speed * a.t0)) / dv
-        return (t, a.position(t))
+        return ((b.x0 - b.speed * b.t0) - (a.x0 - a.speed * a.t0)) / dv
 
     def push(a: _F | None, b: _F | None, now: float):
         if a is None or b is None:
             return
-        tb = pair_time(a, b)
-        if tb is None:
+        t = collision_time(a, b)
+        if t is None:
             return
-        t, x = tb
         if t < now - TIME_GROUP_TOL or t < max(a.t0, b.t0) - TIME_GROUP_TOL:
             return
         heapq.heappush(heap, (t, next(counter), a, b))
@@ -443,8 +438,8 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         t_star, _, fa, fb = heapq.heappop(heap)
         if not (fa.alive and fb.alive and fa.next is fb):
             continue
-        tb = pair_time(fa, fb)
-        if tb is None or abs(tb[0] - t_star) > TIME_GROUP_TOL * (1.0 + abs(t_star)):
+        t = collision_time(fa, fb)
+        if t is None or abs(t - t_star) > TIME_GROUP_TOL * (1.0 + abs(t_star)):
             push(fa, fb, now)
             continue
         if t_star > t_end:
@@ -458,38 +453,39 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         tol_x = 1e-9 * (1.0 + abs(x_star))
         g = group[0].prev
         while g is not None:
-            tb = pair_time(g, group[0])
-            if tb is None or abs(tb[0] - t_star) > tol_t or abs(tb[1] - x_star) > tol_x:
+            t = collision_time(g, group[0])
+            if t is None or abs(t - t_star) > tol_t or abs(g.position(t) - x_star) > tol_x:
                 break
             group.insert(0, g)
             g = g.prev
         g = group[-1].next
         while g is not None:
-            tb = pair_time(group[-1], g)
-            if tb is None or abs(tb[0] - t_star) > tol_t or abs(tb[1] - x_star) > tol_x:
+            t = collision_time(group[-1], g)
+            if t is None or abs(t - t_star) > tol_t or abs(group[-1].position(t) - x_star) > tol_x:
                 break
             group.append(g)
             g = g.next
 
-        u_left, u_right = group[0].left, group[-1].right
-        fan = solve_approx(mesh, u_left, u_right)
+        fan = solve_approx(mesh, states[group[0].l], states[group[-1].r])
 
         pre_tv, pre_temple, pre_waves = tot_tv, tot_temple, n_waves
         pre_pts = n_pts
+        before, after = group[0].prev, group[-1].next
         for g in group:
             g.alive = False
             records.append(FrontRecord(g.t0, t_star, g.x0, g.speed,
-                                       g.left, g.right, g.kind))
+                                       states[g.l], states[g.r], g.kind))
             tot_tv -= g.tv
             tot_temple -= g.temple
             n_waves -= 1
             n_pts -= g.pt
-        before, after = group[0].prev, group[-1].next
+            # unlinked, a dead front is freed by reference counting alone
+            g.prev = g.next = None
 
         new_fronts: list[_F] = []
-        for w in fan.waves:
-            nf = _F(x_star, t_star, w.speed, w.left, w.right, w.kind)
-            nf.tv, nf.temple, nf.pt = measures(nf)
+        for s, a, b, kind in fan.jumps:
+            nf = _F(x_star, t_star, s, a, b, kind)
+            nf.tv, nf.temple, nf.pt = _front_measures(mesh, a, b)
             tot_tv += nf.tv
             tot_temple += nf.temple
             n_waves += 1
@@ -543,22 +539,16 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         if events > event_cap:
             raise EventOverflow(f"more than {event_cap} interactions")
 
-    # close out the survivors
+    # close out the survivors in list order, unlinking each
     final_fronts = []
     f = head
     while f is not None:
-        records.append(FrontRecord(f.t0, t_end, f.x0, f.speed, f.left, f.right, f.kind))
-        final_fronts.append(DiagramFront(f.position(t_end), f.speed,
-                                         f.left, f.right, f.kind))
-        f = f.next
-    final_fronts.sort(key=lambda d: (d.x, d.speed))
-    # initial post-resolution snapshot for reference
-    init_live = sorted((r for r in records if r.t0 == 0.0),
-                       key=lambda r: (r.x0, r.speed))
-    init_left = init_live[0].left if init_live else left_state
-    initial = FrontDiagram(0.0, init_left,
-                           [DiagramFront(r.x0, r.speed, r.left, r.right, r.kind)
-                            for r in init_live])
+        left, right = states[f.l], states[f.r]
+        records.append(FrontRecord(f.t0, t_end, f.x0, f.speed, left, right, f.kind))
+        final_fronts.append(DiagramFront(f.position(t_end), f.speed, left, right, f.kind))
+        nxt = f.next
+        f.prev = f.next = None
+        f = nxt
     final_left = final_fronts[0].left if final_fronts else init_left
     final = FrontDiagram(t_end, final_left, final_fronts)
     return RunResult(laws, mesh, t_end, records, log, initial, final, events)

@@ -9,6 +9,7 @@ never re-run root finders.
 from __future__ import annotations
 
 import math
+import weakref
 
 from .errors import NotOnMesh, ValueOutsideOmega
 from .model import ModelLaws, Phase, TrafficState
@@ -16,6 +17,22 @@ from .riemann import Wave, WaveFan, WaveKind, sigma
 
 _IDX_GUARD = 1e-9      # index-space slack when flooring coordinates
 VACUUM_IW = -1         # synthetic marker index for vacuum under constant v_f
+
+Node = tuple[int, int]  # node id (iv, iw)
+
+
+class _NodeStates(dict):
+    """Node id -> TrafficState of one mesh, each state built on first
+    lookup.  The mesh is held weakly, so the two form no reference cycle."""
+
+    __slots__ = ("_mesh",)
+
+    def __init__(self, mesh: GridMesh):
+        super().__init__()
+        self._mesh = weakref.ref(mesh)
+
+    def __missing__(self, node: Node) -> TrafficState:
+        return self._mesh()._build_state(node)
 
 
 class GridMesh:
@@ -52,11 +69,14 @@ class GridMesh:
         if laws.W_max - self.w_values[-1] > 1e-9 * self.eps_w:
             self.w_values.append(laws.W_max)
         self.v_values = [i * self.eps_v for i in range(two_n + 1)] + [laws.V_f]
+        # marker value by any marker index: VACUUM_IW (-1) reads the last entry
+        self.w_at = self.w_values + [laws.W_c]
         self.iv_free = two_n + 1
         self.iv_vc = two_n
 
-        self._states: dict[tuple[int, int], TrafficState] = {}
-        self._rev: dict[tuple[float, float], tuple[int, int]] = {}
+        # node id -> state, built on first lookup; _rev inverts it
+        self.states = _NodeStates(self)
+        self._rev: dict[tuple[float, float], Node] = {}
 
     # -- node access ---------------------------------------------------------
 
@@ -69,18 +89,16 @@ class GridMesh:
         return len(self.w_values)
 
     def w_value(self, iw: int) -> float:
-        if iw == VACUUM_IW:
-            return self.laws.W_c
-        return self.w_values[iw]
+        return self.w_at[iw]
 
     def v_value(self, iv: int) -> float:
         return self.v_values[iv]
 
     def state(self, iv: int, iw: int) -> TrafficState:
-        key = (iv, iw)
-        cached = self._states.get(key)
-        if cached is not None:
-            return cached
+        return self.states[iv, iw]
+
+    def _build_state(self, key: Node) -> TrafficState:
+        iv, iw = key
         laws = self.laws
         if iv == self.iv_free:
             if iw == VACUUM_IW:
@@ -94,7 +112,7 @@ class GridMesh:
             v = self.v_values[iv]
             rho = laws.p_inv(self.w_values[iw] - v)
             u = TrafficState(rho, v, Phase.CONGESTED)
-        self._states[key] = u
+        self.states[key] = u
         self._rev[(u.rho, u.v)] = key
         return u
 
@@ -137,7 +155,7 @@ class GridMesh:
         iw = max(self._floor_w(laws.w2(u)), self._iw_c)
         return self.state(self._floor_v(u.v), iw)
 
-    def index_of(self, u: TrafficState) -> tuple[int, int]:
+    def index_of(self, u: TrafficState) -> Node:
         key = self._rev.get((u.rho, u.v))
         if key is not None:
             return key
@@ -158,103 +176,118 @@ class GridMesh:
                 return (iv2, iw2)
         raise NotOnMesh(f"{u} is not a mesh node")
 
-    def contains_state(self, u: TrafficState) -> bool:
-        try:
-            self.index_of(u)
-            return True
-        except (NotOnMesh, ValueOutsideOmega):
-            return False
-
 
 def _free_wave_kind(laws: ModelLaws) -> WaveKind:
     return WaveKind.CONTACT if laws.degenerate_free else WaveKind.RAREFACTION_STEP
 
 
-def _append_jump(fan: WaveFan, kind: WaveKind, a: TrafficState, b: TrafficState) -> None:
-    s = sigma(a, b)
-    fan.waves.append(Wave(kind, a, b, s, s))
+def _congested_steps(a: Node, b: Node) -> list[tuple[Node, WaveKind]]:
+    """Rarefaction steps from node a up the velocity nodes to b (same marker)."""
+    iw = a[1]
+    return [((iv, iw), WaveKind.RAREFACTION_STEP) for iv in range(a[0] + 1, b[0] + 1)]
 
 
-def solve_approx(mesh: GridMesh, u_l: TrafficState, u_r: TrafficState) -> WaveFan:
-    """Mesh-valued Riemann solver: rarefactions become chains of jumps
-    between consecutive nodes along the corresponding wave curve, each jump
-    travelling at its own mass-conserving speed."""
+def _free_steps(iv_free: int, a: Node, b: Node, kind: WaveKind) -> list[tuple[Node, WaveKind]]:
+    """Steps from free node a down the marker nodes to free node b.
+
+    Decreasing density <=> decreasing marker index on the free line.
+    Keeping every jump at one marker quantum (also for the contacts of a
+    constant free speed) is what lets the wave potential only ever see
+    single-quantum drops arriving at a phase boundary."""
+    steps = [((iv_free, iw), kind) for iw in range(a[1] - 1, max(b[1], 0), -1)]
+    steps.append((b, kind))
+    return steps
+
+
+def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, WaveKind]]:
+    """Mesh-valued Riemann solver on node ids: the fan between nodes l and r
+    as (speed, left node, right node, kind) jumps, left to right.
+
+    Rarefactions become chains of jumps between consecutive nodes along the
+    corresponding wave curve, each jump travelling at its own
+    mass-conserving speed."""
     laws = mesh.laws
-    ivl, iwl = mesh.index_of(u_l)
-    ivr, iwr = mesh.index_of(u_r)
-    u_l = mesh.state(ivl, iwl)
-    u_r = mesh.state(ivr, iwr)
-    fan = WaveFan(u_l, u_r)
-    if (ivl, iwl) == (ivr, iwr):
-        return fan
+    iv_free = mesh.iv_free
+    ivl, iwl = l
+    ivr, iwr = r
+    # the fan as a path of nodes from l: (next node, kind of the jump to it)
+    steps: list[tuple[Node, WaveKind]] = []
+    free_shock = WaveKind.CONTACT if laws.degenerate_free else WaveKind.SHOCK
+    lf, rf = ivl == iv_free, ivr == iv_free
 
-    def free_chain(a_iw: int, b_iw: int, a: TrafficState, b: TrafficState) -> None:
-        # decreasing density <=> decreasing marker index on the free line.
-        # Keeping every jump at one marker quantum (also for the contacts of
-        # a constant free speed) is what lets the wave potential only ever
-        # see single-quantum drops arriving at a phase boundary.
-        kind = _free_wave_kind(laws)
-        if a_iw - b_iw == 1:
-            _append_jump(fan, kind, a, b)
-            return
-        prev = a
-        for iw in range(a_iw - 1, max(b_iw, 0), -1):
-            nxt = mesh.state(mesh.iv_free, iw)
-            _append_jump(fan, kind, prev, nxt)
-            prev = nxt
-        _append_jump(fan, kind, prev, b)
-
-    def congested_chain(a_iv: int, b_iv: int, iw: int, a: TrafficState, b: TrafficState) -> None:
-        prev = a
-        for iv in range(a_iv + 1, b_iv):
-            nxt = mesh.state(iv, iw)
-            _append_jump(fan, WaveKind.RAREFACTION_STEP, prev, nxt)
-            prev = nxt
-        _append_jump(fan, WaveKind.RAREFACTION_STEP, prev, b)
-
-    lf, rf = ivl == mesh.iv_free, ivr == mesh.iv_free
-
-    if lf and rf:
+    if ivl == ivr and iwl == iwr:
+        pass
+    elif lf and rf:
         if iwl < iwr:
-            _append_jump(fan, WaveKind.CONTACT if laws.degenerate_free
-                         else WaveKind.SHOCK, u_l, u_r)
+            steps.append((r, free_shock))
         else:
-            free_chain(iwl, iwr, u_l, u_r)
-        return fan
-
-    if not lf and not rf:
-        u_m = mesh.state(ivr, iwl)
+            steps = _free_steps(iv_free, l, r, _free_wave_kind(laws))
+    elif not lf and not rf:
+        m = (ivr, iwl)
         if ivr < ivl:
-            _append_jump(fan, WaveKind.SHOCK, u_l, u_m)
+            steps.append((m, WaveKind.SHOCK))
         elif ivr > ivl:
-            congested_chain(ivl, ivr, iwl, u_l, u_m)
+            steps = _congested_steps(l, m)
         if iwl != iwr:
-            _append_jump(fan, WaveKind.CONTACT, u_m, u_r)
-        return fan
-
-    if lf:
+            steps.append((r, WaveKind.CONTACT))
+    elif lf:
         # free -> congested: one phase transition, then a possibly-null contact
-        if u_l.rho == 0.0:
-            _append_jump(fan, WaveKind.PHASE_TRANSITION, u_l, u_r)
-            return fan
-        iw_m = max(mesh.iw_c, iwl)
-        u_m = mesh.state(ivr, iw_m)
-        _append_jump(fan, WaveKind.PHASE_TRANSITION, u_l, u_m)
-        if iw_m != iwr:
-            _append_jump(fan, WaveKind.CONTACT, u_m, u_r)
-        return fan
-
-    # congested -> free: possibly-null 1-wave up to the congested ceiling,
-    # one phase transition, then a possibly-null free wave
-    u_m1 = mesh.state(mesh.iv_vc, iwl)
-    if ivl < mesh.iv_vc:
-        congested_chain(ivl, mesh.iv_vc, iwl, u_l, u_m1)
-    u_m2 = mesh.state(mesh.iv_free, iwl)
-    _append_jump(fan, WaveKind.PHASE_TRANSITION, u_m1, u_m2)
-    if iwl != iwr or (u_r.rho != u_m2.rho):
-        if iwl < iwr:
-            _append_jump(fan, WaveKind.CONTACT if laws.degenerate_free
-                         else WaveKind.SHOCK, u_m2, u_r)
+        if mesh.states[l].rho == 0.0:
+            steps.append((r, WaveKind.PHASE_TRANSITION))
         else:
-            free_chain(iwl, iwr, u_m2, u_r)
+            iw_m = max(mesh.iw_c, iwl)
+            steps.append(((ivr, iw_m), WaveKind.PHASE_TRANSITION))
+            if iw_m != iwr:
+                steps.append((r, WaveKind.CONTACT))
+    else:
+        # congested -> free: possibly-null 1-wave up to the congested
+        # ceiling, one phase transition, then a possibly-null free wave
+        m1 = (mesh.iv_vc, iwl)
+        if ivl < mesh.iv_vc:
+            steps = _congested_steps(l, m1)
+        m2 = (iv_free, iwl)
+        steps.append((m2, WaveKind.PHASE_TRANSITION))
+        if iwl < iwr:
+            steps.append((r, free_shock))
+        elif iwl > iwr:
+            steps += _free_steps(iv_free, m2, r, _free_wave_kind(laws))
+
+    states = mesh.states
+    fan: list[tuple[float, Node, Node, WaveKind]] = []
+    a, u_a = l, states[l]
+    for b, kind in steps:
+        u_b = states[b]
+        fan.append((sigma(u_a, u_b), a, b, kind))
+        a, u_a = b, u_b
     return fan
+
+
+class MeshFan(WaveFan):
+    """Fan of the mesh Riemann solver, held as node_fan's jumps
+    (speed, left node, right node, kind).  The waves, which carry states,
+    are built from the jumps on first access: the front-tracking engine
+    reads only the jumps, and building a Wave per jump would cost it as
+    much again as solving."""
+
+    __slots__ = ("jumps", "_states", "_waves")
+
+    def __init__(self, mesh: GridMesh, l: Node, r: Node):
+        states = self._states = mesh.states
+        self.left = states[l]
+        self.right = states[r]
+        self.jumps = node_fan(mesh, l, r)
+        self._waves = None
+
+    @property
+    def waves(self) -> list[Wave]:
+        if self._waves is None:
+            states = self._states
+            self._waves = [Wave(kind, states[a], states[b], s, s)
+                           for s, a, b, kind in self.jumps]
+        return self._waves
+
+
+def solve_approx(mesh: GridMesh, u_l: TrafficState, u_r: TrafficState) -> MeshFan:
+    """State-level adapter of node_fan: the mesh Riemann fan between the
+    nodes of u_l and u_r."""
+    return MeshFan(mesh, mesh.index_of(u_l), mesh.index_of(u_r))

@@ -1,8 +1,12 @@
+import gc
+import hashlib
 import math
+import random
 
 import pytest
 
 import phasetrack as pt
+from phasetrack import engine
 from phasetrack.engine import DiagramFront, FrontDiagram, l1_profile_distance
 from phasetrack.errors import ValueOutsideOmega
 from phasetrack.riemann import WaveKind
@@ -135,7 +139,7 @@ def test_interaction_two_transitions_become_shock(laws, mesh5):
     u_l = mesh5.state(mesh5.iv_free, 10)            # low free band
     u_m = mesh5.state(mesh5.iv_vc, mesh5.iw_c)      # (p^-1(W_c - V_c), V_c)
     u_r = mesh5.state(mesh5.iv_free, mesh5.iw_c)    # (R_f', v_f(R_f'))
-    fan = pt.resolve_interaction(u_l, u_r, mesh5)
+    fan = pt.solve_approx(mesh5, u_l, u_r)
     assert [w.kind for w in fan] == [WaveKind.SHOCK]
     d = pt.PiecewiseConstantDatum((-1.0, 0.0), (u_l, u_m, u_r))
     res = pt.run(pt.approximate_datum(d, mesh5), 100.0, mesh5, strict=True)
@@ -151,7 +155,7 @@ def test_interaction_congested_shock_swallows_free_island(laws, mesh5):
     u_l = mesh5.state(mesh5.iv_vc, iw)
     u_m = mesh5.state(mesh5.iv_free, iw)
     u_r = mesh5.state(mesh5.iv_vc - 8, iw)
-    fan = pt.resolve_interaction(u_l, u_r, mesh5)
+    fan = pt.solve_approx(mesh5, u_l, u_r)
     assert [w.kind for w in fan] == [WaveKind.SHOCK]
     assert fan.waves[0].left.phase is pt.Phase.CONGESTED
 
@@ -330,3 +334,89 @@ def test_event_cap_overflow(laws, mesh5, rng):
     datum = pt.random_mesh_datum(mesh5, rng, max_jumps=30)
     with pytest.raises(EventOverflow):
         pt.run(pt.approximate_datum(datum, mesh5), 300.0, mesh5, event_cap=3)
+
+
+# ---------------------------------------------------------------------------
+# bit identity, snapshot order and memory of the event loop
+
+# sha256 per datum of every record field and every functional-log row, as
+# the event loop produced them before it moved to mesh node ids; any change
+# to the event sequence, a speed, a state or a functional changes a digest
+ENGINE_DIGESTS = {
+    "traffic": ["6e93db69526d1a8d63908cbfdd836c42c91a3cd97ce7f06cbeee656c34ed2b32",
+                "7d25fab2f80a5854cebcfe03f16b3bb03ab54e20e6ca24eca534a6dae4ff17a4",
+                "05ea857e550f5e8e6ac5431ab1fc47b6c923a7317855004db5a0281c962e2f5b",
+                "497be49f050e502c1aa9af64489ec5c95f54de0bb882a7e65cd11a48c1f7516b",
+                "77dd09928348b7b4ad184e844db6452deea28310c4cf2dbc89ae285a66f6faac",
+                "d6bf8e2cbd1c28984015367e7eb2e3c45b4bede3d11026c471116bbfe6828680"],
+    "flat": ["31cb1078fe740af0f152929b15838afb49a89de2afeb7da8f6601d7d8da63096",
+             "fe91ba43dc5a2e196c04c7c8643d93f7227a9c1753506c5683c78ed9fe1a34c8",
+             "315a97d54418d1b2fc10c89fa84a881c6712d0edb7c2512c74dd8a113b712e66",
+             "c1baec6f498a247f9d1e27f5f60b9e04ee02d12095648a6b681d7aeed671e50b",
+             "ad76facd28a7f6cc92953e009aead28fb852c756869a87135992307aeeb88f4a",
+             "a41fe58e59ffddfbf36e78d738dc18ab0b785b5adc7e3d7912d636a358d285fd"],
+}
+
+
+def _seeded_run(mesh, seed, max_jumps, t_end):
+    datum = pt.random_mesh_datum(mesh, random.Random(1000 + seed), max_jumps=max_jumps)
+    return pt.run(pt.approximate_datum(datum, mesh), t_end, mesh)
+
+
+def _run_digest(res):
+    h = hashlib.sha256()
+    for r in res.records:
+        h.update(repr((r.t0, r.t1, r.x0, r.speed,
+                       r.left.rho, r.left.v, r.left.phase.value,
+                       r.right.rho, r.right.v, r.right.phase.value,
+                       r.kind and r.kind.value)).encode())
+    for row in res.log.rows():
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_engine_bit_identity(laws, flat_laws):
+    cases = {"traffic": (pt.GridMesh(laws, 6), 12, 250.0),
+             "flat": (pt.GridMesh(flat_laws, 5), 8, 150.0)}
+    for name, (mesh, jumps, t_end) in cases.items():
+        got = [_run_digest(_seeded_run(mesh, s, jumps, t_end))
+               for s in range(len(ENGINE_DIGESTS[name]))]
+        assert got == ENGINE_DIGESTS[name], name
+
+
+def _continuity_breaks(d):
+    # positions of a stack of equal-speed fronts may be out of order by a
+    # few ulps; the states across them may not break
+    fr = d.fronts
+    bad = [] if not fr or fr[0].left is d.left_state else [-1]
+    bad += [i for i, (a, b) in enumerate(zip(fr, fr[1:]))
+            if a.right is not b.left or b.x < a.x - 1e-9 * (1.0 + abs(a.x))]
+    return bad
+
+
+def test_snapshots_keep_front_order(flat_laws):
+    # constant-free-speed stretches leave stacks of equal-speed contacts
+    # whose positions agree only up to rounding; a (position, speed) sort
+    # scrambled them and broke the state across fronts
+    for n in (5, 7):
+        mesh = pt.GridMesh(flat_laws, n)
+        for seed in range(12):
+            res = _seeded_run(mesh, seed, 8, 150.0)
+            assert _continuity_breaks(res.initial) == [], (n, seed)
+            assert _continuity_breaks(res.final) == [], (n, seed)
+
+
+def test_run_leaves_no_front_cycles(laws, mesh5):
+    # dead and surviving fronts are unlinked, so reference counting alone
+    # frees them
+    datum = pt.random_mesh_datum(mesh5, random.Random(7), max_jumps=15)
+    diagram0 = pt.approximate_datum(datum, mesh5)
+    gc.collect()
+    gc.disable()
+    try:
+        res = pt.run(diagram0, 100.0, mesh5)
+        leaked = sum(1 for o in gc.get_objects() if type(o) is engine._F)
+    finally:
+        gc.enable()
+    assert res.events > 0
+    assert leaked == 0

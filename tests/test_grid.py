@@ -122,6 +122,37 @@ def test_all_outputs_on_mesh_M3(laws, mesh5, rng):
             mesh5.index_of(w.right)
 
 
+def test_fan_waves_match_node_jumps(mesh5, flat_mesh5, rng):
+    # the engine reads a fan's node jumps, everyone else its waves: both
+    # must say the same thing
+    for mesh in (mesh5, flat_mesh5):
+        nodes = list(mesh.nodes())
+        for _ in range(200):
+            a = mesh.state(*nodes[rng.randrange(len(nodes))])
+            b = mesh.state(*nodes[rng.randrange(len(nodes))])
+            fan = pt.solve_approx(mesh, a, b)
+            assert fan.jumps == [(w.speed, mesh.index_of(w.left), mesh.index_of(w.right), w.kind)
+                                 for w in fan.waves]
+            assert all(w.left is mesh.states[j[1]] and w.right is mesh.states[j[2]]
+                       for w, j in zip(fan.waves, fan.jumps))
+
+
+def test_mesh_states_built_on_lookup_and_freed_with_the_mesh(laws):
+    import weakref
+
+    mesh = pt.GridMesh(laws, 4)
+    node = (3, mesh.iw_c + 2)
+    assert node not in mesh.states
+    u = mesh.states[node]
+    assert u is mesh.state(*node) and mesh.index_of(u) == node
+    with pytest.raises(NotOnMesh):
+        mesh.states[(3, mesh.iw_c - 1)]
+    # the state table holds its mesh weakly: reference counting frees both
+    ref = weakref.ref(mesh)
+    del mesh
+    assert ref() is None
+
+
 def test_free_chain_step_strengths(laws, mesh5):
     ul = mesh5.state(mesh5.iv_free, mesh5.num_w - 1)   # top marker node
     ur = mesh5.state(mesh5.iv_free, 0)                 # vacuum
