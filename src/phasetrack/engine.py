@@ -13,6 +13,7 @@ import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
 from .grid import GridMesh, Node, VACUUM_IW, solve_approx
@@ -256,9 +257,11 @@ class FunctionalLog:
 # run history
 
 
-@dataclass(frozen=True, slots=True)
-class FrontRecord:
-    """One front over its straight-line lifetime segment."""
+class FrontRecord(NamedTuple):
+    """One front over its straight-line lifetime segment.
+
+    Immutable.  A named tuple, because `run` builds two per event and a
+    tuple is the cheapest immutable record to build."""
 
     t0: float
     t1: float

@@ -127,9 +127,12 @@ class _Curves:
 
     def _rk4(self, f, t0, x0, stop, h_guess):
         """Fixed-step RK4 until `stop` changes sign, then a fresh pass with
-        (t_b - t_a)/ODE_STEPS steps and a bisected endpoint."""
-        def advance(t, x, h):
-            k1 = f(t, x)
+        (t_b - t_a)/ODE_STEPS steps and a bisected endpoint.
+
+        Returns the stored path, the k1 slopes f(t, x) the final pass took
+        at the stored points it stepped from (all but the endpoint), and
+        the endpoint."""
+        def advance(t, x, h, k1):
             k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
             k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
             k4 = f(t + h, x + h * k3)
@@ -137,22 +140,24 @@ class _Curves:
 
         t, x = t0, x0
         while stop(t, x) < 0.0:
-            t, x = t + h_guess, advance(t, x, h_guess)
+            t, x = t + h_guess, advance(t, x, h_guess, f(t, x))
             if t > 1e6:
                 raise OutOfWindow("curved path never reaches its stop condition")
         t_hi = t
         h = (t_hi - t0) / ODE_STEPS
-        ts, xs = [t0], [x0]
+        ts, xs, k1s = [t0], [x0], []
         t, x = t0, x0
         for _ in range(ODE_STEPS):
-            t, x = t + h, advance(t, x, h)
+            k1 = f(t, x)
+            k1s.append(k1)
+            t, x = t + h, advance(t, x, h, k1)
             ts.append(t)
             xs.append(x)
 
         # endpoint by bisection on the dense path, one RK4 substep for accuracy
         def value(tq: float) -> float:
             i = min(max(_bisect.bisect_right(ts, tq) - 1, 0), len(ts) - 2)
-            return advance(ts[i], xs[i], tq - ts[i])
+            return advance(ts[i], xs[i], tq - ts[i], k1s[i])
 
         lo, hi = t0, t_hi
         for _ in range(100):
@@ -172,17 +177,21 @@ class _Curves:
         ts, xs = ts[:cut], xs[:cut]
         ts.append(t_b)
         xs.append(x_b)
-        return ts, xs, (t_b, x_b)
+        return ts, xs, k1s[:cut], (t_b, x_b)
 
     def _integrate_c2(self):
         f = lambda t, x: self.fan_speed(x / t)
         stop = lambda t, x: x - self.xi_b * t
-        ts, xs, end = self._rk4(f, self.t_a2, self.cfg.x2, stop, self.t_a2 / 64.0)
+        ts, xs, k1s, end = self._rk4(f, self.t_a2, self.cfg.x2, stop,
+                                     self.t_a2 / 64.0)
         self._c2_ts, self._c2_xs = ts, xs
         self.t_b2, self.x_b2 = end
         # cached source speeds and ray slopes along the path keep the
-        # projection solves free of nested root finding
-        self._c2_v0 = [self.fan_speed(x / t) for t, x in zip(ts, xs)]
+        # projection solves free of nested root finding; the source speed
+        # is the path's own slope, so RK4 already evaluated it at every
+        # stored point it took a step from
+        n = len(k1s)
+        self._c2_v0 = k1s + [self.fan_speed(x / t) for t, x in zip(ts[n:], xs[n:])]
         self._c2_lam = [self.ray_slope(v) for v in self._c2_v0]
 
     def c2_pos(self, t: float) -> float:
@@ -201,22 +210,45 @@ class _Curves:
         return self.c2_pos(t0) + (t - t0) * lam
 
     def project(self, t: float, x: float) -> float:
-        """Source time whose ray passes through (t, x); clamped to the fan."""
-        lo, hi = self.t_a2, self.t_b2
-        if self.ray_pos(lo, t) >= x:
+        """Source time whose ray passes through (t, x); clamped to the fan.
+
+        Bisects `ray_pos(t0, t) < x` over [t_a2, t_b2], with `ray_pos`
+        written out: both interpolations share one segment index, found
+        among the segments the bracket spans, in the float expressions of
+        `interp_polyline`, so the result has the bits of bisecting over
+        `ray_pos` itself.
+        """
+        ts, xs, lams = self._c2_ts, self._c2_xs, self._c2_lam
+        bisect_right = _bisect.bisect_right
+        t_first, t_last = ts[0], ts[-1]
+        lo, hi = self.t_a2, self.t_b2       # t_first and t_last
+        if xs[0] + (t - lo) * lams[0] >= x:
             return lo
-        if self.ray_pos(hi, t) <= x:
+        if xs[-1] + (t - hi) * lams[-1] <= x:
             return hi
+        # j_lo = bisect_right(ts, lo) and j_hi = bisect_right(ts, hi), so
+        # bisect_right(ts, mid) lies between them
+        j_lo, j_hi = 1, len(ts)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if self.ray_pos(mid, t) < x:
+            if t_first < mid < t_last:
+                j = bisect_right(ts, mid, j_lo, j_hi)
+                i = j - 1
+                f = (mid - ts[i]) / (ts[j] - ts[i])
+                c = xs[i] + f * (xs[j] - xs[i])
+                lam = lams[i] + f * (lams[j] - lams[i])
+            elif mid <= t_first:            # interp_polyline's clamps
+                j, c, lam = 1, xs[0], lams[0]
+            else:
+                j, c, lam = len(ts), xs[-1], lams[-1]
+            if c + (t - mid) * lam < x:
                 if lo == mid:
                     break       # (lo, hi) is a fixed point of the loop
-                lo = mid
+                lo, j_lo = mid, j
             else:
                 if hi == mid:
                     break
-                hi = mid
+                hi, j_hi = mid, j
         return 0.5 * (lo + hi)
 
     def reemitted_state(self, t: float, x: float) -> TrafficState:
@@ -233,8 +265,8 @@ class _Curves:
     def _integrate_pt1(self):
         f = lambda t, x: self.source_speed(self.project(t, x))
         stop = lambda t, x: x - self.last_ray(t)
-        ts, xs, end = self._rk4(f, self.t_a1, self.cfg.x1, stop,
-                                (self.t_b2 - self.t_a2) / 16.0)
+        ts, xs, _, end = self._rk4(f, self.t_a1, self.cfg.x1, stop,
+                                   (self.t_b2 - self.t_a2) / 16.0)
         self._pt1_ts, self._pt1_xs = ts, xs
         self.t_b1, self.x_b1 = end
 

@@ -420,3 +420,16 @@ def test_run_leaves_no_front_cycles(laws, mesh5):
         gc.enable()
     assert res.events > 0
     assert leaked == 0
+
+
+def test_front_records_are_immutable(laws, mesh5):
+    datum = pt.random_mesh_datum(mesh5, random.Random(3), max_jumps=6)
+    res = pt.run(pt.approximate_datum(datum, mesh5), 40.0, mesh5)
+    rec = res.records[0]
+    for name in ("t0", "t1", "x0", "speed", "left", "right", "kind"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0.0)
+    with pytest.raises(AttributeError):
+        rec.extra = 0.0
+    assert repr(rec).startswith(f"FrontRecord(t0={rec.t0!r}, t1={rec.t1!r}, ")
+    assert rec.x1 == rec.position(rec.t1)

@@ -1,6 +1,9 @@
 import bisect
+import dataclasses
+import hashlib
 import math
 import pickle
+import random
 
 import pytest
 
@@ -221,6 +224,81 @@ def test_exact_solution_pickle_round_trip(exact):
             assert clone.evaluate(t, x) == exact.evaluate(t, x)
             regions.add(exact._segments(t)[1][bisect.bisect_right(bounds, x)])
     assert {"fan_main", "fan_reemitted", "fan_free"} <= regions
+
+
+# sha256 of the construction as it was built before `project` and `_rk4`
+# stopped repeating work: the c2 and pt1 paths with their source speeds and
+# ray slopes, the b-points, the event table and `evaluate` on a grid that
+# crosses every fan; any change to a bit of any of them changes a digest
+CONSTRUCTION_DIGESTS = {
+    (): "ef38a9283a54ad6a3632f642a34ed326a7d429ecf45c98539d5f75fa0f3aa907",
+    (("x1", -13.0), ("x2", -5.0)):
+        "3270a1b5d0edc46c0d69d9bcb48b39275cf24d9120f17c2f7af8588b4a58750a",
+}
+
+
+def _construction_digest(ex):
+    cur, tab = ex.curves, ex.table
+    parts = [cur._c2_ts, cur._c2_xs, cur._c2_v0, cur._c2_lam,
+             cur._pt1_ts, cur._pt1_xs,
+             (cur.t_b2, cur.x_b2, cur.t_b1, cur.x_b1),
+             [getattr(tab, f.name) for f in dataclasses.fields(tab)]]
+    regions = set()
+    t_hi = min(1.5 * tab.c1[0], ex.window_end)
+    for k in range(1, 41):
+        t = t_hi * k / 40
+        bounds, regs = ex._segments(t)
+        lo, hi = bounds[0] - 1.0, bounds[-1] + 1.0
+        for j in range(121):
+            x = lo + (hi - lo) * j / 120
+            u = ex.evaluate(t, x)
+            parts.append((t, x, u.rho, u.v, u.phase.value))
+            regions.add(regs[bisect.bisect_right(bounds, x)])
+    return hashlib.sha256(repr(parts).encode()).hexdigest(), regions
+
+
+def test_exact_construction_bit_identity():
+    for kw, digest in CONSTRUCTION_DIGESTS.items():
+        ex = ExactSolution(pt.TrafficLightConfig(**dict(kw)))
+        got, regions = _construction_digest(ex)
+        assert {"fan_main", "fan_reemitted", "fan_free"} <= regions, kw
+        assert got == digest, kw
+
+
+def _project_by_ray_pos(cur, t, x):
+    # the plain bisection over ray_pos that `project` must reproduce
+    lo, hi = cur.t_a2, cur.t_b2
+    if cur.ray_pos(lo, t) >= x:
+        return lo
+    if cur.ray_pos(hi, t) <= x:
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if cur.ray_pos(mid, t) < x:
+            if lo == mid:
+                break
+            lo = mid
+        else:
+            if hi == mid:
+                break
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_project_matches_bisection_over_ray_pos(exact):
+    cur = exact.curves
+    rng = random.Random(5)
+    ends = {cur.t_a2: 0, cur.t_b2: 0}
+    for _ in range(2000):
+        t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
+        first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
+        x = rng.uniform(min(first, last) - 1.0, max(first, last) + 1.0)
+        got = cur.project(t, x)
+        assert got == _project_by_ray_pos(cur, t, x), (t, x)
+        if got in ends:
+            ends[got] += 1
+    # both clamps and the interior are exercised
+    assert min(ends.values()) > 50 and sum(ends.values()) < 1500
 
 
 def test_exact_reference_helper(scenario_cfg):
