@@ -10,27 +10,26 @@ from .riemann import (Wave, WaveFan, WaveKind, check_consistency, sigma,
 from .grid import GridMesh, solve_approx
 from .engine import (FrontDiagram, FrontRecord, FunctionalLog,
                      PiecewiseConstantDatum, RunResult, approximate_datum,
-                     count_phase_transitions, next_event, random_mesh_datum,
-                     run, temple_functional, tv_coords)
-from .analysis import (BumpTestFunction, EntropyReport, arz_entropy_pair,
-                       classify_transition, entropy_k_grid, entropy_pair,
-                       entropy_production, entropy_report, lwr_entropy_pair,
-                       rh_residual, step_entropy_deficit_bound, weak_residual)
+                     count_phase_transitions, random_mesh_datum, run,
+                     temple_functional, tv_coords)
+from .analysis import (BumpTestFunction, EntropyReport, classify_transition,
+                       entropy_k_grid, entropy_pair, entropy_production,
+                       entropy_report, lwr_entropy_pair, rh_residual,
+                       step_entropy_deficit_bound, weak_residual)
 from .scenario import (ExactEventTable, ExactSolution, TrafficLightConfig,
-                       build_scenario, closed_form_table, exact_reference,
-                       last_passage_time)
+                       build_scenario, closed_form_table, last_passage_time)
 
 __all__ = [
     "BumpTestFunction", "EntropyReport", "ExactEventTable", "ExactSolution",
     "FrontDiagram", "FrontRecord", "FunctionalLog", "GridMesh",
     "LinearFreeSpeed", "ModelLaws", "Phase", "PiecewiseConstantDatum",
     "PowerPressure", "RiemannCoords", "RunResult", "TrafficLightConfig",
-    "TrafficState", "Wave", "WaveFan", "WaveKind", "approximate_datum", "arz_entropy_pair",
+    "TrafficState", "Wave", "WaveFan", "WaveKind", "approximate_datum",
     "build_scenario", "check_consistency", "classify_transition",
     "closed_form_table", "count_phase_transitions", "entropy_k_grid",
     "entropy_pair", "entropy_production", "entropy_report",
-    "exact_reference", "last_passage_time", "laws_from_config",
-    "lwr_entropy_pair", "next_event", "random_mesh_datum",
+    "last_passage_time", "laws_from_config",
+    "lwr_entropy_pair", "random_mesh_datum",
     "rh_residual", "run", "sigma", "solve_approx",
     "solve_arz", "solve_coupled", "solve_lwr", "step_entropy_deficit_bound",
     "temple_functional", "tv_coords", "validate_laws", "weak_residual",

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from .engine import FrontRecord, RunResult
 from .errors import OutOfDomain, SamePhase, UnsupportedTestFunction
+from .invariants import jump_residuals, momentum_conserved
 from .model import ModelLaws, Phase, TrafficState
 from .numerics import gauss_integrate
 from .riemann import WaveKind
@@ -19,28 +20,6 @@ CLASS_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # jump conditions
-
-
-def jump_residuals(speed: float, left: TrafficState, right: TrafficState,
-                   W_left: float | None = None,
-                   W_right: float | None = None) -> tuple[float, float | None]:
-    """(mass residual, momentum residual) of a jump; the momentum residual
-    is None unless the conserved markers max(w2, W_c) of both sides are
-    given."""
-    mass = speed * (right.rho - left.rho) - (right.flow - left.flow)
-    if W_left is None:
-        return mass, None
-    yl = left.rho * W_left
-    yr = right.rho * W_right
-    return mass, speed * (yr - yl) - (yr * right.v - yl * left.v)
-
-
-def momentum_conserved(laws: ModelLaws, left: TrafficState, right: TrafficState) -> bool:
-    """Whether the momentum jump condition holds across a jump: between two
-    congested states, or across every front when the free speed is
-    constant."""
-    return (left.phase is Phase.CONGESTED and right.phase is Phase.CONGESTED) \
-        or laws.degenerate_free
 
 
 def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
@@ -126,20 +105,6 @@ def lwr_entropy_pair(laws: ModelLaws, u: TrafficState, h: float) -> tuple[float,
         raise OutOfDomain(f"reference density {h} outside [0, {laws.rho_free_max}]")
     s = math.copysign(1.0, u.rho - h) if u.rho != h else 0.0
     return abs(u.rho - h), s * (u.flow - h * laws.v_f(h))
-
-
-def arz_entropy_pair(laws: ModelLaws, u: TrafficState, k: float) -> tuple[float, float]:
-    """Congested-branch pair, defined for reference speeds up to the
-    congested ceiling only.  On its domain it coincides with the extended
-    pair; the two families are kept as separate entry points."""
-    if u.phase is not Phase.CONGESTED:
-        raise OutOfDomain("the congested pair needs a congested state")
-    if not (0.0 <= k <= laws.V_c):
-        raise OutOfDomain(f"reference speed {k} outside [0, {laws.V_c}]")
-    if u.v <= k:
-        return 0.0, 0.0
-    rk = laws.p_inv(laws.w2(u) - k)
-    return 1.0 - u.rho / rk, k - u.flow / rk
 
 
 def entropy_production(laws: ModelLaws, speed: float, left: TrafficState,

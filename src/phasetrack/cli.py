@@ -20,12 +20,12 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .analysis import (entropy_report, jump_residuals, momentum_conserved,
-                       step_deficit_totals)
-from .engine import (MONO_TOL, PiecewiseConstantDatum, RunResult,
-                     approximate_datum, random_mesh_datum, run)
+from .analysis import entropy_report, step_deficit_totals
+from .engine import (PiecewiseConstantDatum, RunResult, approximate_datum,
+                     l1_distance, random_mesh_datum, run)
 from .errors import InvariantViolation, PhasetrackError
 from .grid import GridMesh
+from .invariants import audit_run
 from .model import ModelLaws, Phase, TrafficState, laws_from_config
 from .scenario import (ExactSolution, TrafficLightConfig, build_scenario,
                        closed_form_table, last_passage_time)
@@ -143,53 +143,11 @@ def _x_grid(cfg: RunConfig, datum, t_end: float) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def audit_run(res: RunResult) -> list[str]:
-    """Post-hoc invariant checks; returns the violations found."""
-    bad: list[str] = []
-    log = res.log
-    for i in range(1, len(log.ts)):
-        if log.tv[i] - log.tv[i - 1] > MONO_TOL:
-            bad.append(f"TV increased at event t={log.ts[i]}")
-        if log.temple[i] - log.temple[i - 1] > MONO_TOL:
-            bad.append(f"wave potential increased at event t={log.ts[i]}")
-        if log.waves[i] > log.waves[i - 1] and \
-                log.temple[i] - log.temple[i - 1] > -res.mesh.eps_w + MONO_TOL:
-            bad.append(f"wave count grew without paying a quantum at t={log.ts[i]}")
-        dpt = log.phase_transitions[i] - log.phase_transitions[i - 1]
-        if dpt > 0 or dpt % 2 != 0:
-            bad.append(f"phase-transition count changed by {dpt} at t={log.ts[i]}")
-    laws = res.laws
-    # records share a few thousand state objects: one marker evaluation each
-    markers: dict[int, float] = {}
-
-    def marker(u: TrafficState) -> float:
-        w = markers.get(id(u))
-        if w is None:
-            w = markers[id(u)] = laws.marker_W(u)
-        return w
-
-    for rec in res.records:
-        left, right = rec.left, rec.right
-        if momentum_conserved(laws, left, right):
-            mass, mom = jump_residuals(rec.speed, left, right, marker(left), marker(right))
-        else:
-            mass, mom = jump_residuals(rec.speed, left, right)
-        if abs(mass) > MONO_TOL:
-            bad.append(f"mass jump condition violated ({mass}) on a front born t={rec.t0}")
-            break
-        if mom is not None and abs(mom) > MONO_TOL:
-            bad.append(f"momentum jump condition violated ({mom}) on a front born t={rec.t0}")
-            break
-    return bad
-
-
 def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, meta_extra: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     laws = res.laws
 
-    xs = _x_grid(cfg, cfg.datum if cfg.datum is not None else
-                 PiecewiseConstantDatum((0.0,), (laws.vacuum(), laws.vacuum())),
-                 res.t_end)
+    xs = _x_grid(cfg, cfg.datum, res.t_end)
     prof_rows = []
     for t in cfg.snapshots or [0.0, res.t_end]:
         t = min(max(t, 0.0), res.t_end)
@@ -264,25 +222,24 @@ def cmd_run(args) -> int:
     return 0
 
 
+PROBE_FRAC = 0.5
+
+
 def _ladder_level(payload) -> dict:
-    exact, n, t_end, probe_frac, strict = payload
+    exact, n, t_end, strict = payload
     sc, laws, table = exact.cfg, exact.laws, exact.table
     mesh = GridMesh(laws, n)
     res = run(approximate_datum(exact.datum, mesh), t_end, mesh, strict=strict)
     sim_t = last_passage_time(res)
-    t_probe = probe_frac * table.t_d1
+    t_probe = PROBE_FRAC * table.t_d1
     sim_diag = res.diagram_at(t_probe)
     window = (sc.x1 - 1.0, 1.0)
     cuts = sorted(set(exact.breakpoints(t_probe))
                   | set(sim_diag.positions()) | set(window))
     cuts = [c for c in cuts if window[0] <= c <= window[1]]
-    l1 = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        # 8-point midpoint-ish panel per cell: the exact side varies smoothly
-        for j in range(8):
-            m = a + (b - a) * (j + 0.5) / 8
-            l1 += laws.coord_distance(sim_diag.evaluate(m),
-                                      exact.evaluate(t_probe, m)) * (b - a) / 8
+    # eight panels per cell: the exact side varies smoothly inside the fans
+    l1 = l1_distance(laws, sim_diag.profile, lambda xs: exact.profile(t_probe, xs),
+                     cuts, panels=8)
     negative_entropy, _ = step_deficit_totals(res)
     bad = audit_run(res)
     return dict(n=n, sim_t_last=sim_t, closed_form_t_d1=table.t_d1,
@@ -311,7 +268,7 @@ def cmd_ladder(args) -> int:
     t_end = cfg.t_end or 1.25 * table.t_last
     sc_kwargs = dict(gamma=sc.gamma, v_max=sc.v_max, w_max=sc.w_max, w_c=sc.w_c,
                      v_c=sc.v_c, x1=sc.x1, x2=sc.x2)
-    payloads = [(exact, n, t_end, 0.5, args.strict) for n in range(n_min, n_max + 1)]
+    payloads = [(exact, n, t_end, args.strict) for n in range(n_min, n_max + 1)]
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:

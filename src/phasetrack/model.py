@@ -50,14 +50,6 @@ class RiemannCoords(NamedTuple):
     w2: float
 
 
-def free_state(laws: "ModelLaws", rho: float) -> TrafficState:
-    return TrafficState(rho, laws.v_free(rho), Phase.FREE)
-
-
-def congested_state(rho: float, v: float) -> TrafficState:
-    return TrafficState(rho, v, Phase.CONGESTED)
-
-
 class LinearFreeSpeed:
     """v(rho) = v_max (1 - rho / R); R = inf gives a constant free speed."""
 
@@ -352,10 +344,6 @@ class ModelLaws:
 
     def contains(self, u: TrafficState, tol: float = STATE_TOL) -> bool:
         return self.in_free_domain(u, tol) or self.in_congested_domain(u, tol)
-
-    def in_low_free(self, u: TrafficState, tol: float = STATE_TOL) -> bool:
-        """Free state below the critical density (the Omega_f' band)."""
-        return self.in_free_domain(u, tol) and u.rho < self.rho_free_crit - tol
 
     # -- entropy auxiliaries --------------------------------------------------
 

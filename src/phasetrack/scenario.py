@@ -444,10 +444,6 @@ class ExactSolution:
         return [self.evaluate(t, x) for x in xs]
 
 
-def exact_reference(cfg: TrafficLightConfig, t: float, xs) -> list[TrafficState]:
-    return ExactSolution(cfg).profile(t, xs)
-
-
 def last_passage_time(run: RunResult, x_light: float = 0.0) -> float:
     """Arrival time at the light of the trailing vacuum-backed front."""
     crossings = []

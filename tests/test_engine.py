@@ -7,7 +7,7 @@ import pytest
 
 import phasetrack as pt
 from phasetrack import engine
-from phasetrack.engine import DiagramFront, FrontDiagram, l1_profile_distance
+from phasetrack.engine import DiagramFront, FrontDiagram
 from phasetrack.errors import ValueOutsideOmega
 from phasetrack.riemann import WaveKind
 
@@ -106,27 +106,43 @@ def test_datum_l1_converges(laws, rng):
 # event detection
 
 
+def _free(mesh, iw):
+    return mesh.state(mesh.iv_free, iw)
+
+
 def test_next_event_kinematics(mesh5):
-    a, b = mesh5.state(0, 40), mesh5.state(5, 40)
-    d = diagram(2.0, [(0.0, 1.0, a, b, None), (1.0, 0.0, b, a, None)])
-    t, idx = pt.next_event(d)
-    assert t == pytest.approx(3.0)
-    assert idx == [0, 1]
+    # two free shocks one unit apart close at the difference of their speeds
+    a, b, c = _free(mesh5, 10), _free(mesh5, 25), _free(mesh5, 45)
+    d = pt.PiecewiseConstantDatum((-1.0, 0.0), (a, b, c))
+    res = pt.run(pt.approximate_datum(d, mesh5), 2000.0, mesh5)
+    assert res.events == 1
+    assert res.log.ts[1] == pytest.approx(1.0 / (pt.sigma(a, b) - pt.sigma(b, c)),
+                                          rel=1e-12)
 
 
 def test_next_event_none_for_parallel(mesh5):
-    a, b = mesh5.state(0, 40), mesh5.state(5, 40)
-    d = diagram(0.0, [(0.0, 0.3, a, b, None), (1.0, 0.3, b, a, None)])
-    assert pt.next_event(d) is None
+    # congested contacts at one velocity all travel at that velocity
+    iv, iw = 5, mesh5.iw_c
+    a, b, c = mesh5.state(iv, iw + 2), mesh5.state(iv, iw + 6), mesh5.state(iv, iw + 4)
+    d = pt.PiecewiseConstantDatum((-1.0, 0.0), (a, b, c))
+    res = pt.run(pt.approximate_datum(d, mesh5), 500.0, mesh5)
+    assert [f.speed for f in res.initial.fronts] == [a.v, a.v]
+    assert len(res.log.ts) == 1
+    assert res.events == 0
 
 
 def test_next_event_groups_triple(mesh5):
-    a, b = mesh5.state(0, 40), mesh5.state(5, 40)
-    d = diagram(0.0, [(-1.0, 1.0, a, b, None), (0.0, 0.0, b, a, None),
-                      (1.0, -1.0, a, b, None)])
-    t, idx = pt.next_event(d)
-    assert t == pytest.approx(1.0)
-    assert idx == [0, 1, 2]
+    # three free shocks placed to reach x = 0 together at t = T
+    T = 10.0
+    a, b, c, e = _free(mesh5, 10), _free(mesh5, 25), _free(mesh5, 35), _free(mesh5, 45)
+    speeds = [pt.sigma(a, b), pt.sigma(b, c), pt.sigma(c, e)]
+    d = pt.PiecewiseConstantDatum(tuple(-s * T for s in speeds), (a, b, c, e))
+    res = pt.run(pt.approximate_datum(d, mesh5), 100.0, mesh5)
+    assert res.events == 1
+    assert res.log.waves == [3, 1]
+    t_event = res.log.ts[1]
+    assert t_event == pytest.approx(T, rel=1e-12)
+    assert [r.t1 for r in res.records].count(t_event) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,8 @@ def test_project_matches_bisection_over_ray_pos(exact):
     assert min(ends.values()) > 50 and sum(ends.values()) < 1500
 
 
-def test_exact_reference_helper(scenario_cfg):
-    states = pt.exact_reference(scenario_cfg, 10.0, [-20.0, -8.0])
+def test_exact_reference_helper(exact):
+    states = exact.profile(10.0, [-20.0, -8.0])
     assert states[0].is_vacuum
     assert states[1].v == 0.0
 
