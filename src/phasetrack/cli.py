@@ -143,6 +143,25 @@ def _x_grid(cfg: RunConfig, datum, t_end: float) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _write_metadata(outdir: Path, **fields) -> None:
+    """metadata.json: the tool header, the only wall-clock value, plus fields."""
+    meta = dict(tool="phasetrack", version=__version__,
+                written_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                **fields)
+    (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+
+
+def _scenario_meta(sc: TrafficLightConfig) -> dict:
+    """The scenario block of metadata.json."""
+    return dict(
+        scenario=dict(gamma=sc.gamma, v_max=sc.v_max, w_max=sc.w_max,
+                      w_c=sc.w_c, v_c=sc.v_c, x1=sc.x1, x2=sc.x2),
+        marker_band=dict(
+            w_c=sc.w_c, w_max=sc.w_max,
+            note="w_max must exceed w_c; configs supplying the reverse "
+                 "ordering are rejected by validation"))
+
+
 def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, meta_extra: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     laws = res.laws
@@ -176,16 +195,13 @@ def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, meta_extra: dic
         _write_csv(outdir / "entropy.csv",
                    ["t0", "t1", "x0", "kind", "k", "upsilon"], rep.rows())
 
-    meta = dict(
-        tool="phasetrack", version=__version__,
-        written_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        n=cfg.n, t_end=res.t_end, events=res.events,
+    _write_metadata(
+        outdir, n=cfg.n, t_end=res.t_end, events=res.events,
         constants=dict(V_max=laws.V_max, V_f=laws.V_f, V_c=laws.V_c,
                        W_min=laws.W_min, W_c=laws.W_c, W_max=laws.W_max,
                        R_f_prime=laws.rho_free_crit, R_f_second=laws.rho_free_max,
                        R_c=laws.R_c, R_max=laws.R_max),
         **meta_extra)
-    (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
 def cmd_run(args) -> int:
@@ -204,15 +220,7 @@ def cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    meta = {}
-    if cfg.scenario_cfg is not None:
-        sc = cfg.scenario_cfg
-        meta["scenario"] = dict(gamma=sc.gamma, v_max=sc.v_max, w_max=sc.w_max,
-                                w_c=sc.w_c, v_c=sc.v_c, x1=sc.x1, x2=sc.x2)
-        meta["marker_band"] = dict(
-            w_c=sc.w_c, w_max=sc.w_max,
-            note="w_max must exceed w_c; configs supplying the reverse "
-                 "ordering are rejected by validation")
+    meta = _scenario_meta(cfg.scenario_cfg) if cfg.scenario_cfg is not None else {}
     _write_outputs(Path(args.out), cfg, res, meta)
     bad = audit_run(res)
     if bad:
@@ -266,8 +274,6 @@ def cmd_ladder(args) -> int:
 
     sc, table = exact.cfg, exact.table
     t_end = cfg.t_end or 1.25 * table.t_last
-    sc_kwargs = dict(gamma=sc.gamma, v_max=sc.v_max, w_max=sc.w_max, w_c=sc.w_c,
-                     v_c=sc.v_c, x1=sc.x1, x2=sc.x2)
     payloads = [(exact, n, t_end, args.strict) for n in range(n_min, n_max + 1)]
     try:
         if args.jobs > 1:
@@ -287,16 +293,8 @@ def cmd_ladder(args) -> int:
                [(r["n"], r["sim_t_last"], r["closed_form_t_d1"], r["abs_error"],
                  r["l1_error"], r["negative_entropy"], r["events"], r["violations"])
                 for r in rows])
-    meta = dict(tool="phasetrack", version=__version__,
-                written_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                scenario=sc_kwargs, t_end=t_end,
-                structural_ok=table.structural_ok,
-                exact_last_passage=table.t_last,
-                marker_band=dict(
-                    w_c=sc.w_c, w_max=sc.w_max,
-                    note="w_max must exceed w_c; configs supplying the "
-                         "reverse ordering are rejected by validation"))
-    (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    _write_metadata(outdir, t_end=t_end, structural_ok=table.structural_ok,
+                    exact_last_passage=table.t_last, **_scenario_meta(sc))
     if any(r["violations"] for r in rows):
         print("invariant violation: see per-level audits", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
 from .grid import GridMesh, Node, VACUUM_IW, solve_approx
 from .invariants import functional_violations
-from .model import ModelLaws, Phase, TrafficState
+from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
 
 TIME_GROUP_TOL = 1e-12
@@ -82,25 +82,6 @@ def _taut_track(brackets: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def _index_brackets(mesh: GridMesh, u: TrafficState) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Velocity- and marker-index tubes bracketing a state."""
-    laws = mesh.laws
-    if u.phase is Phase.FREE:
-        ivb = (mesh.iv_free, mesh.iv_free)
-        if laws.degenerate_free and u.rho < laws.rho_free_crit - 1e-12:
-            return ivb, (VACUUM_IW, VACUUM_IW)
-        w2 = laws.w2(u)
-        lo = mesh._floor_w(w2)
-        hi = lo if mesh.w_value(lo) >= w2 - 1e-12 else min(lo + 1, mesh.num_w - 1)
-        return ivb, (lo, hi)
-    lo_v = mesh._floor_v(u.v)
-    hi_v = lo_v if mesh.v_value(lo_v) >= u.v - 1e-12 else min(lo_v + 1, mesh.iv_vc)
-    w2 = laws.w2(u)
-    lo_w = max(mesh._floor_w(w2), mesh.iw_c)
-    hi_w = lo_w if mesh.w_value(lo_w) >= w2 - 1e-12 else min(lo_w + 1, mesh.num_w - 1)
-    return (lo_v, hi_v), (lo_w, hi_w)
-
-
 def approximate_datum(datum: PiecewiseConstantDatum, mesh: GridMesh) -> "FrontDiagram":
     """Project a datum onto the mesh and emit the initial raw fronts.
 
@@ -113,7 +94,7 @@ def approximate_datum(datum: PiecewiseConstantDatum, mesh: GridMesh) -> "FrontDi
     for u in datum.states:
         if not laws.contains(u, tol=1e-9):
             raise ValueOutsideOmega(f"datum value {u} not in the model domain")
-    pairs = [_index_brackets(mesh, u) for u in datum.states]
+    pairs = [mesh.brackets(u) for u in datum.states]
     ivs = _taut_track([p[0] for p in pairs])
     iws = _taut_track([p[1] for p in pairs])
     snapped = [mesh.state(iv, iw) for iv, iw in zip(ivs, iws)]
@@ -150,17 +131,12 @@ class FrontDiagram:
     left_state: TrafficState
     fronts: list[DiagramFront]
 
-    @property
-    def right_state(self) -> TrafficState:
-        return self.fronts[-1].right if self.fronts else self.left_state
-
     def positions(self) -> list[float]:
         return [f.x for f in self.fronts]
 
     def evaluate(self, x: float) -> TrafficState:
         """Right-continuous evaluation: at a front the right state applies."""
-        i = bisect.bisect_right([f.x for f in self.fronts], x)
-        return self.left_state if i == 0 else self.fronts[i - 1].right
+        return self.profile((x,))[0]
 
     def profile(self, xs) -> list[TrafficState]:
         pos = [f.x for f in self.fronts]
@@ -269,7 +245,7 @@ class _F:
     nodes l and r ((iv, iw) ids)."""
 
     __slots__ = ("x0", "t0", "speed", "l", "r", "kind",
-                 "prev", "next", "alive", "tv", "temple", "pt")
+                 "prev", "next", "tv", "temple", "pt")
 
     def __init__(self, x0, t0, speed, l, r, kind):
         self.x0 = x0
@@ -280,7 +256,6 @@ class _F:
         self.kind = kind
         self.prev = None
         self.next = None
-        self.alive = True
 
     def position(self, t: float) -> float:
         return self.x0 + self.speed * (t - self.t0)
@@ -351,6 +326,34 @@ def l1_distance(laws: ModelLaws, profile_a, profile_b, cuts: list[float],
 # the time loop
 
 
+def _splice(before: _F | None, fronts: list[_F], after: _F | None) -> _F | None:
+    """Link fronts, in order, between before and after (either may be None);
+    returns the front that now follows before."""
+    prev = before
+    for f in fronts:
+        f.prev = prev
+        if prev is not None:
+            prev.next = f
+        prev = f
+    if prev is not None:
+        prev.next = after
+    if after is not None:
+        after.prev = prev
+    return fronts[0] if fronts else after
+
+
+def _snapshot(head: _F | None, t: float, states, left: TrafficState) -> FrontDiagram:
+    """The live list from head at time t; left is the leftmost state when
+    the list is empty."""
+    fronts = []
+    f = head
+    while f is not None:
+        fronts.append(DiagramFront(f.position(t), f.speed, states[f.l],
+                                   states[f.r], f.kind))
+        f = f.next
+    return FrontDiagram(t, fronts[0].left if fronts else left, fronts)
+
+
 def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         event_cap: int = 10_000_000, strict: bool = False) -> RunResult:
     """Advance a diagram to t_end, resolving collisions as they come due.
@@ -362,6 +365,9 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     InvariantViolation.  Inside the loop fronts carry mesh node ids, and
     each fan is read as solve_approx's node jumps; states are looked up
     only to call solve_approx and for the records and the two snapshots.
+
+    Fronts never change once built, so a heap entry stays valid exactly as
+    long as its two fronts are adjacent: dead fronts are unlinked.
     """
     laws = mesh.laws
     states = mesh.states
@@ -371,33 +377,20 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     heap: list[tuple[float, int, _F, _F]] = []
 
     # initial resolution of the datum jumps
-    head: _F | None = None
-    tail: _F | None = None
+    tot_tv = tot_temple = 0.0
+    n_waves = n_pts = 0
+    fronts: list[_F] = []
     for raw in diagram.fronts:
         for s, a, b, kind in solve_approx(mesh, raw.left, raw.right).jumps:
             f = _F(raw.x, 0.0, s, a, b, kind)
-            f.prev = tail
-            if tail is not None:
-                tail.next = f
-            else:
-                head = f
-            tail = f
-
-    tot_tv = tot_temple = 0.0
-    n_waves = n_pts = 0
-    init_fronts = []
-    f = head
-    while f is not None:
-        f.tv, f.temple, f.pt = _front_measures(mesh, f.l, f.r)
-        tot_tv += f.tv
-        tot_temple += f.temple
-        n_waves += 1
-        n_pts += f.pt
-        init_fronts.append(DiagramFront(f.x0, f.speed, states[f.l],
-                                        states[f.r], f.kind))
-        f = f.next
-    init_left = init_fronts[0].left if init_fronts else diagram.left_state
-    initial = FrontDiagram(0.0, init_left, init_fronts)
+            f.tv, f.temple, f.pt = _front_measures(mesh, a, b)
+            tot_tv += f.tv
+            tot_temple += f.temple
+            n_waves += 1
+            n_pts += f.pt
+            fronts.append(f)
+    head = _splice(None, fronts, None)
+    initial = _snapshot(head, 0.0, states, diagram.left_state)
 
     log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
 
@@ -411,26 +404,18 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         if a is None or b is None:
             return
         t = collision_time(a, b)
-        if t is None:
-            return
-        if t < now - TIME_GROUP_TOL or t < max(a.t0, b.t0) - TIME_GROUP_TOL:
+        if t is None or t < now - TIME_GROUP_TOL:
             return
         heapq.heappush(heap, (t, next(counter), a, b))
 
-    f = head
-    while f is not None and f.next is not None:
-        push(f, f.next, 0.0)
-        f = f.next
+    for a, b in zip(fronts, fronts[1:]):
+        push(a, b, 0.0)
 
     events = 0
     now = 0.0
     while heap:
         t_star, _, fa, fb = heapq.heappop(heap)
-        if not (fa.alive and fb.alive and fa.next is fb):
-            continue
-        t = collision_time(fa, fb)
-        if t is None or abs(t - t_star) > TIME_GROUP_TOL * (1.0 + abs(t_star)):
-            push(fa, fb, now)
+        if fa.next is not fb:
             continue
         if t_star > t_end:
             break
@@ -460,7 +445,6 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
 
         before, after = group[0].prev, group[-1].next
         for g in group:
-            g.alive = False
             records.append(FrontRecord(g.t0, t_star, g.x0, g.speed,
                                        states[g.l], states[g.r], g.kind))
             tot_tv -= g.tv
@@ -479,23 +463,9 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             n_waves += 1
             n_pts += nf.pt
             new_fronts.append(nf)
-        # splice
-        prev = before
-        for nf in new_fronts:
-            nf.prev = prev
-            if prev is not None:
-                prev.next = nf
-            else:
-                head = nf
-            prev = nf
-        if prev is not None:
-            prev.next = after
-        else:
-            head = after
-        if after is not None:
-            after.prev = prev
-        else:
-            tail = prev
+        first = _splice(before, new_fronts, after)
+        if before is None:
+            head = first
 
         if new_fronts:
             push(before, new_fronts[0], now)
@@ -518,17 +488,14 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             raise EventOverflow(f"more than {event_cap} interactions")
 
     # close out the survivors in list order, unlinking each
-    final_fronts = []
+    final = _snapshot(head, t_end, states, initial.left_state)
     f = head
     while f is not None:
-        left, right = states[f.l], states[f.r]
-        records.append(FrontRecord(f.t0, t_end, f.x0, f.speed, left, right, f.kind))
-        final_fronts.append(DiagramFront(f.position(t_end), f.speed, left, right, f.kind))
+        records.append(FrontRecord(f.t0, t_end, f.x0, f.speed,
+                                   states[f.l], states[f.r], f.kind))
         nxt = f.next
         f.prev = f.next = None
         f = nxt
-    final_left = final_fronts[0].left if final_fronts else init_left
-    final = FrontDiagram(t_end, final_left, final_fronts)
     return RunResult(laws, mesh, t_end, records, log, initial, final, events)
 
 
@@ -536,20 +503,22 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
 # randomized data
 
 
+DATUM_VACUUM_PROB = 0.15   # share of vacuum values in a random datum
+DATUM_FREE_PROB = 0.4      # share of free, non-vacuum values
+
+
 def random_mesh_datum(mesh: GridMesh, rng, max_jumps: int = 12,
-                      x_span: tuple[float, float] = (-10.0, 10.0),
-                      vacuum_prob: float = 0.15,
-                      free_prob: float = 0.4) -> PiecewiseConstantDatum:
+                      x_span: tuple[float, float] = (-10.0, 10.0)) -> PiecewiseConstantDatum:
     """Random mesh-valued piecewise-constant datum touching both phases."""
     laws = mesh.laws
 
     def rand_state() -> TrafficState:
         r = rng.random()
-        if r < vacuum_prob:
+        if r < DATUM_VACUUM_PROB:
             if laws.degenerate_free:
                 return mesh.state(mesh.iv_free, VACUUM_IW)
             return mesh.state(mesh.iv_free, 0)
-        if r < vacuum_prob + free_prob:
+        if r < DATUM_VACUUM_PROB + DATUM_FREE_PROB:
             return mesh.state(mesh.iv_free, rng.randrange(mesh.num_w))
         return mesh.state(rng.randrange(mesh.iv_vc + 1),
                           rng.randrange(mesh.iw_c, mesh.num_w))

@@ -128,45 +128,50 @@ class GridMesh:
 
     # -- coordinate -> index -------------------------------------------------
 
-    def _floor_w(self, w2: float) -> int:
-        last = len(self.w_values) - 1
-        if w2 >= self.w_values[last] - 1e-9 * self.eps_w:
-            return last
-        base = self.w_values[0]
-        i = int(math.floor((w2 - base) / self.eps_w + _IDX_GUARD))
-        return min(max(i, 0), last)
-
-    def _floor_v(self, v: float) -> int:
-        i = int(math.floor(v / self.eps_v + _IDX_GUARD))
-        return min(max(i, 0), self.iv_vc)
+    def brackets(self, u: TrafficState) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(floor, ceiling) velocity- and marker-index tubes bracketing a
+        state.  Floors are order-preserving in each coordinate; a congested
+        marker is clamped into the congested band, and under a constant free
+        speed a sub-critical free density, indistinguishable from vacuum in
+        coordinates, brackets to the vacuum node."""
+        laws = self.laws
+        if u.phase is Phase.FREE:
+            ivb = (self.iv_free, self.iv_free)
+            if laws.degenerate_free and u.rho < laws.rho_free_crit - 1e-12:
+                return ivb, (VACUUM_IW, VACUUM_IW)
+            iw_min = 0
+        else:
+            lo = min(max(int(math.floor(u.v / self.eps_v + _IDX_GUARD)), 0), self.iv_vc)
+            ivb = (lo, lo if self.v_values[lo] >= u.v - 1e-12 else min(lo + 1, self.iv_vc))
+            iw_min = self._iw_c
+        w2 = laws.w2(u)
+        w = self.w_values
+        last = len(w) - 1
+        if w2 >= w[last] - 1e-9 * self.eps_w:
+            lo = last
+        else:
+            lo = min(max(int(math.floor((w2 - w[0]) / self.eps_w + _IDX_GUARD)), iw_min), last)
+        return ivb, (lo, lo if w[lo] >= w2 - 1e-12 else min(lo + 1, last))
 
     def snap(self, u: TrafficState) -> TrafficState:
-        """Componentwise floor of the coordinates to mesh lines, clamped into
-        the admissible box.  Order-preserving in each coordinate."""
-        laws = self.laws
-        if not laws.contains(u, tol=1e-9):
+        """The low corner of the state's brackets: componentwise floor of the
+        coordinates to mesh lines, clamped into the admissible box."""
+        if not self.laws.contains(u, tol=1e-9):
             raise ValueOutsideOmega(f"{u} not in the model domain")
-        if u.phase is Phase.FREE:
-            if laws.degenerate_free and u.rho < laws.rho_free_crit - 1e-12:
-                # sub-critical free densities are indistinguishable in
-                # coordinates here; floor in density lands on vacuum
-                return self.state(self.iv_free, VACUUM_IW)
-            return self.state(self.iv_free, self._floor_w(laws.w2(u)))
-        iw = max(self._floor_w(laws.w2(u)), self._iw_c)
-        return self.state(self._floor_v(u.v), iw)
+        (iv, _), (iw, _) = self.brackets(u)
+        return self.state(iv, iw)
 
     def index_of(self, u: TrafficState) -> Node:
         key = self._rev.get((u.rho, u.v))
         if key is not None:
             return key
-        # tolerate externally built copies of node states
+        # tolerate externally built copies of node states: the node lies at
+        # or one step above the floor in each coordinate
         snapped = self.snap(u)
-        cand = [self._rev[(snapped.rho, snapped.v)]]
-        iv, iw = cand[0]
-        if iw + 1 < len(self.w_values):
-            cand.append((iv, iw + 1))
-        if iv < self.iv_vc and iv != self.iv_free:
-            cand.append((iv + 1, iw))
+        iv, iw = self._rev[(snapped.rho, snapped.v)]
+        up_v, up_w = iv < self.iv_vc, iw + 1 < len(self.w_values)
+        cand = [(iv + dv, iw + dw) for dv in (0, 1) for dw in (0, 1)
+                if (up_v or not dv) and (up_w or not dw)]
         for iv2, iw2 in cand:
             try:
                 node = self.state(iv2, iw2)

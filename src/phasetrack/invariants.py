@@ -5,8 +5,10 @@ must show: the coordinate total variation and the wave potential never
 rise, a rise in the wave count pays at least one marker quantum of
 potential, and phase boundaries vanish only in pairs.  Every front must
 also satisfy the mass jump condition, and the momentum one wherever the
-marker is conserved across it.  `run(strict=True)` checks the functional
-rules after each event; `audit_run` checks all of them after a run.
+marker is conserved across it.  A snapshot must be a profile: its fronts
+in order of position, each starting from the state the one before it ends
+in.  `run(strict=True)` checks the functional rules after each event;
+`audit_run` checks all of them after a run.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from typing import TYPE_CHECKING
 from .model import ModelLaws, Phase, TrafficState
 
 if TYPE_CHECKING:
-    from .engine import FunctionalLog, RunResult
+    from .engine import FrontDiagram, FunctionalLog, RunResult
 
 MONO_TOL = 1e-10
+ORDER_TOL = 1e-9     # relative slack on front positions; rounding leaves ~1e-15
 
 
 def jump_residuals(speed: float, left: TrafficState, right: TrafficState,
@@ -64,10 +67,27 @@ def functional_violations(log: FunctionalLog, eps_w: float, first: int = 1) -> l
     return bad
 
 
+def snapshot_violations(diagram: FrontDiagram) -> list[str]:
+    """Breaks of state continuity and of front order in a snapshot."""
+    bad: list[str] = []
+    t = diagram.time
+    state, x_prev = diagram.left_state, -float("inf")
+    for i, f in enumerate(diagram.fronts):
+        if f.left is not state and f.left != state:
+            bad.append(f"state continuity broken at front {i} (x={f.x}) at t={t}")
+        if x_prev - f.x > ORDER_TOL * (1.0 + abs(f.x)):
+            bad.append(f"front order broken by {x_prev - f.x} at front {i} "
+                       f"(x={f.x}) at t={t}")
+        state, x_prev = f.right, f.x
+    return bad
+
+
 def audit_run(res: RunResult) -> list[str]:
     """Post-hoc invariant checks; returns the violations found: those of the
-    functional rules, then the first jump-condition failure, if any."""
+    functional rules, of the initial and final snapshots, then the first
+    jump-condition failure, if any."""
     bad = functional_violations(res.log, res.mesh.eps_w)
+    bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
     laws = res.laws
     # records share a few thousand state objects: one marker evaluation each
     markers: dict[int, float] = {}

@@ -34,18 +34,9 @@ def invert_increasing(f: Callable[[float], float], lo: float, hi: float,
 
 def invert_decreasing(f: Callable[[float], float], lo: float, hi: float,
                       target: float, tol: float = BISECT_TOL) -> float:
-    """Solve f(x) = target for decreasing f on [lo, hi] by bisection."""
-    if f(lo) <= target:
-        return lo
-    if f(hi) >= target:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Solve f(x) = target for decreasing f on [lo, hi] by bisection: the
+    increasing inversion of -f, since negation is exact."""
+    return invert_increasing(lambda x: -f(x), lo, hi, -target, tol)
 
 
 @lru_cache(maxsize=8)

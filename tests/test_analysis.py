@@ -9,7 +9,7 @@ from phasetrack.analysis import (entropy_report, record_rh_residual,
 from phasetrack.errors import SamePhase, UnsupportedTestFunction
 from phasetrack.riemann import WaveKind
 
-from conftest import random_state
+from statespace import random_state
 
 
 def cong(laws, w2, v):

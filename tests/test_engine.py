@@ -11,7 +11,7 @@ from phasetrack.engine import DiagramFront, FrontDiagram
 from phasetrack.errors import ValueOutsideOmega
 from phasetrack.riemann import WaveKind
 
-from conftest import random_state
+from statespace import random_state
 
 
 def diagram(time, fronts):

@@ -5,7 +5,7 @@ from phasetrack.errors import NotOnMesh
 from phasetrack.grid import VACUUM_IW
 from phasetrack.riemann import WaveKind, check_rankine_hugoniot, fan_is_speed_ordered
 
-from conftest import random_state
+from statespace import random_state
 
 
 def test_quanta(laws, mesh5):
@@ -64,6 +64,25 @@ def test_snap_monotone(laws, mesh5, rng):
         ivb, iwb = mesh5.index_of(b)
         assert iva <= ivb
         assert iwa <= iwb
+
+
+def test_brackets_low_corner_is_snap(laws, flat_laws, rng):
+    for lw in (laws, flat_laws):
+        mesh = pt.GridMesh(lw, 5)
+        for _ in range(200):
+            u = random_state(lw, rng)
+            (v_lo, v_hi), (w_lo, w_hi) = mesh.brackets(u)
+            assert mesh.snap(u) is mesh.state(v_lo, w_lo)
+            assert v_hi - v_lo in (0, 1) and w_hi - w_lo in (0, 1)
+
+
+def test_index_of_accepts_a_near_copy_above_both_floors(mesh5):
+    # lowering v also lowers w2, so the copy floors one node below its node
+    # in both coordinates
+    n = mesh5.state(24, 39)
+    u = pt.TrafficState(n.rho, n.v - 1e-10, pt.Phase.CONGESTED)
+    assert mesh5.index_of(mesh5.snap(u)) == (23, 38)
+    assert mesh5.index_of(u) == (24, 39)
 
 
 def test_node_separation_M2(laws):

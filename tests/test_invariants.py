@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -59,6 +60,41 @@ def test_audit_flags_a_perturbed_speed(mesh5):
     (msg,) = audit_run(res)
     assert msg.startswith("mass jump condition violated (")
     assert msg.endswith(f" on a front born t={res.records[i].t0}")
+
+
+def _front_pair(res):
+    # two adjacent final fronts far enough apart that swapping them is
+    # a real inversion
+    fr = res.final.fronts
+    return next(i for i in range(len(fr) - 1) if fr[i + 1].x - fr[i].x > 1e-3)
+
+
+def test_audit_accepts_an_unmodified_run(mesh5, flat_mesh5):
+    for mesh in (mesh5, flat_mesh5):
+        for seed in (11, 12, 13):
+            assert audit_run(_random_run(mesh, seed)) == []
+
+
+def test_audit_flags_swapped_fronts(mesh5):
+    res = _random_run(mesh5, 11)
+    i = _front_pair(res)
+    fr = res.final.fronts
+    fr[i], fr[i + 1] = fr[i + 1], fr[i]
+    bad = audit_run(res)
+    t = res.t_end
+    assert f"state continuity broken at front {i} (x={fr[i].x}) at t={t}" in bad
+    assert (f"front order broken by {fr[i].x - fr[i + 1].x} at front {i + 1} "
+            f"(x={fr[i + 1].x}) at t={t}") in bad
+
+
+def test_audit_flags_a_replaced_left_state(mesh5):
+    res = _random_run(mesh5, 11)
+    i = _front_pair(res) + 1
+    fr = res.final.fronts
+    other = next(u for u in (f.right for f in fr) if u != fr[i].left)
+    fr[i] = dataclasses.replace(fr[i], left=other)
+    assert audit_run(res) == [
+        f"state continuity broken at front {i} (x={fr[i].x}) at t={res.t_end}"]
 
 
 def test_audit_flags_a_perturbed_congested_contact(laws, mesh5):

@@ -6,7 +6,7 @@ import phasetrack as pt
 from phasetrack.errors import HypothesisViolation, OrderingViolation, OutOfDomain
 from phasetrack.model import CustomLaw
 
-from conftest import random_state
+from statespace import random_state
 
 
 def test_scenario_laws_constants(laws):

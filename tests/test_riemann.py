@@ -6,7 +6,7 @@ import phasetrack as pt
 from phasetrack.errors import EqualDensities
 from phasetrack.riemann import WaveKind, check_rankine_hugoniot, fan_is_speed_ordered
 
-from conftest import random_state
+from statespace import random_state
 
 
 def cong(laws, w2, v):
