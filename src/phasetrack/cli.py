@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import datetime
 import json
 import random
@@ -75,16 +76,11 @@ class RunConfig:
         self.scenario_cfg: TrafficLightConfig | None = None
         if cp.has_section("scenario"):
             s = cp["scenario"]
+            n_min, n_max = TrafficLightConfig.n_levels
             self.scenario_cfg = TrafficLightConfig(
-                gamma=s.getfloat("gamma", 2.0),
-                v_max=s.getfloat("v_max", 1.0 / 20.0),
-                w_max=s.getfloat("w_max", 4.0 / 30.0),
-                w_c=s.getfloat("w_c", 1.0 / 8.0),
-                v_c=s.getfloat("v_c", 0.02),
-                x1=s.getfloat("x1", -10.0),
-                x2=s.getfloat("x2", -7.0),
-                n_levels=(s.getint("n_min", 5), s.getint("n_max", 9)),
-            )
+                n_levels=(s.getint("n_min", n_min), s.getint("n_max", n_max)),
+                **{f.name: s.getfloat(f.name) for f in dataclasses.fields(TrafficLightConfig)
+                   if f.type == "float" and f.name in s})
             self.laws, self.datum = build_scenario(self.scenario_cfg)
         elif cp.has_section("model"):
             self.laws = laws_from_config({k.lower(): v for k, v in cp["model"].items()})

@@ -381,7 +381,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     n_waves = n_pts = 0
     fronts: list[_F] = []
     for raw in diagram.fronts:
-        for s, a, b, kind in solve_approx(mesh, raw.left, raw.right).jumps:
+        for s, a, b, kind in solve_approx(mesh, raw.left, raw.right):
             f = _F(raw.x, 0.0, s, a, b, kind)
             f.tv, f.temple, f.pt = _front_measures(mesh, a, b)
             tot_tv += f.tv
@@ -455,7 +455,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             g.prev = g.next = None
 
         new_fronts: list[_F] = []
-        for s, a, b, kind in fan.jumps:
+        for s, a, b, kind in fan:
             nf = _F(x_star, t_star, s, a, b, kind)
             nf.tv, nf.temple, nf.pt = _front_measures(mesh, a, b)
             tot_tv += nf.tv

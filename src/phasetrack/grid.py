@@ -13,7 +13,7 @@ import weakref
 
 from .errors import NotOnMesh, ValueOutsideOmega
 from .model import ModelLaws, Phase, TrafficState
-from .riemann import Wave, WaveFan, WaveKind, sigma
+from .riemann import WaveKind, sigma
 
 _IDX_GUARD = 1e-9      # index-space slack when flooring coordinates
 VACUUM_IW = -1         # synthetic marker index for vacuum under constant v_f
@@ -101,11 +101,13 @@ class GridMesh:
         iv, iw = key
         laws = self.laws
         if iv == self.iv_free:
-            if iw == VACUUM_IW:
+            if iw == VACUUM_IW and laws.degenerate_free:
                 u = laws.vacuum()
-            else:
+            elif 0 <= iw < len(self.w_values):
                 rho = laws.free_rho_from_marker(self.w_values[iw])
                 u = TrafficState(rho, laws.v_free(rho), Phase.FREE)
+            else:
+                raise NotOnMesh(f"no free node at (iv={iv}, iw={iw})")
         else:
             if not (0 <= iv <= self.iv_vc and self._iw_c <= iw < len(self.w_values)):
                 raise NotOnMesh(f"no congested node at (iv={iv}, iw={iw})")
@@ -267,32 +269,8 @@ def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, 
     return fan
 
 
-class MeshFan(WaveFan):
-    """Fan of the mesh Riemann solver, held as node_fan's jumps
-    (speed, left node, right node, kind).  The waves, which carry states,
-    are built from the jumps on first access: the front-tracking engine
-    reads only the jumps, and building a Wave per jump would cost it as
-    much again as solving."""
-
-    __slots__ = ("jumps", "_states", "_waves")
-
-    def __init__(self, mesh: GridMesh, l: Node, r: Node):
-        states = self._states = mesh.states
-        self.left = states[l]
-        self.right = states[r]
-        self.jumps = node_fan(mesh, l, r)
-        self._waves = None
-
-    @property
-    def waves(self) -> list[Wave]:
-        if self._waves is None:
-            states = self._states
-            self._waves = [Wave(kind, states[a], states[b], s, s)
-                           for s, a, b, kind in self.jumps]
-        return self._waves
-
-
-def solve_approx(mesh: GridMesh, u_l: TrafficState, u_r: TrafficState) -> MeshFan:
+def solve_approx(mesh: GridMesh, u_l: TrafficState,
+                 u_r: TrafficState) -> list[tuple[float, Node, Node, WaveKind]]:
     """State-level adapter of node_fan: the mesh Riemann fan between the
-    nodes of u_l and u_r."""
-    return MeshFan(mesh, mesh.index_of(u_l), mesh.index_of(u_r))
+    nodes of u_l and u_r, as node jumps."""
+    return node_fan(mesh, mesh.index_of(u_l), mesh.index_of(u_r))

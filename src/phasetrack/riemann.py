@@ -9,6 +9,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import EqualDensities, MiddleStateOutOfDomain
+from .invariants import jump_residuals
 from .model import ModelLaws, Phase, TrafficState
 from .numerics import invert_increasing, invert_decreasing
 
@@ -64,14 +65,6 @@ class WaveFan:
                 return w.sampler(xi)
             state = w.right
         return state
-
-    def breakpoints(self) -> list[float]:
-        pts = []
-        for w in self.waves:
-            pts.append(w.speed_lo)
-            if w.speed_hi != w.speed_lo:
-                pts.append(w.speed_hi)
-        return pts
 
     def sample_speeds(self, per_fan: int = 64, pad: float = 1e-6) -> list[float]:
         """Evaluation abscissae: fan interiors plus both sides of every jump."""
@@ -221,15 +214,13 @@ def check_rankine_hugoniot(laws: ModelLaws, fan: WaveFan, tol: float = 1e-12) ->
     for w in fan.waves:
         if w.is_fan():
             continue
-        res = w.speed * (w.right.rho - w.left.rho) - (w.right.flow - w.left.flow)
-        if abs(res) > tol:
+        l, r = w.left, w.right
+        if l.phase is Phase.CONGESTED and r.phase is Phase.CONGESTED:
+            mass, mom = jump_residuals(w.speed, l, r, laws.w2(l), laws.w2(r))
+        else:
+            mass, mom = jump_residuals(w.speed, l, r)
+        if abs(mass) > tol or (mom is not None and abs(mom) > tol):
             return False
-        if w.left.phase is Phase.CONGESTED and w.right.phase is Phase.CONGESTED:
-            yl = w.left.rho * laws.w2(w.left)
-            yr = w.right.rho * laws.w2(w.right)
-            res2 = w.speed * (yr - yl) - (yr * w.right.v - yl * w.left.v)
-            if abs(res2) > tol:
-                return False
     return True
 
 

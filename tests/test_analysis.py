@@ -135,15 +135,15 @@ def test_entropy_step_deficit_bounded(laws, mesh5):
     ur = mesh5.state(mesh5.iv_vc, mesh5.num_w - 1)
     fan = pt.solve_approx(mesh5, ul, ur)
     C = pt.step_entropy_deficit_bound(laws)
-    for w in fan:
-        assert w.kind == WaveKind.RAREFACTION_STEP
-        ks = [w.left.v + (w.right.v - w.left.v) * q for q in (0.25, 0.5, 0.75)]
-        worst = max(-pt.entropy_production(laws, w.speed, w.left, w.right, k)
-                    for k in ks)
-        assert worst <= C * (w.right.v - w.left.v) + 1e-12
+    for s, a, b, kind in fan:
+        assert kind == WaveKind.RAREFACTION_STEP
+        left, right = mesh5.states[a], mesh5.states[b]
+        ks = [left.v + (right.v - left.v) * q for q in (0.25, 0.5, 0.75)]
+        worst = max(-pt.entropy_production(laws, s, left, right, k) for k in ks)
+        assert worst <= C * (right.v - left.v) + 1e-12
         # grid-aligned reference speeds sit on the conservation identity
-        for k in (w.left.v, w.right.v):
-            assert abs(pt.entropy_production(laws, w.speed, w.left, w.right, k)) <= 1e-12
+        for k in (left.v, right.v):
+            assert abs(pt.entropy_production(laws, s, left, right, k)) <= 1e-12
 
 
 def test_entropy_report_aggregates(flat_laws, flat_mesh5, rng):

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
+import phasetrack as pt
 from phasetrack import cli, scenario
 from phasetrack.cli import main
 from phasetrack.errors import InvariantViolation
+
+from faults import inflate_event_tv
 
 SCENARIO_INI = """\
 [scenario]
@@ -232,3 +235,60 @@ def test_ladder_strict_reaches_run(tmp_path, monkeypatch, capsys):
     assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "4",
                  "--strict", "--out", str(tmp_path / "c")]) == 3
     assert "invariant violation: TV increased by 1" in capsys.readouterr().err
+
+
+def test_scenario_defaults_come_from_the_config_class(tmp_path):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text("[scenario]\nx1 = -12\n")
+    assert cli.RunConfig(cfgf).scenario_cfg == scenario.TrafficLightConfig(x1=-12.0)
+
+
+def test_scenario_run_without_t_end_runs_past_the_last_passage(tmp_path):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI.replace("t_end = 430\n", ""))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    t_last = scenario.closed_form_table(scenario.TrafficLightConfig()).t_last
+    assert meta["t_end"] == 1.25 * t_last
+
+
+def _inflate_event_fronts(monkeypatch, cfgf, n):
+    """The TV fault of `faults`, for one run of the config at level n."""
+    cfg = cli.RunConfig(cfgf)
+    mesh = pt.GridMesh(cfg.laws, n)
+    n_initial = pt.run(pt.approximate_datum(cfg.datum, mesh), 0.0, mesh).log.waves[0]
+    inflate_event_tv(monkeypatch, n_initial)
+
+
+def test_run_strict_stops_at_a_violation(tmp_path, monkeypatch, capsys):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI)
+    _inflate_event_fronts(monkeypatch, cfgf, 5)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out), "--strict"]) == 3
+    assert "invariant violation: TV increased by " in capsys.readouterr().err
+    assert not (out / "fronts.csv").exists()
+
+
+def test_run_audit_reports_a_violation_after_writing(tmp_path, monkeypatch, capsys):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI)
+    _inflate_event_fronts(monkeypatch, cfgf, 5)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out)]) == 3
+    assert "invariant violation: TV increased by " in capsys.readouterr().err
+    for name in ("fronts.csv", "functionals.csv", "metadata.json"):
+        assert (out / name).exists()
+
+
+def test_ladder_audit_counts_violations(tmp_path, monkeypatch, capsys):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI)
+    _inflate_event_fronts(monkeypatch, cfgf, 4)
+    out = tmp_path / "lad"
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "4",
+                 "--out", str(out)]) == 3
+    assert "invariant violation:" in capsys.readouterr().err
+    header, rows = read_csv(out / "ladder.csv")
+    assert int(rows[0][header.index("violations")]) > 0

@@ -131,18 +131,35 @@ def test_next_event_none_for_parallel(mesh5):
     assert res.events == 0
 
 
-def test_next_event_groups_triple(mesh5):
+def _triple_run(mesh5, T):
     # three free shocks placed to reach x = 0 together at t = T
-    T = 10.0
     a, b, c, e = _free(mesh5, 10), _free(mesh5, 25), _free(mesh5, 35), _free(mesh5, 45)
     speeds = [pt.sigma(a, b), pt.sigma(b, c), pt.sigma(c, e)]
     d = pt.PiecewiseConstantDatum(tuple(-s * T for s in speeds), (a, b, c, e))
-    res = pt.run(pt.approximate_datum(d, mesh5), 100.0, mesh5)
+    return pt.run(pt.approximate_datum(d, mesh5), 100.0, mesh5)
+
+
+def test_next_event_groups_triple(mesh5):
+    T = 10.0
+    res = _triple_run(mesh5, T)
     assert res.events == 1
     assert res.log.waves == [3, 1]
     t_event = res.log.ts[1]
     assert t_event == pytest.approx(T, rel=1e-12)
     assert [r.t1 for r in res.records].count(t_event) == 3
+
+
+def test_next_event_groups_triple_from_its_right_pair(mesh5):
+    # at this T rounding brings the right pair due first, so the group is
+    # completed by walking left from it
+    res = _triple_run(mesh5, 10.37)
+    fa, fb, fc = res.initial.fronts
+    t_ab = (fb.x - fa.x) / (fa.speed - fb.speed)
+    t_bc = (fc.x - fb.x) / (fb.speed - fc.speed)
+    assert t_bc < t_ab
+    assert res.events == 1
+    assert res.log.waves == [3, 1]
+    assert [r.t1 for r in res.records].count(res.log.ts[1]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +173,7 @@ def test_interaction_two_transitions_become_shock(laws, mesh5):
     u_m = mesh5.state(mesh5.iv_vc, mesh5.iw_c)      # (p^-1(W_c - V_c), V_c)
     u_r = mesh5.state(mesh5.iv_free, mesh5.iw_c)    # (R_f', v_f(R_f'))
     fan = pt.solve_approx(mesh5, u_l, u_r)
-    assert [w.kind for w in fan] == [WaveKind.SHOCK]
+    assert [kind for *_, kind in fan] == [WaveKind.SHOCK]
     d = pt.PiecewiseConstantDatum((-1.0, 0.0), (u_l, u_m, u_r))
     res = pt.run(pt.approximate_datum(d, mesh5), 100.0, mesh5, strict=True)
     assert res.log.phase_transitions[0] == 2
@@ -172,8 +189,8 @@ def test_interaction_congested_shock_swallows_free_island(laws, mesh5):
     u_m = mesh5.state(mesh5.iv_free, iw)
     u_r = mesh5.state(mesh5.iv_vc - 8, iw)
     fan = pt.solve_approx(mesh5, u_l, u_r)
-    assert [w.kind for w in fan] == [WaveKind.SHOCK]
-    assert fan.waves[0].left.phase is pt.Phase.CONGESTED
+    assert [kind for *_, kind in fan] == [WaveKind.SHOCK]
+    assert mesh5.states[fan[0][1]].phase is pt.Phase.CONGESTED
 
 
 def test_interaction_marker_drop_pays_for_fan(laws, mesh5):
@@ -236,10 +253,18 @@ def test_riemann_datum_matches_fan(laws, mesh5, rng):
         res = pt.run(pt.approximate_datum(d, mesh5), 50.0, mesh5)
         assert res.events == 0
         fan = pt.solve_approx(mesh5, a, b)
+        # both sides of every jump, plus one probe beyond each end
+        xis = [s + pad for s, *_ in fan for pad in (-1e-6, 1e-6)]
+        xis += [min(xis) - 1.0, max(xis) + 1.0]
         t = 37.0
-        for xi in fan.sample_speeds():
+        for xi in sorted(xis):
             u_run = res.evaluate(t, xi * t)
-            u_fan = fan.eval(xi)
+            # the fan right-continuously: the right state of every jump at
+            # or left of xi
+            u_fan = a
+            for s, _, r, _ in fan:
+                if s <= xi:
+                    u_fan = mesh5.states[r]
             assert laws.states_equal(u_run, u_fan, tol=1e-9), (a, b, xi)
 
 

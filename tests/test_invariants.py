@@ -4,10 +4,11 @@ import random
 import pytest
 
 import phasetrack as pt
-from phasetrack import engine
 from phasetrack.errors import InvariantViolation
 from phasetrack.invariants import audit_run, functional_violations
 from phasetrack.riemann import WaveKind
+
+from faults import inflate_event_tv
 
 EPS_W = 0.01
 
@@ -120,16 +121,7 @@ def test_strict_run_raises_the_audits_first_message(laws, mesh5, monkeypatch):
     datum = pt.random_mesh_datum(mesh5, random.Random(11), max_jumps=15)
     diagram0 = pt.approximate_datum(datum, mesh5)
     n_initial = pt.run(diagram0, 0.0, mesh5).log.waves[0]
-    original = engine._front_measures
-    calls = []
-
-    def inflated(mesh, l, r):
-        # fronts born at events carry one unit of TV too many
-        tv, temple, boundary = original(mesh, l, r)
-        calls.append(1)
-        return (tv + 1.0 if len(calls) > n_initial else tv), temple, boundary
-
-    monkeypatch.setattr(engine, "_front_measures", inflated)
+    calls = inflate_event_tv(monkeypatch, n_initial)
     res = pt.run(diagram0, 100.0, mesh5)
     bad = audit_run(res)
     assert bad and bad[0].startswith("TV increased by ")

@@ -52,6 +52,15 @@ class TestLWR:
         assert [w.kind for w in fan] == [WaveKind.SHOCK]
         assert fan.waves[0].speed == pt.sigma(ul, ur)
 
+    def test_constant_free_speed_fan_is_one_contact(self, flat_laws):
+        # a linearly degenerate free field has no fan: falling density
+        # leaves one contact at the free speed
+        ul = free(flat_laws, flat_laws.rho_free_max)
+        ur = free(flat_laws, flat_laws.rho_free_crit)
+        (w,) = pt.solve_lwr(flat_laws, ul, ur).waves
+        assert w.kind is WaveKind.CONTACT
+        assert w.speed == flat_laws.V_f
+
     def test_full_rarefaction(self, laws):
         ul, ur = free(laws, laws.rho_free_max), laws.vacuum()
         fan = pt.solve_lwr(laws, ul, ur)
