@@ -106,7 +106,7 @@ class RunConfig:
         self.n = int(r.get("n", 6))
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        self.t_end = float(r.get("t_end", 0.0)) or None
+        self.t_end = float(r["t_end"]) if "t_end" in r else None   # 0 is a valid end
         self.snapshots = _floats(r.get("snapshots", "")) if r.get("snapshots") else []
         self.x_points = int(r.get("x_points", 400))
         self.x_lo = float(r["x_lo"]) if "x_lo" in r else None
@@ -269,7 +269,7 @@ def cmd_ladder(args) -> int:
         return 2
 
     sc, table = exact.cfg, exact.table
-    t_end = cfg.t_end or 1.25 * table.t_last
+    t_end = cfg.t_end if cfg.t_end is not None else 1.25 * table.t_last
     payloads = [(exact, n, t_end, args.strict) for n in range(n_min, n_max + 1)]
     try:
         if args.jobs > 1:

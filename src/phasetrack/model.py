@@ -108,6 +108,19 @@ class PowerPressure:
             return -self.v_ref / rho ** 2
         return (g - 1.0) * (self.v_ref / self.rho_max ** 2) * (rho / self.rho_max) ** (g - 2.0)
 
+    def inv(self, y: float) -> float:
+        """Closed-form inverse; 0 below the range of a power law.
+
+        ModelLaws.p_inv uses it only as the guess of its bisection, whose
+        bits it does not change.
+        """
+        g = self.gamma
+        if g == 0.0:
+            return self.rho_max * math.exp(y / self.v_ref)
+        if y <= 0.0:
+            return 0.0
+        return self.rho_max * (g * y / self.v_ref) ** (1.0 / g)
+
 
 class CustomLaw:
     """Wrap plain callables (value, first, second derivative) as a law."""
@@ -147,6 +160,7 @@ class ModelLaws:
                 f"need 0 < R_f'={rho_free_crit} < R_f''={rho_free_max}")
         self.v_f = v_f
         self.p = p
+        self._p_guess = getattr(p, "inv", None)    # a closed-form inverse, if the law has one
         self.rho_free_crit = float(rho_free_crit)   # R_f'
         self.rho_free_max = float(rho_free_max)     # R_f''
 
@@ -239,7 +253,8 @@ class ModelLaws:
         """Inverse pressure on [p(R_f'), W_max]."""
         if y < self.p(self.rho_free_crit) - STATE_TOL or y > self.W_max + STATE_TOL:
             raise OutOfDomain(f"p_inv({y}) outside [{self.p(self.rho_free_crit)}, {self.W_max}]")
-        return invert_increasing(self.p, self.rho_free_crit, self.R_max, y)
+        guess = self._p_guess(y) if self._p_guess is not None else None
+        return invert_increasing(self.p, self.rho_free_crit, self.R_max, y, guess=guess)
 
     def v_f_inv(self, v: float) -> float:
         """Inverse of v_f on [0, R_f'] (used by the low-density marker branch)."""
@@ -391,15 +406,15 @@ def _solve_marker_density(v_f, p, w: float, rho_hint_hi: float) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise OutOfDomain(f"v_f + p never reaches {w}")
-    # scan for the last upward crossing
+    # the last upward crossing: scan from the right, each point evaluated once
     xs = [lo_edge + (hi - lo_edge) * i / n for i in range(n + 1)]
-    bracket = None
-    for a, b in zip(xs, xs[1:]):
-        if f(a) <= w <= f(b):
-            bracket = (a, b)
-    if bracket is None:
-        raise OutOfDomain(f"no upward crossing of v_f + p = {w}")
-    return invert_increasing(f, bracket[0], bracket[1], w)
+    f_b = f(xs[n])
+    for i in range(n - 1, -1, -1):
+        f_a = f(xs[i])
+        if f_a <= w <= f_b:
+            return invert_increasing(f, xs[i], xs[i + 1], w)
+        f_b = f_a
+    raise OutOfDomain(f"no upward crossing of v_f + p = {w}")
 
 
 def laws_from_config(cfg: dict) -> ModelLaws:

@@ -16,7 +16,8 @@ from .engine import PiecewiseConstantDatum, RunResult
 from .errors import NotReached, OutOfWindow, StructuralAssumptionViolated
 from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
                     TrafficState, validate_laws, _solve_marker_density)
-from .numerics import interp_polyline, invert_decreasing, invert_increasing
+from .numerics import (guide_window, interp_polyline, invert_decreasing,
+                       invert_increasing)
 from .riemann import sigma
 
 ODE_STEPS = 1024
@@ -114,7 +115,12 @@ class _Curves:
 
     def _fan_inv(self, y: float) -> float:
         laws = self.laws
-        return invert_increasing(self._fan_g, laws.rho_free_crit, laws.R_max, y)
+        p = laws.p
+        # the scenario's power law has g = (1 + gamma) p, its log law
+        # g = p + v_ref; the closed form only guides the bisection
+        guess = p.inv(y - p.v_ref) if p.gamma == 0.0 else p.inv(y / (1.0 + p.gamma))
+        return invert_increasing(self._fan_g, laws.rho_free_crit, laws.R_max, y,
+                                 guess=guess)
 
     def fan_state(self, xi: float) -> TrafficState:
         laws = self.laws
@@ -216,7 +222,9 @@ class _Curves:
         written out: both interpolations share one segment index, found
         among the segments the bracket spans, in the float expressions of
         `interp_polyline`, so the result has the bits of bisecting over
-        `ray_pos` itself.
+        `ray_pos` itself.  Once the bracket lies in one segment, the rest
+        of the 80-step budget runs on that segment's operands, guided by
+        the root of the segment's quadratic (see `invert_increasing`).
         """
         ts, xs, lams = self._c2_ts, self._c2_xs, self._c2_lam
         bisect_right = _bisect.bisect_right
@@ -229,7 +237,9 @@ class _Curves:
         # j_lo = bisect_right(ts, lo) and j_hi = bisect_right(ts, hi), so
         # bisect_right(ts, mid) lies between them
         j_lo, j_hi = 1, len(ts)
-        for _ in range(80):
+        steps = 80
+        while steps and j_lo < j_hi:
+            steps -= 1
             mid = 0.5 * (lo + hi)
             if t_first < mid < t_last:
                 j = bisect_right(ts, mid, j_lo, j_hi)
@@ -243,12 +253,42 @@ class _Curves:
                 j, c, lam = len(ts), xs[-1], lams[-1]
             if c + (t - mid) * lam < x:
                 if lo == mid:
-                    break       # (lo, hi) is a fixed point of the loop
+                    return 0.5 * (lo + hi)  # (lo, hi) is a fixed point
                 lo, j_lo = mid, j
             else:
                 if hi == mid:
-                    break
+                    return 0.5 * (lo + hi)
                 hi, j_hi = mid, j
+        if not steps:
+            return 0.5 * (lo + hi)
+        # ts[i] <= lo < hi < ts[j]: every midpoint takes segment i
+        j = j_lo
+        i = j - 1
+        t_i, h = ts[i], ts[j] - ts[i]
+        x_i, dx = xs[i], xs[j] - xs[i]
+        l_i, dl = lams[i], lams[j] - lams[i]
+
+        def pos(m: float) -> float:
+            f = (m - t_i) / h
+            return x_i + f * dx + (t - m) * (l_i + f * dl)
+
+        # pos = x as a quadratic in f: -h dl f^2 + qb f + qc = 0, with qb > 0
+        # where pos rises; this root form is the stable one for qb > 0
+        qb = dx - h * l_i + (t - t_i) * dl
+        qc = x_i + (t - t_i) * l_i - x
+        disc = qb * qb + 4.0 * h * dl * qc
+        guess = t_i - 2.0 * qc / (qb + disc ** 0.5) * h if disc >= 0.0 and qb > 0.0 else None
+        a, b = guide_window(pos, lo, hi, x, guess) or (lo, hi)
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if mid <= a or (mid < b and pos(mid) < x):
+                if lo == mid:
+                    break
+                lo = mid
+            else:
+                if hi == mid:
+                    break
+                hi = mid
         return 0.5 * (lo + hi)
 
     def reemitted_state(self, t: float, x: float) -> TrafficState:
@@ -367,7 +407,11 @@ class ExactSolution:
     def _free_fan_state(self, xi: float) -> TrafficState:
         laws = self.laws
         xi = min(max(xi, self.lam_f2), laws.V_max)
-        rho = invert_decreasing(laws.lambda_free, 0.0, laws.rho_free_max, xi)
+        # the scenario's free speed is linear, so lambda_free(rho) =
+        # V_max + 2 v_f' rho; the closed form only guides the bisection
+        guess = 0.5 * (xi - laws.V_max) / laws.v_f.deriv(0.0)
+        rho = invert_decreasing(laws.lambda_free, 0.0, laws.rho_free_max, xi,
+                                guess=guess)
         return TrafficState(rho, laws.v_f(rho), Phase.FREE)
 
     def _segments(self, t: float):

@@ -253,6 +253,22 @@ def test_scenario_run_without_t_end_runs_past_the_last_passage(tmp_path):
     assert meta["t_end"] == 1.25 * t_last
 
 
+def test_run_with_t_end_zero_writes_the_initial_resolution_alone(tmp_path):
+    cfgf = tmp_path / "r.ini"
+    cfgf.write_text(RANDOM_INI.replace("t_end = 60\n", "t_end = 0\n"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["t_end"] == 0.0
+    assert meta["events"] == 0
+    header, rows = read_csv(out / "fronts.csv")
+    assert rows
+    assert {(float(r[header.index("t0")]), float(r[header.index("t1")])) for r in rows} \
+        == {(0.0, 0.0)}
+    header, rows = read_csv(out / "functionals.csv")
+    assert [float(r[0]) for r in rows] == [0.0]
+
+
 def _inflate_event_fronts(monkeypatch, cfgf, n):
     """The TV fault of `faults`, for one run of the config at level n."""
     cfg = cli.RunConfig(cfgf)

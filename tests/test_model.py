@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
 
 import phasetrack as pt
 from phasetrack.errors import HypothesisViolation, OrderingViolation, OutOfDomain
-from phasetrack.model import CustomLaw
+from phasetrack.model import CustomLaw, _solve_marker_density
 
+from references import plain_invert_increasing
 from statespace import random_state
 
 
@@ -186,3 +188,44 @@ def test_laws_from_config_matches_scenario(laws):
 def test_degenerate_free_band(flat_laws):
     assert flat_laws.degenerate_free
     assert flat_laws.W_min == pytest.approx(flat_laws.W_c, abs=1e-14)
+
+
+def _marker_density_full_scan(v_f, p, w, rho_hint_hi):
+    # `_solve_marker_density` as it scanned left to right, keeping the last
+    # bracket and evaluating most points twice
+    f = lambda r: v_f(r) + p(r)
+    n = 4096
+    lo_edge = rho_hint_hi * 1e-9
+    hi = rho_hint_hi
+    while f(hi) < w:
+        hi *= 2.0
+        if hi > 1e9:
+            raise OutOfDomain(f"v_f + p never reaches {w}")
+    xs = [lo_edge + (hi - lo_edge) * i / n for i in range(n + 1)]
+    bracket = None
+    for a, b in zip(xs, xs[1:]):
+        if f(a) <= w <= f(b):
+            bracket = (a, b)
+    if bracket is None:
+        raise OutOfDomain(f"no upward crossing of v_f + p = {w}")
+    return plain_invert_increasing(f, bracket[0], bracket[1], w)
+
+
+def test_marker_density_scan_keeps_the_last_crossing():
+    rng = random.Random(15)
+    # the laws of configs/traffic_light.ini and configs/flat_free_random.ini,
+    # with the rho hint each config path passes
+    shipped = [(pt.LinearFreeSpeed(0.05, 1.0), 0.5, (0.125, 0.13333333333333333)),
+               (pt.LinearFreeSpeed(0.05, math.inf), 1.0, (0.14, 0.1725))]
+    p = pt.PowerPressure(2.0)
+    for v_f, hint, levels in shipped:
+        # below 0.0494 v_f + p never reaches w; just above it there are two
+        # crossings, and the scan must keep the upward one
+        for w in [*levels, 0.046, 0.0496] + [rng.uniform(0.045, 0.6) for _ in range(100)]:
+            try:
+                ref = _marker_density_full_scan(v_f, p, w, hint)
+            except OutOfDomain:
+                with pytest.raises(OutOfDomain):
+                    _solve_marker_density(v_f, p, w, hint)
+                continue
+            assert _solve_marker_density(v_f, p, w, hint).hex() == ref.hex(), w

@@ -12,6 +12,8 @@ from phasetrack.errors import NotReached, OutOfWindow, StructuralAssumptionViola
 from phasetrack.riemann import WaveKind
 from phasetrack.scenario import ExactSolution
 
+from references import project_by_ray_pos
+
 
 @pytest.fixture(scope="module")
 def table(scenario_cfg):
@@ -265,26 +267,6 @@ def test_exact_construction_bit_identity():
         assert got == digest, kw
 
 
-def _project_by_ray_pos(cur, t, x):
-    # the plain bisection over ray_pos that `project` must reproduce
-    lo, hi = cur.t_a2, cur.t_b2
-    if cur.ray_pos(lo, t) >= x:
-        return lo
-    if cur.ray_pos(hi, t) <= x:
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if cur.ray_pos(mid, t) < x:
-            if lo == mid:
-                break
-            lo = mid
-        else:
-            if hi == mid:
-                break
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_project_matches_bisection_over_ray_pos(exact):
     cur = exact.curves
     rng = random.Random(5)
@@ -294,7 +276,7 @@ def test_project_matches_bisection_over_ray_pos(exact):
         first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
         x = rng.uniform(min(first, last) - 1.0, max(first, last) + 1.0)
         got = cur.project(t, x)
-        assert got == _project_by_ray_pos(cur, t, x), (t, x)
+        assert got == project_by_ray_pos(cur, t, x), (t, x)
         if got in ends:
             ends[got] += 1
     # both clamps and the interior are exercised
