@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import entropy_report, step_deficit_totals
 from .engine import (PiecewiseConstantDatum, RunResult, approximate_datum,
                      l1_distance, random_mesh_datum, run)
-from .errors import InvariantViolation, PhasetrackError
+from .errors import InvariantViolation, NotReached, PhasetrackError
 from .grid import GridMesh
 from .invariants import audit_run
 from .model import ModelLaws, Phase, TrafficState, laws_from_config
@@ -280,6 +280,9 @@ def cmd_ladder(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except NotReached as exc:
+        print(f"configuration error: {exc} (t_end = {t_end})", file=sys.stderr)
+        return 2
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -12,8 +12,12 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
 from .grid import GridMesh, Node, VACUUM_IW, solve_approx
@@ -212,8 +216,9 @@ class FunctionalLog:
 class FrontRecord(NamedTuple):
     """One front over its straight-line lifetime segment.
 
-    Immutable.  A named tuple, because `run` builds two per event and a
-    tuple is the cheapest immutable record to build."""
+    Immutable.  A named tuple, the cheapest immutable record to build: a
+    run stores its records as the rows of a `FrontHistory`, and
+    `RunResult.records` builds one each time a row is read."""
 
     t0: float
     t1: float
@@ -238,6 +243,161 @@ class FrontRecord(NamedTuple):
             return None
         t = self.t0 + (x - self.x0) / self.speed
         return t if self.t0 <= t <= self.t1 else None
+
+
+CHUNK_ROWS = 1024     # rows per numpy pass over a history's columns
+
+
+class _StateTable(dict):
+    """State id -> TrafficState of one history, each looked up on first
+    use: a non-negative id is the mesh's (`GridMesh.state_id`), a negative
+    id -1 - j names off[j]."""
+
+    __slots__ = ("mesh", "off")
+
+    def __init__(self, mesh: GridMesh):
+        super().__init__()
+        self.mesh = mesh
+        self.off: list[TrafficState] = []
+
+    def __missing__(self, sid: int) -> TrafficState:
+        u = self.off[-1 - sid] if sid < 0 else self.mesh.states[self.mesh.node_of(sid)]
+        self[sid] = u
+        return u
+
+
+class FrontHistory:
+    """A run's closed front segments as a column store, one row each.
+
+    Times, start positions and speeds are array('d') columns, the states on
+    either side array('q') columns of state ids (see `_StateTable`), and
+    kinds a list.  `run` appends a row as each front closes; a row reads
+    back as a `FrontRecord` with the mesh's own state objects.
+    """
+
+    __slots__ = ("t0", "t1", "x0", "speed", "left", "right", "kind", "states")
+
+    def __init__(self, mesh: GridMesh):
+        self.t0 = array("d")
+        self.t1 = array("d")
+        self.x0 = array("d")
+        self.speed = array("d")
+        self.left = array("q")
+        self.right = array("q")
+        self.kind: list[WaveKind | None] = []
+        self.states = _StateTable(mesh)
+
+    def __len__(self) -> int:
+        return len(self.t0)
+
+    def closer(self):
+        """The function close(f, t1) that appends live front f, closed at
+        t1, as a row."""
+        stride = self.states.mesh.id_stride
+        add_t0, add_t1 = self.t0.append, self.t1.append
+        add_x0, add_speed = self.x0.append, self.speed.append
+        add_left, add_right = self.left.append, self.right.append
+        add_kind = self.kind.append
+
+        def close(f: _F, t1: float) -> None:
+            l, r = f.l, f.r
+            add_t0(f.t0)
+            add_t1(t1)
+            add_x0(f.x0)
+            add_speed(f.speed)
+            # GridMesh.state_id, inlined
+            add_left(l[0] * stride + l[1] + 1)
+            add_right(r[0] * stride + r[1] + 1)
+            add_kind(f.kind)
+        return close
+
+    def records(self, rows=None):
+        """Iterator of the records of the given rows, of every row by
+        default, each built when it is reached.  tuple.__new__ builds the
+        same record as FrontRecord(...) without its Python-level
+        constructor, in about half the time."""
+        cols = (self.t0, self.t1, self.x0, self.speed, self.left, self.right, self.kind)
+        if rows is not None:
+            cols = [map(col.__getitem__, rows) for col in cols]
+        t0, t1, x0, speed, left, right, kind = cols
+        st = self.states.__getitem__
+        return map(tuple.__new__, itertools.repeat(FrontRecord),
+                   zip(t0, t1, x0, speed, map(st, left), map(st, right), kind))
+
+    def record(self, i: int) -> FrontRecord:
+        st = self.states
+        return tuple.__new__(FrontRecord, (self.t0[i], self.t1[i], self.x0[i], self.speed[i],
+                                           st[self.left[i]], st[self.right[i]], self.kind[i]))
+
+    def state_id(self, u: TrafficState) -> int:
+        """The state id of a mesh node state; a new off-mesh id otherwise."""
+        mesh = self.states.mesh
+        node = mesh.exact_node(u)
+        if node is not None:
+            return mesh.state_id(node)
+        off = self.states.off
+        off.append(u)
+        return -len(off)
+
+    def set_record(self, i: int, rec: FrontRecord) -> None:
+        self.t0[i], self.t1[i], self.x0[i], self.speed[i] = \
+            rec.t0, rec.t1, rec.x0, rec.speed
+        self.left[i] = self.state_id(rec.left)
+        self.right[i] = self.state_id(rec.right)
+        self.kind[i] = rec.kind
+
+    def chunks(self, *names: str):
+        """(first row, numpy views of the named columns) over consecutive
+        runs of at most CHUNK_ROWS rows.  A view shares its column's
+        memory, and the column cannot grow while one is alive."""
+        cols = [getattr(self, name) for name in names]
+        n = len(self)
+        for start in range(0, n, CHUNK_ROWS):
+            m = min(CHUNK_ROWS, n - start)
+            yield start, [np.frombuffer(c, dtype=np.float64 if c.typecode == "d" else np.int64,
+                                        count=m, offset=start * c.itemsize) for c in cols]
+
+    def live_rows(self, t: float) -> list[int]:
+        """Rows alive at t, in row order, by `FrontRecord.alive_at`."""
+        rows: list[int] = []
+        for start, (t0, t1) in self.chunks("t0", "t1"):
+            alive = (t0 < t) & (t <= t1)
+            if t == 0.0:
+                alive |= t0 == 0.0
+            rows += (np.flatnonzero(alive) + start).tolist()
+        return rows
+
+
+class RecordView(Sequence):
+    """`FrontHistory` rows as a sequence of `FrontRecord`s, each built when
+    read and not kept.  Writing a record stores it back into its row."""
+
+    __slots__ = ("history",)
+
+    def __init__(self, history: FrontHistory):
+        self.history = history
+
+    def __len__(self) -> int:
+        return len(self.history)
+
+    def _row(self, i: int) -> int:
+        n = len(self.history)
+        j = i + n if i < 0 else i
+        if not 0 <= j < n:
+            raise IndexError(f"record index {i} out of range for {n} records")
+        return j
+
+    def __getitem__(self, i):
+        h = self.history
+        if isinstance(i, slice):
+            return list(h.records(range(len(h))[i]))
+        return h.record(self._row(i))
+
+    def __setitem__(self, i: int, rec: FrontRecord) -> None:
+        self.history.set_record(self._row(i), rec)
+
+    def __iter__(self):
+        return self.history.records()
 
 
 class _F:
@@ -266,18 +426,23 @@ class RunResult:
     laws: ModelLaws
     mesh: GridMesh
     t_end: float
-    records: list[FrontRecord]
+    history: FrontHistory
     log: FunctionalLog
     initial: FrontDiagram
     final: FrontDiagram
     events: int
+
+    @property
+    def records(self) -> RecordView:
+        """The history's rows as records, built when read."""
+        return RecordView(self.history)
 
     def diagram_at(self, t: float) -> FrontDiagram:
         """Left-continuous-in-time snapshot reconstructed from the records."""
         if not (0.0 <= t <= self.t_end):
             from .errors import OutOfWindow
             raise OutOfWindow(f"t={t} outside [0, {self.t_end}]")
-        live = [r for r in self.records if r.alive_at(t)]
+        live = list(self.history.records(self.history.live_rows(t)))
         live.sort(key=lambda r: (r.position(t), r.speed))
         fronts = [DiagramFront(r.position(t), r.speed, r.left, r.right, r.kind)
                   for r in live]
@@ -364,14 +529,17 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     the functional rules of `invariants`, and the first violation raises
     InvariantViolation.  Inside the loop fronts carry mesh node ids, and
     each fan is read as solve_approx's node jumps; states are looked up
-    only to call solve_approx and for the records and the two snapshots.
+    only to call solve_approx and for the two snapshots.  Each front that
+    closes, at an event or at t_end, is appended as one row of the run's
+    `FrontHistory`, its states as integer state ids.
 
     Fronts never change once built, so a heap entry stays valid exactly as
     long as its two fronts are adjacent: dead fronts are unlinked.
     """
     laws = mesh.laws
     states = mesh.states
-    records: list[FrontRecord] = []
+    history = FrontHistory(mesh)
+    close = history.closer()
     log = FunctionalLog()
     counter = itertools.count()
     heap: list[tuple[float, int, _F, _F]] = []
@@ -445,8 +613,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
 
         before, after = group[0].prev, group[-1].next
         for g in group:
-            records.append(FrontRecord(g.t0, t_star, g.x0, g.speed,
-                                       states[g.l], states[g.r], g.kind))
+            close(g, t_star)
             tot_tv -= g.tv
             tot_temple -= g.temple
             n_waves -= 1
@@ -491,12 +658,11 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     final = _snapshot(head, t_end, states, initial.left_state)
     f = head
     while f is not None:
-        records.append(FrontRecord(f.t0, t_end, f.x0, f.speed,
-                                   states[f.l], states[f.r], f.kind))
+        close(f, t_end)
         nxt = f.next
         f.prev = f.next = None
         f = nxt
-    return RunResult(laws, mesh, t_end, records, log, initial, final, events)
+    return RunResult(laws, mesh, t_end, history, log, initial, final, events)
 
 
 # ---------------------------------------------------------------------------

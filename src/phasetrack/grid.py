@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import weakref
 
+import numpy as np
+
 from .errors import NotOnMesh, ValueOutsideOmega
 from .model import ModelLaws, Phase, TrafficState
 from .riemann import WaveKind, sigma
@@ -77,6 +79,12 @@ class GridMesh:
         # node id -> state, built on first lookup; _rev inverts it
         self.states = _NodeStates(self)
         self._rev: dict[tuple[float, float], Node] = {}
+        # a node as one integer, its state id: iv * id_stride + iw + 1
+        self.id_stride = len(self.w_values) + 1
+        # the node values read so far (node_values), and each state id's
+        # place among them (-1: not read), allocated on first use
+        self._values = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0))
+        self._value_at: np.ndarray | None = None
 
     # -- node access ---------------------------------------------------------
 
@@ -96,6 +104,34 @@ class GridMesh:
 
     def state(self, iv: int, iw: int) -> TrafficState:
         return self.states[iv, iw]
+
+    def state_id(self, node: Node) -> int:
+        return node[0] * self.id_stride + node[1] + 1
+
+    def node_of(self, sid: int) -> Node:
+        iv, iw = divmod(sid, self.id_stride)
+        return iv, iw - 1
+
+    def node_values(self, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(rho, v, congested, marker_W) of the nodes with the given state
+        ids, as arrays.  Each node's values are read from its state once per
+        mesh and kept with those of the other nodes read."""
+        if self._value_at is None:
+            self._value_at = np.full((self.iv_free + 1) * self.id_stride, -1, dtype=np.int32)
+        at = self._value_at[ids]
+        fresh = ids[at < 0]
+        if fresh.size:
+            new = sorted(set(fresh.tolist()))
+            us = [self.states[self.node_of(sid)] for sid in new]
+            marker_W = self.laws.marker_W
+            read = ([u.rho for u in us], [u.v for u in us],
+                    [u.phase is Phase.CONGESTED for u in us], [marker_W(u) for u in us])
+            n = len(self._values[0])
+            self._values = tuple(np.concatenate((col, np.array(r, dtype=col.dtype)))
+                                 for col, r in zip(self._values, read))
+            self._value_at[new] = np.arange(n, n + len(new))
+            at = self._value_at[ids]
+        return tuple(col[at] for col in self._values)
 
     def _build_state(self, key: Node) -> TrafficState:
         iv, iw = key
@@ -162,6 +198,12 @@ class GridMesh:
             raise ValueOutsideOmega(f"{u} not in the model domain")
         (iv, _), (iw, _) = self.brackets(u)
         return self.state(iv, iw)
+
+    def exact_node(self, u: TrafficState) -> Node | None:
+        """The node whose state, once built, equals u exactly; None if no
+        built node state does."""
+        node = self._rev.get((u.rho, u.v))
+        return node if node is not None and self.states[node] == u else None
 
     def index_of(self, u: TrafficState) -> Node:
         key = self._rev.get((u.rho, u.v))

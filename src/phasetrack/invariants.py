@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .model import ModelLaws, Phase, TrafficState
 
 if TYPE_CHECKING:
-    from .engine import FrontDiagram, FunctionalLog, RunResult
+    from .engine import FrontDiagram, FrontRecord, FunctionalLog, RunResult
 
 MONO_TOL = 1e-10
 ORDER_TOL = 1e-9     # relative slack on front positions; rounding leaves ~1e-15
@@ -82,32 +84,71 @@ def snapshot_violations(diagram: FrontDiagram) -> list[str]:
     return bad
 
 
+def jump_violation(laws: ModelLaws, rec: FrontRecord) -> str | None:
+    """The message of a record that violates a jump condition, else None."""
+    left, right = rec.left, rec.right
+    if momentum_conserved(laws, left, right):
+        mass, mom = jump_residuals(rec.speed, left, right,
+                                   laws.marker_W(left), laws.marker_W(right))
+    else:
+        mass, mom = jump_residuals(rec.speed, left, right)
+    if abs(mass) > MONO_TOL:
+        return f"mass jump condition violated ({mass}) on a front born t={rec.t0}"
+    if mom is not None and abs(mom) > MONO_TOL:
+        return f"momentum jump condition violated ({mom}) on a front born t={rec.t0}"
+    return None
+
+
+def _state_values(res: RunResult, ids: np.ndarray) -> list[np.ndarray]:
+    """(rho, v, congested, marker_W) at the given state ids: mesh nodes'
+    from `GridMesh.node_values`, off-mesh states' (negative ids, left by
+    records written back) read one by one, their marker left NaN."""
+    off = ids < 0
+    if not off.any():
+        return list(res.mesh.node_values(ids))
+    n = len(ids)
+    cols = [np.empty(n), np.empty(n), np.empty(n, dtype=bool), np.full(n, np.nan)]
+    for col, values in zip(cols, res.mesh.node_values(ids[~off])):
+        col[~off] = values
+    for k in np.flatnonzero(off).tolist():
+        u = res.history.states[int(ids[k])]
+        cols[0][k], cols[1][k], cols[2][k] = u.rho, u.v, u.phase is Phase.CONGESTED
+    return cols
+
+
+def _suspect_rows(res: RunResult):
+    """Rows, in order, whose jump residuals break MONO_TOL.
+
+    `jump_residuals` over the history's columns in bounded chunks, with the
+    same float operations in the same order, so a row is flagged exactly
+    when `jump_violation` reports it.  An off-mesh state's marker is
+    computed only where its row conserves momentum."""
+    laws = res.laws
+    for start, (speed, left, right) in res.history.chunks("speed", "left", "right"):
+        m = len(speed)
+        ids = np.concatenate((left, right))
+        rho, v, congested, marker = _state_values(res, ids)
+        conserves = np.ones(m, dtype=bool) if laws.degenerate_free \
+            else congested[:m] & congested[m:]
+        for k in np.flatnonzero(np.isnan(marker)).tolist():
+            if conserves[k % m]:
+                marker[k] = laws.marker_W(res.history.states[int(ids[k])])
+        rl, rr, vl, vr = rho[:m], rho[m:], v[:m], v[m:]
+        yl, yr = rl * marker[:m], rr * marker[m:]
+        bad = np.abs(speed * (rr - rl) - (rr * vr - rl * vl)) > MONO_TOL
+        bad |= conserves & (np.abs(speed * (yr - yl) - (yr * vr - yl * vl)) > MONO_TOL)
+        yield from (np.flatnonzero(bad) + start).tolist()
+
+
 def audit_run(res: RunResult) -> list[str]:
     """Post-hoc invariant checks; returns the violations found: those of the
     functional rules, of the initial and final snapshots, then the first
     jump-condition failure, if any."""
     bad = functional_violations(res.log, res.mesh.eps_w)
     bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
-    laws = res.laws
-    # records share a few thousand state objects: one marker evaluation each
-    markers: dict[int, float] = {}
-
-    def marker(u: TrafficState) -> float:
-        w = markers.get(id(u))
-        if w is None:
-            w = markers[id(u)] = laws.marker_W(u)
-        return w
-
-    for rec in res.records:
-        left, right = rec.left, rec.right
-        if momentum_conserved(laws, left, right):
-            mass, mom = jump_residuals(rec.speed, left, right, marker(left), marker(right))
-        else:
-            mass, mom = jump_residuals(rec.speed, left, right)
-        if abs(mass) > MONO_TOL:
-            bad.append(f"mass jump condition violated ({mass}) on a front born t={rec.t0}")
-            break
-        if mom is not None and abs(mom) > MONO_TOL:
-            bad.append(f"momentum jump condition violated ({mom}) on a front born t={rec.t0}")
+    for i in _suspect_rows(res):
+        msg = jump_violation(res.laws, res.history.record(i))
+        if msg is not None:
+            bad.append(msg)
             break
     return bad

@@ -1,5 +1,7 @@
-"""Plain bisections, kept apart from the package as references: the guided
-solves in `numerics` and `scenario` must return their bits."""
+"""Plain versions of optimized routines, kept apart from the package as
+references: the guided solves in `numerics` and `scenario` must return
+their bits, and `invariants.audit_run` the messages of its per-record
+loop."""
 
 
 def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
@@ -37,3 +39,37 @@ def project_by_ray_pos(cur, t, x):
                 break
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def audit_run_per_record(res):
+    """`invariants.audit_run` as it was before it read the history's
+    columns: one Python pass over the records, one marker evaluation per
+    state object.  The body is kept unchanged."""
+    from phasetrack.invariants import (MONO_TOL, functional_violations, jump_residuals,
+                                       momentum_conserved, snapshot_violations)
+
+    bad = functional_violations(res.log, res.mesh.eps_w)
+    bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
+    laws = res.laws
+    # records share a few thousand state objects: one marker evaluation each
+    markers: dict[int, float] = {}
+
+    def marker(u):
+        w = markers.get(id(u))
+        if w is None:
+            w = markers[id(u)] = laws.marker_W(u)
+        return w
+
+    for rec in res.records:
+        left, right = rec.left, rec.right
+        if momentum_conserved(laws, left, right):
+            mass, mom = jump_residuals(rec.speed, left, right, marker(left), marker(right))
+        else:
+            mass, mom = jump_residuals(rec.speed, left, right)
+        if abs(mass) > MONO_TOL:
+            bad.append(f"mass jump condition violated ({mass}) on a front born t={rec.t0}")
+            break
+        if mom is not None and abs(mom) > MONO_TOL:
+            bad.append(f"momentum jump condition violated ({mom}) on a front born t={rec.t0}")
+            break
+    return bad

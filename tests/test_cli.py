@@ -160,6 +160,19 @@ def test_ladder_bad_range_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("t_end, jobs", [("100", "1"), ("100", "2"), ("0", "1")])
+def test_ladder_t_end_before_the_last_passage_exit_2(tmp_path, capsys, t_end, jobs):
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI.replace("t_end = 430", f"t_end = {t_end}"))
+    out = tmp_path / "lad"
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "4",
+                 "--jobs", jobs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the queue has not fully passed")
+    assert f"(t_end = {float(t_end)})" in err
+    assert not (out / "ladder.csv").exists()
+
+
 def test_ladder_parallel_jobs(tmp_path):
     cfgf = tmp_path / "s.ini"
     cfgf.write_text(SCENARIO_INI)
