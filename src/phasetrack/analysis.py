@@ -1,6 +1,7 @@
-"""Diagnostics on computed front histories: jump-condition residuals,
-phase-boundary admissibility classes, entropy production per front, and
-Green-Gauss weak-form residuals against smooth test functions."""
+"""Diagnostics on computed front histories: phase-boundary admissibility
+classes, entropy production per front, and Green-Gauss weak-form residuals
+against smooth test functions.  `rh_residual`, the jump-condition rule,
+lives in `invariants` and is re-exported here."""
 
 from __future__ import annotations
 
@@ -10,33 +11,12 @@ from dataclasses import dataclass, field
 
 from .engine import FrontRecord, RunResult
 from .errors import OutOfDomain, SamePhase, UnsupportedTestFunction
-from .invariants import jump_residuals, momentum_conserved
+from .invariants import jump_residuals, rh_residual  # rh_residual is re-exported
 from .model import ModelLaws, Phase, TrafficState
 from .numerics import gauss_integrate
 from .riemann import WaveKind
 
 CLASS_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# jump conditions
-
-
-def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
-                right: TrafficState) -> tuple[float, float | None]:
-    """(mass residual, momentum residual or None).
-
-    The momentum residual uses the conserved marker rho * max(w2, W_c); it is
-    meaningful across every front only when the free speed is constant,
-    otherwise only between two congested states.
-    """
-    if momentum_conserved(laws, left, right):
-        return jump_residuals(speed, left, right, laws.marker_W(left), laws.marker_W(right))
-    return jump_residuals(speed, left, right)
-
-
-def record_rh_residual(laws: ModelLaws, rec: FrontRecord):
-    return rh_residual(laws, rec.speed, rec.left, rec.right)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -107,6 +108,8 @@ class RunConfig:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         self.t_end = float(r["t_end"]) if "t_end" in r else None   # 0 is a valid end
+        if self.t_end is not None and not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         self.snapshots = _floats(r.get("snapshots", "")) if r.get("snapshots") else []
         self.x_points = int(r.get("x_points", 400))
         self.x_lo = float(r["x_lo"]) if "x_lo" in r else None

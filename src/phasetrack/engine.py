@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -118,8 +119,11 @@ def approximate_datum(datum: PiecewiseConstantDatum, mesh: GridMesh) -> "FrontDi
 # diagrams
 
 
-@dataclass(frozen=True, slots=True)
-class DiagramFront:
+class DiagramFront(NamedTuple):
+    """One front of a snapshot: its position, speed, the states on either
+    side and its kind (None for a raw datum jump).  A named tuple, as
+    `FrontRecord` is, the cheapest immutable record to build."""
+
     x: float
     speed: float
     left: TrafficState
@@ -249,30 +253,30 @@ CHUNK_ROWS = 1024     # rows per numpy pass over a history's columns
 
 
 class _StateTable(dict):
-    """State id -> TrafficState of one history, each looked up on first
-    use: a non-negative id is the mesh's (`GridMesh.state_id`), a negative
-    id -1 - j names off[j]."""
+    """State id (`GridMesh.state_id`) -> the mesh's TrafficState, each
+    looked up on first use."""
 
-    __slots__ = ("mesh", "off")
+    __slots__ = ("mesh",)
 
     def __init__(self, mesh: GridMesh):
         super().__init__()
         self.mesh = mesh
-        self.off: list[TrafficState] = []
 
     def __missing__(self, sid: int) -> TrafficState:
-        u = self.off[-1 - sid] if sid < 0 else self.mesh.states[self.mesh.node_of(sid)]
+        u = self.mesh.states[self.mesh.node_of(sid)]
         self[sid] = u
         return u
 
 
-class FrontHistory:
+class FrontHistory(Sequence):
     """A run's closed front segments as a column store, one row each.
 
     Times, start positions and speeds are array('d') columns, the states on
-    either side array('q') columns of state ids (see `_StateTable`), and
-    kinds a list.  `run` appends a row as each front closes; a row reads
-    back as a `FrontRecord` with the mesh's own state objects.
+    either side array('q') columns of mesh state ids (see `_StateTable`),
+    and kinds a list.  `run` appends a row as each front closes.  Read as a
+    sequence, the history is read-only: each row is built into a
+    `FrontRecord`, with the mesh's own state objects, when it is read, and
+    none is kept.
     """
 
     __slots__ = ("t0", "t1", "x0", "speed", "left", "right", "kind", "states")
@@ -289,6 +293,18 @@ class FrontHistory:
 
     def __len__(self) -> int:
         return len(self.t0)
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return list(self.records(range(n)[i]))
+        j = i + n if i < 0 else i
+        if not 0 <= j < n:
+            raise IndexError(f"record index {i} out of range for {n} records")
+        return next(self.records((j,)))
+
+    def __iter__(self):
+        return self.records()
 
     def closer(self):
         """The function close(f, t1) that appends live front f, closed at
@@ -324,28 +340,6 @@ class FrontHistory:
         return map(tuple.__new__, itertools.repeat(FrontRecord),
                    zip(t0, t1, x0, speed, map(st, left), map(st, right), kind))
 
-    def record(self, i: int) -> FrontRecord:
-        st = self.states
-        return tuple.__new__(FrontRecord, (self.t0[i], self.t1[i], self.x0[i], self.speed[i],
-                                           st[self.left[i]], st[self.right[i]], self.kind[i]))
-
-    def state_id(self, u: TrafficState) -> int:
-        """The state id of a mesh node state; a new off-mesh id otherwise."""
-        mesh = self.states.mesh
-        node = mesh.exact_node(u)
-        if node is not None:
-            return mesh.state_id(node)
-        off = self.states.off
-        off.append(u)
-        return -len(off)
-
-    def set_record(self, i: int, rec: FrontRecord) -> None:
-        self.t0[i], self.t1[i], self.x0[i], self.speed[i] = \
-            rec.t0, rec.t1, rec.x0, rec.speed
-        self.left[i] = self.state_id(rec.left)
-        self.right[i] = self.state_id(rec.right)
-        self.kind[i] = rec.kind
-
     def chunks(self, *names: str):
         """(first row, numpy views of the named columns) over consecutive
         runs of at most CHUNK_ROWS rows.  A view shares its column's
@@ -366,38 +360,6 @@ class FrontHistory:
                 alive |= t0 == 0.0
             rows += (np.flatnonzero(alive) + start).tolist()
         return rows
-
-
-class RecordView(Sequence):
-    """`FrontHistory` rows as a sequence of `FrontRecord`s, each built when
-    read and not kept.  Writing a record stores it back into its row."""
-
-    __slots__ = ("history",)
-
-    def __init__(self, history: FrontHistory):
-        self.history = history
-
-    def __len__(self) -> int:
-        return len(self.history)
-
-    def _row(self, i: int) -> int:
-        n = len(self.history)
-        j = i + n if i < 0 else i
-        if not 0 <= j < n:
-            raise IndexError(f"record index {i} out of range for {n} records")
-        return j
-
-    def __getitem__(self, i):
-        h = self.history
-        if isinstance(i, slice):
-            return list(h.records(range(len(h))[i]))
-        return h.record(self._row(i))
-
-    def __setitem__(self, i: int, rec: FrontRecord) -> None:
-        self.history.set_record(self._row(i), rec)
-
-    def __iter__(self):
-        return self.history.records()
 
 
 class _F:
@@ -433,9 +395,9 @@ class RunResult:
     events: int
 
     @property
-    def records(self) -> RecordView:
-        """The history's rows as records, built when read."""
-        return RecordView(self.history)
+    def records(self) -> FrontHistory:
+        """The history, read as a sequence of records built when read."""
+        return self.history
 
     def diagram_at(self, t: float) -> FrontDiagram:
         """Left-continuous-in-time snapshot reconstructed from the records."""
@@ -534,8 +496,11 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     `FrontHistory`, its states as integer state ids.
 
     Fronts never change once built, so a heap entry stays valid exactly as
-    long as its two fronts are adjacent: dead fronts are unlinked.
+    long as its two fronts are adjacent: dead fronts are unlinked.  A
+    negative or non-finite t_end raises ValueError.
     """
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     laws = mesh.laws
     states = mesh.states
     history = FrontHistory(mesh)

@@ -199,12 +199,6 @@ class GridMesh:
         (iv, _), (iw, _) = self.brackets(u)
         return self.state(iv, iw)
 
-    def exact_node(self, u: TrafficState) -> Node | None:
-        """The node whose state, once built, equals u exactly; None if no
-        built node state does."""
-        node = self._rev.get((u.rho, u.v))
-        return node if node is not None and self.states[node] == u else None
-
     def index_of(self, u: TrafficState) -> Node:
         key = self._rev.get((u.rho, u.v))
         if key is not None:

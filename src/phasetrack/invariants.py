@@ -84,14 +84,22 @@ def snapshot_violations(diagram: FrontDiagram) -> list[str]:
     return bad
 
 
+def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
+                right: TrafficState) -> tuple[float, float | None]:
+    """(mass residual, momentum residual or None).
+
+    The momentum residual uses the conserved marker rho * max(w2, W_c); it is
+    meaningful across every front only when the free speed is constant,
+    otherwise only between two congested states.
+    """
+    if momentum_conserved(laws, left, right):
+        return jump_residuals(speed, left, right, laws.marker_W(left), laws.marker_W(right))
+    return jump_residuals(speed, left, right)
+
+
 def jump_violation(laws: ModelLaws, rec: FrontRecord) -> str | None:
     """The message of a record that violates a jump condition, else None."""
-    left, right = rec.left, rec.right
-    if momentum_conserved(laws, left, right):
-        mass, mom = jump_residuals(rec.speed, left, right,
-                                   laws.marker_W(left), laws.marker_W(right))
-    else:
-        mass, mom = jump_residuals(rec.speed, left, right)
+    mass, mom = rh_residual(laws, rec.speed, rec.left, rec.right)
     if abs(mass) > MONO_TOL:
         return f"mass jump condition violated ({mass}) on a front born t={rec.t0}"
     if mom is not None and abs(mom) > MONO_TOL:
@@ -99,40 +107,19 @@ def jump_violation(laws: ModelLaws, rec: FrontRecord) -> str | None:
     return None
 
 
-def _state_values(res: RunResult, ids: np.ndarray) -> list[np.ndarray]:
-    """(rho, v, congested, marker_W) at the given state ids: mesh nodes'
-    from `GridMesh.node_values`, off-mesh states' (negative ids, left by
-    records written back) read one by one, their marker left NaN."""
-    off = ids < 0
-    if not off.any():
-        return list(res.mesh.node_values(ids))
-    n = len(ids)
-    cols = [np.empty(n), np.empty(n), np.empty(n, dtype=bool), np.full(n, np.nan)]
-    for col, values in zip(cols, res.mesh.node_values(ids[~off])):
-        col[~off] = values
-    for k in np.flatnonzero(off).tolist():
-        u = res.history.states[int(ids[k])]
-        cols[0][k], cols[1][k], cols[2][k] = u.rho, u.v, u.phase is Phase.CONGESTED
-    return cols
-
-
 def _suspect_rows(res: RunResult):
     """Rows, in order, whose jump residuals break MONO_TOL.
 
     `jump_residuals` over the history's columns in bounded chunks, with the
     same float operations in the same order, so a row is flagged exactly
-    when `jump_violation` reports it.  An off-mesh state's marker is
-    computed only where its row conserves momentum."""
+    when `jump_violation` reports it.  The states are mesh nodes, read by
+    state id with `GridMesh.node_values`."""
     laws = res.laws
     for start, (speed, left, right) in res.history.chunks("speed", "left", "right"):
         m = len(speed)
-        ids = np.concatenate((left, right))
-        rho, v, congested, marker = _state_values(res, ids)
+        rho, v, congested, marker = res.mesh.node_values(np.concatenate((left, right)))
         conserves = np.ones(m, dtype=bool) if laws.degenerate_free \
             else congested[:m] & congested[m:]
-        for k in np.flatnonzero(np.isnan(marker)).tolist():
-            if conserves[k % m]:
-                marker[k] = laws.marker_W(res.history.states[int(ids[k])])
         rl, rr, vl, vr = rho[:m], rho[m:], v[:m], v[m:]
         yl, yr = rl * marker[:m], rr * marker[m:]
         bad = np.abs(speed * (rr - rl) - (rr * vr - rl * vl)) > MONO_TOL
@@ -147,7 +134,7 @@ def audit_run(res: RunResult) -> list[str]:
     bad = functional_violations(res.log, res.mesh.eps_w)
     bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
     for i in _suspect_rows(res):
-        msg = jump_violation(res.laws, res.history.record(i))
+        msg = jump_violation(res.laws, res.history[i])
         if msg is not None:
             bad.append(msg)
             break

@@ -1,6 +1,10 @@
-"""A fault injected into the event loop, for tests of the invariant checks."""
+"""Faults injected into the event loop or into a run's history, for tests
+of the invariant checks."""
+
+import contextlib
 
 from phasetrack import engine
+from phasetrack.riemann import sigma
 
 
 def inflate_event_tv(monkeypatch, n_initial):
@@ -17,3 +21,35 @@ def inflate_event_tv(monkeypatch, n_initial):
 
     monkeypatch.setattr(engine, "_front_measures", inflated)
     return calls
+
+
+@contextlib.contextmanager
+def _row_fault(history, i, speed, right):
+    """Row i of a history with the given speed and right state id written
+    into its columns; yields the faulted record and restores the row on
+    exit."""
+    saved = history.speed[i], history.right[i]
+    history.speed[i], history.right[i] = speed, right
+    try:
+        yield history[i]
+    finally:
+        history.speed[i], history.right[i] = saved
+
+
+def mass_fault(res, i, offset=1e-3):
+    """Row i of the run's history with its speed offset: the front breaks
+    the mass jump condition wherever its two densities differ."""
+    h = res.history
+    return _row_fault(h, i, h.speed[i] + offset, h.right[i])
+
+
+def momentum_fault(res, i):
+    """Row i, a contact between two congested nodes, with its right node
+    moved one velocity step along its marker line, which changes its
+    density, and the mass-conserving speed from its left node: mass
+    balances across the front, momentum does not."""
+    mesh, h = res.mesh, res.history
+    iv, iw = mesh.node_of(h.right[i])
+    node = (iv - 1 if iv > 0 else iv + 1, iw)
+    return _row_fault(h, i, sigma(h.states[h.left[i]], mesh.states[node]),
+                      mesh.state_id(node))

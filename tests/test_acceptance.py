@@ -12,7 +12,7 @@ import time
 import pytest
 
 import phasetrack as pt
-from phasetrack.analysis import entropy_report, record_rh_residual
+from phasetrack.analysis import entropy_report, rh_residual
 from phasetrack.riemann import WaveKind
 
 MONO_TOL = 1e-10
@@ -72,7 +72,7 @@ def corpus_aggregates(laws):
                     agg["pt_detail"] = (f"drop {dpt} with only {n_pt} colliding "
                                         f"transitions at t={log.ts[i]}")
         for rec in res.records:
-            mass, mom = record_rh_residual(laws, rec)
+            mass, mom = rh_residual(laws, rec.speed, rec.left, rec.right)
             agg["worst_mass"] = max(agg["worst_mass"], abs(mass))
             if mom is not None:
                 agg["worst_mom"] = max(agg["worst_mom"], abs(mom))

@@ -282,6 +282,18 @@ def test_run_with_t_end_zero_writes_the_initial_resolution_alone(tmp_path):
     assert [float(r[0]) for r in rows] == [0.0]
 
 
+@pytest.mark.parametrize("t_end", ["-5", "inf", "nan"])
+def test_negative_or_non_finite_t_end_exit_2(tmp_path, capsys, t_end):
+    for command, text in (("run", RANDOM_INI.replace("t_end = 60", f"t_end = {t_end}")),
+                          ("ladder", SCENARIO_INI.replace("t_end = 430", f"t_end = {t_end}"))):
+        cfgf = tmp_path / f"{command}.ini"
+        cfgf.write_text(text)
+        out = tmp_path / command
+        assert main([command, str(cfgf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: t_end must be ")
+        assert not out.exists()
+
+
 def _inflate_event_fronts(monkeypatch, cfgf, n):
     """The TV fault of `faults`, for one run of the config at level n."""
     cfg = cli.RunConfig(cfgf)

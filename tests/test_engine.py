@@ -370,6 +370,14 @@ def test_observers_called_at_events(laws, mesh5):
     assert set(seen[0]) >= {"t", "x", "tv", "temple", "waves", "phase_transitions"}
 
 
+@pytest.mark.parametrize("t_end", [-5.0, -1e-300, math.inf, math.nan])
+def test_run_rejects_a_negative_or_non_finite_t_end(mesh5, rng, t_end):
+    diagram0 = pt.approximate_datum(pt.random_mesh_datum(mesh5, rng), mesh5)
+    with pytest.raises(ValueError):
+        pt.run(diagram0, t_end, mesh5)
+    assert pt.run(diagram0, 0.0, mesh5).events == 0
+
+
 def test_event_cap_overflow(laws, mesh5, rng):
     from phasetrack.errors import EventOverflow
     datum = pt.random_mesh_datum(mesh5, rng, max_jumps=30)

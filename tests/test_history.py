@@ -1,4 +1,5 @@
-"""The column-store run history, its records view, and the audit over it."""
+"""The column-store run history, read as a sequence of records, and the
+audit over it."""
 
 import random
 
@@ -6,9 +7,11 @@ import pytest
 
 import phasetrack as pt
 from phasetrack import engine
+from phasetrack.grid import VACUUM_IW
 from phasetrack.invariants import audit_run
 from phasetrack.riemann import WaveKind
 
+from faults import mass_fault, momentum_fault
 from references import audit_run_per_record
 
 
@@ -26,7 +29,7 @@ def long_run(laws):
 
 
 # ---------------------------------------------------------------------------
-# the records view
+# the history as a read-only sequence
 
 
 def test_len_does_not_build_records(mesh5, monkeypatch):
@@ -60,38 +63,32 @@ def test_index_slice_and_iteration_agree(mesh5, flat_mesh5):
         assert all(r.left is mesh.states[mesh.index_of(r.left)] for r in listed)
 
 
-def test_setitem_round_trips_mesh_and_off_mesh_states(mesh5):
-    res = _random_run(mesh5, 11)
-    view = res.records
-    a, b = view[0], view[-1]
-    view[0] = b._replace(t0=a.t0, t1=a.t1)
-    got = view[0]
-    assert got == b._replace(t0=a.t0, t1=a.t1)
-    assert got.left is b.left and got.right is b.right
-    assert res.history.states.off == []      # mesh states take their node id
-
-    left = pt.TrafficState(0.5, 0.0125, pt.Phase.CONGESTED)
-    right = pt.TrafficState(b.right.rho, b.right.v + 1e-12, b.right.phase)
-    view[-1] = b._replace(left=left, right=right, kind=None, speed=-0.25)
-    got = view[-1]
-    assert got == b._replace(left=left, right=right, kind=None, speed=-0.25)
-    assert got.left is left and got.right is right
-    assert res.history.left[-1] < 0 and res.history.right[-1] < 0
-
-    view[0], view[-1] = a, b
-    assert view[0] == a and view[-1] == b
-    assert audit_run(res) == []
-
-
 def test_reading_past_the_end_raises(mesh5):
     view = _random_run(mesh5, 13).records
     n = len(view)
     for i in (n, n + 1, -n - 1):
         with pytest.raises(IndexError):
             view[i]
-        with pytest.raises(IndexError):
-            view[i] = view[0]
     assert view[-n] == view[0]
+
+
+def test_records_cannot_be_written(mesh5):
+    res = _random_run(mesh5, 13)
+    with pytest.raises(TypeError):
+        res.records[0] = res.records[0]
+
+
+def test_state_ids_are_mesh_node_ids(mesh5, flat_mesh5):
+    nodes = {}
+    for mesh in (mesh5, flat_mesh5):
+        h = _random_run(mesh, 11).history
+        ids = set(h.left) | set(h.right)
+        assert min(ids) >= 0
+        assert all(h.states[sid] is mesh.states[mesh.node_of(sid)] for sid in ids)
+        nodes[mesh] = {mesh.node_of(sid) for sid in ids}
+    # the constant-free-speed run reaches the vacuum node, whose marker
+    # index is negative
+    assert (flat_mesh5.iv_free, VACUUM_IW) in nodes[flat_mesh5]
 
 
 def test_diagram_at_keeps_the_record_rule(mesh5, flat_mesh5):
@@ -122,13 +119,10 @@ def test_audit_matches_the_per_record_loop_on_seeded_runs(mesh5, flat_mesh5):
 
 def _speed_faults(res, rows):
     """Audit messages, new and reference, with each row's speed perturbed
-    in turn; the row is restored after each."""
-    view = res.records
+    in turn (`faults.mass_fault`); the row is restored after each."""
     for i in rows:
-        rec = view[i]
-        view[i] = rec._replace(speed=rec.speed + 1e-3)
-        got, want = audit_run(res), audit_run_per_record(res)
-        view[i] = rec
+        with mass_fault(res, i) as rec:
+            got, want = audit_run(res), audit_run_per_record(res)
         yield i, rec, got, want
 
 
@@ -149,7 +143,7 @@ def test_audit_matches_on_perturbed_speeds(mesh5, flat_mesh5, monkeypatch, chunk
 
 def test_audit_matches_past_the_first_chunk(long_run):
     n = len(long_run.records)
-    rows = [0, engine.CHUNK_ROWS - 1, engine.CHUNK_ROWS, n - 1]
+    rows = [0, engine.CHUNK_ROWS - 1, engine.CHUNK_ROWS, n // 2, n - 1]
     flagged = 0
     for i, rec, got, want in _speed_faults(long_run, rows):
         assert got == want, (i, got, want)
@@ -162,22 +156,16 @@ def test_audit_matches_past_the_first_chunk(long_run):
 def test_audit_matches_on_an_off_mesh_momentum_fault(laws, mesh5, monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(engine, "CHUNK_ROWS", chunk)
+    # the fault (`faults.momentum_fault`) moves the contact's right state off
+    # the contact's velocity: mass still balances, momentum does not
     res = _random_run(mesh5, 11)
-    view = res.records
-    contacts = [i for i, r in enumerate(view)
+    contacts = [i for i, r in enumerate(res.records)
                 if r.kind is WaveKind.CONTACT and r.left.phase is pt.Phase.CONGESTED
                 and r.right.phase is pt.Phase.CONGESTED]
     for i in (contacts[0], contacts[-1]):
-        rec = view[i]
-        # mass still balances, momentum does not
-        a = 1e-3
-        b = a * rec.left.rho / rec.right.rho
-        left = pt.TrafficState(rec.left.rho, rec.left.v - a, pt.Phase.CONGESTED)
-        right = pt.TrafficState(rec.right.rho, rec.right.v - b, pt.Phase.CONGESTED)
-        view[i] = rec._replace(left=left, right=right)
-        got = audit_run(res)
-        assert got == audit_run_per_record(res)
+        with momentum_fault(res, i):
+            got = audit_run(res)
+            assert got == audit_run_per_record(res)
         assert len(got) == 1 and got[0].startswith("momentum jump condition violated (")
-        view[i] = rec
     assert contacts[-1] > 64
     assert audit_run(res) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -8,7 +7,7 @@ from phasetrack.errors import InvariantViolation
 from phasetrack.invariants import audit_run, functional_violations
 from phasetrack.riemann import WaveKind
 
-from faults import inflate_event_tv
+from faults import inflate_event_tv, mass_fault, momentum_fault
 
 EPS_W = 0.01
 
@@ -57,10 +56,11 @@ def test_audit_flags_a_perturbed_speed(mesh5):
     res = _random_run(mesh5, 11)
     assert audit_run(res) == []
     i = next(i for i, r in enumerate(res.records) if r.left.rho != r.right.rho)
-    res.records[i] = res.records[i]._replace(speed=res.records[i].speed + 1e-3)
-    (msg,) = audit_run(res)
+    with mass_fault(res, i) as rec:
+        (msg,) = audit_run(res)
     assert msg.startswith("mass jump condition violated (")
-    assert msg.endswith(f" on a front born t={res.records[i].t0}")
+    assert msg.endswith(f" on a front born t={rec.t0}")
+    assert audit_run(res) == []
 
 
 def _front_pair(res):
@@ -93,7 +93,7 @@ def test_audit_flags_a_replaced_left_state(mesh5):
     i = _front_pair(res) + 1
     fr = res.final.fronts
     other = next(u for u in (f.right for f in fr) if u != fr[i].left)
-    fr[i] = dataclasses.replace(fr[i], left=other)
+    fr[i] = fr[i]._replace(left=other)
     assert audit_run(res) == [
         f"state continuity broken at front {i} (x={fr[i].x}) at t={res.t_end}"]
 
@@ -105,16 +105,12 @@ def test_audit_flags_a_perturbed_congested_contact(laws, mesh5):
              and r.right.phase is pt.Phase.CONGESTED)
     rec = res.records[i]
     assert laws.w2(rec.left) != laws.w2(rec.right)
-    # slow both sides so that rho (speed - v) stays equal across the jump:
-    # mass still balances, but the two sides now carry momentum at
-    # different rates
-    a = 1e-3
-    b = a * rec.left.rho / rec.right.rho
-    left = pt.TrafficState(rec.left.rho, rec.left.v - a, pt.Phase.CONGESTED)
-    right = pt.TrafficState(rec.right.rho, rec.right.v - b, pt.Phase.CONGESTED)
-    res.records[i] = rec._replace(left=left, right=right)
-    (msg,) = audit_run(res)
+    # the right side moves off the contact's velocity and the speed keeps
+    # mass balanced: the two sides now carry momentum at different rates
+    with momentum_fault(res, i):
+        (msg,) = audit_run(res)
     assert msg.startswith("momentum jump condition violated (")
+    assert audit_run(res) == []
 
 
 def test_strict_run_raises_the_audits_first_message(laws, mesh5, monkeypatch):
