@@ -116,6 +116,9 @@ class RunConfig:
         self.x_hi = float(r["x_hi"]) if "x_hi" in r else None
         self.entropy_enabled = str(r.get("entropy", "on")).lower() not in ("off", "false", "0")
         self.k_grid = _floats(r["k_grid"]) if "k_grid" in r else None
+        if self.k_grid is not None and not all(0.0 <= k <= self.laws.V_f for k in self.k_grid):
+            raise ValueError(f"k_grid speeds must lie in [0, V_f = {self.laws.V_f}], "
+                             f"got {self.k_grid}")
         self.seed = seed
 
     def resolve_datum(self, mesh: GridMesh):
@@ -126,18 +129,23 @@ class RunConfig:
                                  x_span=(self._random["x_lo"], self._random["x_hi"]))
 
 
-def _default_t_end(cfg: RunConfig) -> float:
+def _default_t_end(cfg: RunConfig, t_last: float | None = None) -> float:
+    """[run] t_end; else, for a scenario, 1.25 times the exact last-passage
+    time `t_last` (from the closed-form table when not given); else 100."""
     if cfg.t_end is not None:
         return cfg.t_end
-    if cfg.scenario_cfg is not None:
-        return 1.25 * closed_form_table(cfg.scenario_cfg).t_last
-    return 100.0
+    if cfg.scenario_cfg is None:
+        return 100.0
+    if t_last is None:
+        t_last = closed_form_table(cfg.scenario_cfg).t_last
+    return 1.25 * t_last
 
 
 def _x_grid(cfg: RunConfig, datum, t_end: float) -> list[float]:
-    lo = cfg.x_lo if cfg.x_lo is not None else min(datum.breaks) - 2.0
+    breaks = datum.breaks or (0.0,)     # a constant datum: as if broken at 0
+    lo = cfg.x_lo if cfg.x_lo is not None else min(breaks) - 2.0
     hi = cfg.x_hi if cfg.x_hi is not None else \
-        max(datum.breaks) + cfg.laws.V_max * t_end + 1.0
+        max(breaks) + cfg.laws.V_max * t_end + 1.0
     n = max(cfg.x_points, 2)
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
@@ -272,7 +280,7 @@ def cmd_ladder(args) -> int:
         return 2
 
     sc, table = exact.cfg, exact.table
-    t_end = cfg.t_end if cfg.t_end is not None else 1.25 * table.t_last
+    t_end = _default_t_end(cfg, table.t_last)
     payloads = [(exact, n, t_end, args.strict) for n in range(n_min, n_max + 1)]
     try:
         if args.jobs > 1:

@@ -112,7 +112,8 @@ class PowerPressure:
         """Closed-form inverse; 0 below the range of a power law.
 
         ModelLaws.p_inv uses it only as the guess of its bisection, whose
-        bits it does not change.
+        bits it does not change; the traffic-light reference takes it as
+        the answer.
         """
         g = self.gamma
         if g == 0.0:

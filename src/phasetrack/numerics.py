@@ -1,5 +1,6 @@
 """Small numeric helpers: bracketed bisection (optionally guided by a guess
-of the root), Gauss-Legendre panels, polyline interpolation."""
+of the root, as `ModelLaws.p_inv` guides it by the pressure's closed-form
+inverse), Gauss-Legendre panels, polyline interpolation."""
 
 from __future__ import annotations
 
@@ -49,11 +50,10 @@ def invert_increasing(f: Callable[[float], float], lo: float, hi: float,
     plain bisection takes if the computed f is increasing up to a rounding
     error e with 2e < eps: for mid <= a, f(mid) <= f(a) + 2e < target, and
     for mid >= b, f(mid) >= f(b) - 2e > target.  The functions guided here
-    (pressure laws, p + rho p', the free characteristic speed, a ray
-    position on the traffic-light fan) take a few float operations on
-    values below 100 in magnitude, so e is a few ulps of 100, below 1e-13,
-    while eps is at least GUIDE_EPS = 1e-12.  A guess whose window fails
-    the test costs at most two evaluations and leaves the plain bisection.
+    (the pressure laws) take a few float operations on values below 100 in
+    magnitude, so e is a few ulps of 100, below 1e-13, while eps is at
+    least GUIDE_EPS = 1e-12.  A guess whose window fails the test costs at
+    most two evaluations and leaves the plain bisection.
     """
     window = guide_window(f, lo, hi, target, guess)
     if window is None:
@@ -74,11 +74,10 @@ def invert_increasing(f: Callable[[float], float], lo: float, hi: float,
 
 
 def invert_decreasing(f: Callable[[float], float], lo: float, hi: float,
-                      target: float, tol: float = BISECT_TOL,
-                      guess: float | None = None) -> float:
+                      target: float, tol: float = BISECT_TOL) -> float:
     """Solve f(x) = target for decreasing f on [lo, hi] by bisection: the
     increasing inversion of -f, since negation is exact."""
-    return invert_increasing(lambda x: -f(x), lo, hi, -target, tol, guess)
+    return invert_increasing(lambda x: -f(x), lo, hi, -target, tol)
 
 
 @lru_cache(maxsize=8)

@@ -16,8 +16,7 @@ from .engine import PiecewiseConstantDatum, RunResult
 from .errors import NotReached, OutOfWindow, StructuralAssumptionViolated
 from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
                     TrafficState, validate_laws, _solve_marker_density)
-from .numerics import (guide_window, interp_polyline, invert_decreasing,
-                       invert_increasing)
+from .numerics import interp_polyline
 from .riemann import sigma
 
 ODE_STEPS = 1024
@@ -107,24 +106,15 @@ class _Curves:
         self._pt1_xs: list[float] = []
         self._integrate_pt1()
 
-    # main centered fan; plain methods rather than closures keep the
-    # construction picklable, so one build can ship to ladder workers
-    def _fan_g(self, r: float) -> float:
-        p = self.laws.p
-        return p(r) + r * p.deriv(r)
-
-    def _fan_inv(self, y: float) -> float:
-        laws = self.laws
-        p = laws.p
-        # the scenario's power law has g = (1 + gamma) p, its log law
-        # g = p + v_ref; the closed form only guides the bisection
-        guess = p.inv(y - p.v_ref) if p.gamma == 0.0 else p.inv(y / (1.0 + p.gamma))
-        return invert_increasing(self._fan_g, laws.rho_free_crit, laws.R_max, y,
-                                 guess=guess)
-
+    # main centered fan, where lambda_1 = W_max - g(rho) = xi with
+    # g = p + rho p'; the scenario's power law has g = (1 + gamma) p, its
+    # log law g = p + v_ref, so g inverts in closed form
     def fan_state(self, xi: float) -> TrafficState:
         laws = self.laws
-        rho = self._fan_inv(laws.W_max - xi)
+        p = laws.p
+        y = laws.W_max - xi
+        rho = p.inv(y - p.v_ref) if p.gamma == 0.0 else p.inv(y / (1.0 + p.gamma))
+        rho = min(max(rho, laws.rho_free_crit), laws.R_max)
         return TrafficState(rho, laws.W_max - laws.p(rho), Phase.CONGESTED)
 
     def fan_speed(self, xi: float) -> float:
@@ -135,10 +125,9 @@ class _Curves:
         """Fixed-step RK4 until `stop` changes sign, then a fresh pass with
         (t_b - t_a)/ODE_STEPS steps and a bisected endpoint.
 
-        Returns the stored path, the k1 slopes f(t, x) the final pass took
-        at the stored points it stepped from (all but the endpoint), and
-        the endpoint."""
-        def advance(t, x, h, k1):
+        Returns the stored path and its endpoint."""
+        def advance(t, x, h):
+            k1 = f(t, x)
             k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
             k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
             k4 = f(t + h, x + h * k3)
@@ -146,24 +135,22 @@ class _Curves:
 
         t, x = t0, x0
         while stop(t, x) < 0.0:
-            t, x = t + h_guess, advance(t, x, h_guess, f(t, x))
+            t, x = t + h_guess, advance(t, x, h_guess)
             if t > 1e6:
                 raise OutOfWindow("curved path never reaches its stop condition")
         t_hi = t
         h = (t_hi - t0) / ODE_STEPS
-        ts, xs, k1s = [t0], [x0], []
+        ts, xs = [t0], [x0]
         t, x = t0, x0
         for _ in range(ODE_STEPS):
-            k1 = f(t, x)
-            k1s.append(k1)
-            t, x = t + h, advance(t, x, h, k1)
+            t, x = t + h, advance(t, x, h)
             ts.append(t)
             xs.append(x)
 
         # endpoint by bisection on the dense path, one RK4 substep for accuracy
         def value(tq: float) -> float:
             i = min(max(_bisect.bisect_right(ts, tq) - 1, 0), len(ts) - 2)
-            return advance(ts[i], xs[i], tq - ts[i], k1s[i])
+            return advance(ts[i], xs[i], tq - ts[i])
 
         lo, hi = t0, t_hi
         for _ in range(100):
@@ -183,21 +170,17 @@ class _Curves:
         ts, xs = ts[:cut], xs[:cut]
         ts.append(t_b)
         xs.append(x_b)
-        return ts, xs, k1s[:cut], (t_b, x_b)
+        return ts, xs, (t_b, x_b)
 
     def _integrate_c2(self):
         f = lambda t, x: self.fan_speed(x / t)
         stop = lambda t, x: x - self.xi_b * t
-        ts, xs, k1s, end = self._rk4(f, self.t_a2, self.cfg.x2, stop,
-                                     self.t_a2 / 64.0)
+        ts, xs, end = self._rk4(f, self.t_a2, self.cfg.x2, stop, self.t_a2 / 64.0)
         self._c2_ts, self._c2_xs = ts, xs
         self.t_b2, self.x_b2 = end
         # cached source speeds and ray slopes along the path keep the
-        # projection solves free of nested root finding; the source speed
-        # is the path's own slope, so RK4 already evaluated it at every
-        # stored point it took a step from
-        n = len(k1s)
-        self._c2_v0 = k1s + [self.fan_speed(x / t) for t, x in zip(ts[n:], xs[n:])]
+        # projections free of nested root finding
+        self._c2_v0 = [self.fan_speed(x / t) for t, x in zip(ts, xs)]
         self._c2_lam = [self.ray_slope(v) for v in self._c2_v0]
 
     def c2_pos(self, t: float) -> float:
@@ -218,78 +201,30 @@ class _Curves:
     def project(self, t: float, x: float) -> float:
         """Source time whose ray passes through (t, x); clamped to the fan.
 
-        Bisects `ray_pos(t0, t) < x` over [t_a2, t_b2], with `ray_pos`
-        written out: both interpolations share one segment index, found
-        among the segments the bracket spans, in the float expressions of
-        `interp_polyline`, so the result has the bits of bisecting over
-        `ray_pos` itself.  Once the bracket lies in one segment, the rest
-        of the 80-step budget runs on that segment's operands, guided by
-        the root of the segment's quadratic (see `invert_increasing`).
+        The ray position is linear in the source time between two knots of
+        the c2 path, as `ray_pos` interpolates, and moves up through the
+        knots; the root is that of the first segment whose end ray reaches
+        x, a quadratic in the segment fraction.
         """
         ts, xs, lams = self._c2_ts, self._c2_xs, self._c2_lam
-        bisect_right = _bisect.bisect_right
-        t_first, t_last = ts[0], ts[-1]
-        lo, hi = self.t_a2, self.t_b2       # t_first and t_last
-        if xs[0] + (t - lo) * lams[0] >= x:
-            return lo
-        if xs[-1] + (t - hi) * lams[-1] <= x:
-            return hi
-        # j_lo = bisect_right(ts, lo) and j_hi = bisect_right(ts, hi), so
-        # bisect_right(ts, mid) lies between them
-        j_lo, j_hi = 1, len(ts)
-        steps = 80
-        while steps and j_lo < j_hi:
-            steps -= 1
-            mid = 0.5 * (lo + hi)
-            if t_first < mid < t_last:
-                j = bisect_right(ts, mid, j_lo, j_hi)
-                i = j - 1
-                f = (mid - ts[i]) / (ts[j] - ts[i])
-                c = xs[i] + f * (xs[j] - xs[i])
-                lam = lams[i] + f * (lams[j] - lams[i])
-            elif mid <= t_first:            # interp_polyline's clamps
-                j, c, lam = 1, xs[0], lams[0]
-            else:
-                j, c, lam = len(ts), xs[-1], lams[-1]
-            if c + (t - mid) * lam < x:
-                if lo == mid:
-                    return 0.5 * (lo + hi)  # (lo, hi) is a fixed point
-                lo, j_lo = mid, j
-            else:
-                if hi == mid:
-                    return 0.5 * (lo + hi)
-                hi, j_hi = mid, j
-        if not steps:
-            return 0.5 * (lo + hi)
-        # ts[i] <= lo < hi < ts[j]: every midpoint takes segment i
-        j = j_lo
+        if xs[0] + (t - ts[0]) * lams[0] >= x:
+            return ts[0]
+        if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
+            return ts[-1]
+        j = _bisect.bisect_left(range(len(ts)), True,
+                                key=lambda k: xs[k] + (t - ts[k]) * lams[k] >= x)
         i = j - 1
         t_i, h = ts[i], ts[j] - ts[i]
-        x_i, dx = xs[i], xs[j] - xs[i]
         l_i, dl = lams[i], lams[j] - lams[i]
-
-        def pos(m: float) -> float:
-            f = (m - t_i) / h
-            return x_i + f * dx + (t - m) * (l_i + f * dl)
-
-        # pos = x as a quadratic in f: -h dl f^2 + qb f + qc = 0, with qb > 0
-        # where pos rises; this root form is the stable one for qb > 0
-        qb = dx - h * l_i + (t - t_i) * dl
-        qc = x_i + (t - t_i) * l_i - x
-        disc = qb * qb + 4.0 * h * dl * qc
-        guess = t_i - 2.0 * qc / (qb + disc ** 0.5) * h if disc >= 0.0 and qb > 0.0 else None
-        a, b = guide_window(pos, lo, hi, x, guess) or (lo, hi)
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            if mid <= a or (mid < b and pos(mid) < x):
-                if lo == mid:
-                    break
-                lo = mid
-            else:
-                if hi == mid:
-                    break
-                hi = mid
-        return 0.5 * (lo + hi)
+        # the ray position at fraction f is x_i + f dx + (t - t_i - f h)(l_i + f dl);
+        # setting it to x gives -h dl f^2 + qb f + qc = 0 with qc < 0, and
+        # this root form is the stable one for the root in [0, 1]
+        qb = xs[j] - xs[i] - h * l_i + (t - t_i) * dl
+        qc = xs[i] + (t - t_i) * l_i - x
+        den = qb + max(qb * qb + 4.0 * h * dl * qc, 0.0) ** 0.5
+        if den <= 0.0:      # by rounding alone: x is reached at the end knot
+            return ts[j]
+        return min(max(t_i - 2.0 * qc / den * h, t_i), ts[j])
 
     def reemitted_state(self, t: float, x: float) -> TrafficState:
         laws = self.laws
@@ -305,8 +240,8 @@ class _Curves:
     def _integrate_pt1(self):
         f = lambda t, x: self.source_speed(self.project(t, x))
         stop = lambda t, x: x - self.last_ray(t)
-        ts, xs, _, end = self._rk4(f, self.t_a1, self.cfg.x1, stop,
-                                   (self.t_b2 - self.t_a2) / 16.0)
+        ts, xs, end = self._rk4(f, self.t_a1, self.cfg.x1, stop,
+                                (self.t_b2 - self.t_a2) / 16.0)
         self._pt1_ts, self._pt1_xs = ts, xs
         self.t_b1, self.x_b1 = end
 
@@ -408,10 +343,10 @@ class ExactSolution:
         laws = self.laws
         xi = min(max(xi, self.lam_f2), laws.V_max)
         # the scenario's free speed is linear, so lambda_free(rho) =
-        # V_max + 2 v_f' rho; the closed form only guides the bisection
-        guess = 0.5 * (xi - laws.V_max) / laws.v_f.deriv(0.0)
-        rho = invert_decreasing(laws.lambda_free, 0.0, laws.rho_free_max, xi,
-                                guess=guess)
+        # V_max + 2 v_f' rho; 0.0 first, as max keeps its first argument on a
+        # tie, so xi = V_max gives +0.0 rather than -0.0
+        rho = min(max(0.0, 0.5 * (xi - laws.V_max) / laws.v_f.deriv(0.0)),
+                  laws.rho_free_max)
         return TrafficState(rho, laws.v_f(rho), Phase.FREE)
 
     def _segments(self, t: float):

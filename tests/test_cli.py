@@ -184,15 +184,16 @@ def test_ladder_parallel_jobs(tmp_path):
     assert (out1 / "ladder.csv").read_bytes() == (out2 / "ladder.csv").read_bytes()
 
 
-# ladder.csv of SCENARIO_INI, levels 4..5, as written before the exact
-# construction was shared across levels; the construction must not move a bit
+# ladder.csv of SCENARIO_INI, levels 4..5.  Every column but l1_error was
+# written before the exact construction was shared across levels; l1_error
+# is that of the closed-form fan states and ray projections
 LADDER_4_5_GOLDEN = [
     ["n", "sim_t_last", "closed_form_t_d1", "abs_error", "l1_error",
      "negative_entropy", "events"],
     ["4", "335.36932818818025", "333.81606715675446", "1.5532610314257909",
-     "1.0124426334326315e-10", "0.0016927172208691717", "35"],
+     "1.0124250474999217e-10", "0.0016927172208691717", "35"],
     ["5", "335.36932818818013", "333.81606715675446", "1.5532610314256772",
-     "1.0124434475961828e-10", "0.0008463714203644344", "67"],
+     "1.0124258616634722e-10", "0.0008463714203644344", "67"],
 ]
 
 
@@ -292,6 +293,46 @@ def test_negative_or_non_finite_t_end_exit_2(tmp_path, capsys, t_end):
         assert main([command, str(cfgf), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: t_end must be ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text, k_grid", [
+    (CONSTANT_INI, "-0.01 0.01"),      # below 0
+    (SCENARIO_INI, "0.04"),            # above V_f = 0.03426...
+], ids=["flat-below-0", "scenario-above-V_f"])
+def test_k_grid_outside_zero_to_v_f_exit_2(tmp_path, capsys, text, k_grid):
+    cfgf = tmp_path / "k.ini"
+    cfgf.write_text(text.replace("[run]\n", f"[run]\nk_grid = {k_grid}\n"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: k_grid speeds must lie in")
+    assert not out.exists()
+
+
+def test_constant_datum_without_breaks_profiles_around_0(tmp_path):
+    cfgf = tmp_path / "c.ini"
+    cfgf.write_text(CONSTANT_INI.replace("breaks = 0.0", "breaks =").replace(
+        "congested:0.37,0.01 | congested:0.37,0.01", "congested:0.37,0.01"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out)]) == 0
+    header, rows = read_csv(out / "profiles.csv")
+    xs = [float(r[header.index("x")]) for r in rows]
+    # the window of a datum broken at 0: [-2, V_max t_end + 1]
+    assert (min(xs), max(xs)) == (-2.0, 0.05 * 10.0 + 1.0)
+    assert {r[header.index("rho")] for r in rows} == {rows[0][header.index("rho")]}
+
+
+def test_entropy_off_writes_the_same_outputs_without_entropy_csv(tmp_path):
+    outs = {}
+    for mode in ("on", "off"):
+        cfgf = tmp_path / f"{mode}.ini"
+        cfgf.write_text(RANDOM_INI.replace("[run]\n", f"[run]\nentropy = {mode}\n"))
+        outs[mode] = tmp_path / mode
+        assert main(["run", str(cfgf), "--out", str(outs[mode]), "--seed", "7"]) == 0
+    assert (outs["on"] / "entropy.csv").exists()
+    assert not (outs["off"] / "entropy.csv").exists()
+    for name in ("fronts.csv", "functionals.csv", "profiles.csv"):
+        assert (outs["off"] / name).read_bytes() == (outs["on"] / name).read_bytes(), name
+    assert len(read_csv(outs["on"] / "fronts.csv")[1]) > 0
 
 
 def _inflate_event_fronts(monkeypatch, cfgf, n):

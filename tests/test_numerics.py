@@ -1,14 +1,19 @@
-"""Guided root solves return the bits of the plain bisection.
+"""Root solves: guided bisections return the bits of the plain ones, and
+the traffic-light reference's closed forms solve their equations.
 
-A guess only lets `invert_increasing` (and `_Curves.project`) skip
-evaluations; every result here is compared bit for bit against the plain
-bisections of `references`.
+A guess only lets `invert_increasing` (as `ModelLaws.p_inv` calls it) skip
+evaluations; its results are compared bit for bit against the plain
+bisections of `references`.  The exact construction's fan states and ray
+projections are closed forms, compared against `mpmath` roots of the
+equations they solve within bounds derived from their roundings.
 """
 
+import bisect
 import math
 import random
 import struct
 
+import mpmath as mp
 import pytest
 
 import phasetrack as pt
@@ -17,6 +22,7 @@ from phasetrack.scenario import ExactSolution, _Curves
 
 from references import plain_invert_increasing, project_by_ray_pos
 
+U = 2.0 ** -53      # unit roundoff of a double
 GAMMAS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
 
@@ -96,52 +102,110 @@ def exact(request):
     return ExactSolution(pt.TrafficLightConfig(**request.param))
 
 
-@pytest.fixture()
-def accepted(monkeypatch):
-    """Whether each guided solve's window was accepted."""
-    seen = []
-
-    def recorded(*args):
-        window = guide_window(*args)
-        if args[-1] is not None:
-            seen.append(window is not None)
-        return window
-
-    monkeypatch.setattr("phasetrack.numerics.guide_window", recorded)
-    monkeypatch.setattr("phasetrack.scenario.guide_window", recorded)
-    return seen
+def _mp_root(f, y, start):
+    """Root of the mpmath function f(r) = y, by secant steps from start."""
+    return mp.findroot(lambda r: f(r) - y, mp.mpf(start))
 
 
-def test_project_is_bit_identical(exact, accepted):
+def _clamp(r, lo, hi):
+    return min(max(r, lo), hi)
+
+
+@mp.workdps(40)
+def test_fan_states_are_accurate(exact):
+    cur, laws = exact.curves, exact.laws
+    p = laws.p
+    gam, v_ref, rho_max = (mp.mpf(c) for c in (p.gamma, p.v_ref, p.rho_max))
+
+    def g(r):   # p + rho p' in exact arithmetic
+        if p.gamma == 0.0:
+            return v_ref * mp.log(r / rho_max) + v_ref
+        return (v_ref / gam) * (r / rho_max) ** gam * (1 + gam)
+
+    # The power law's closed form takes four roundings before the 1/gamma
+    # power (y, y / (1 + gamma), gamma y, / v_ref), 4u / gamma <= 2u of
+    # relative error after it, with |ln base| u / gamma <= 1.2u from the
+    # rounded exponent 1/3; the log law's exponent is off by at most
+    # 3u max(1, |y|) = 3u here.  pow or exp adds one ulp (2u) and the
+    # product with rho_max one rounding: at most 8u.  The clamp to
+    # [R_f', R_max] is 1-Lipschitz, so the clamped root keeps the bound.
+    rng = random.Random(12)
+    xis = [rng.uniform(cur.lam_rmax, cur.xi_b) for _ in range(300)]
+    for xi in xis + [cur.lam_rmax, cur.xi_b, cur.lam_rmax - 0.01, cur.xi_b + 0.01]:
+        got = cur.fan_state(xi).rho
+        root = _mp_root(g, mp.mpf(laws.W_max) - mp.mpf(xi), laws.R_max)
+        ref = _clamp(root, laws.rho_free_crit, laws.R_max)
+        assert abs(got - ref) <= 8.0 * U * root, (xi, got, root)
+
+    # lambda_f(rho) = V_max (1 - 2 rho) for the scenario's free speed, and
+    # the closed form rounds twice (xi - V_max and the quotient; halving is
+    # exact): within (2u + u^2) rho.  xi clamps to [lambda_f(R_f''), V_max]
+    # before the inverse, rho to [0, R_f''] after it.
+    v_max = mp.mpf(laws.V_max)
+    lam_f = lambda r: v_max - 2 * v_max * r
+    xis = [rng.uniform(exact.lam_f2, laws.V_max) for _ in range(300)]
+    for xi in xis + [exact.lam_f2, laws.V_max, exact.lam_f2 - 0.01, laws.V_max + 0.01]:
+        got = exact._free_fan_state(xi).rho
+        root = _mp_root(lam_f, _clamp(xi, exact.lam_f2, laws.V_max), got)
+        ref = _clamp(root, 0.0, laws.rho_free_max)
+        assert abs(got - ref) <= (2.0 * U + U * U) * root, (xi, got, root)
+        assert math.copysign(1.0, got) == 1.0, xi      # no -0.0 at xi = V_max
+
+
+def _mp_ray_root(cur, t, x):
+    """Source time whose interpolated ray reaches x at time t, in exact
+    arithmetic (at the caller's working precision), with the slope of the
+    ray position there and the size of the terms the float root combines."""
+    ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
+    T, X = mp.mpf(t), mp.mpf(x)
+    # the first knot whose ray reaches x: rays move up through the knots
+    j = bisect.bisect_left(range(len(ts)), True,
+                           key=lambda k: mp.mpf(xs[k]) + (T - ts[k]) * lams[k] >= X)
+    i = j - 1
+    h, dx, dl = (mp.mpf(ts[j]) - ts[i], mp.mpf(xs[j]) - xs[i],
+                 mp.mpf(lams[j]) - lams[i])
+
+    def pos(s):
+        f = (s - ts[i]) / h
+        return xs[i] + f * dx + (T - s) * (lams[i] + f * dl)
+
+    root = mp.findroot(lambda s: pos(s) - X, (mp.mpf(ts[i]), mp.mpf(ts[j])),
+                       solver="anderson")
+    f = (root - ts[i]) / h
+    slope = dx / h - (lams[i] + f * dl) + (T - root) * dl / h
+    size = abs(x) + abs(xs[i]) + abs(xs[j]) \
+        + (abs(t - ts[i]) + ts[j] - ts[i]) * (abs(lams[i]) + abs(lams[j]))
+    return root, slope, size
+
+
+@mp.workdps(40)
+def test_project_is_accurate(exact):
     cur = exact.curves
     rng = random.Random(11)
+    ends = {cur.t_a2: 0, cur.t_b2: 0}
     interior = 0
-    for _ in range(3000):
+    for _ in range(600):
         t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
         first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
-        x = rng.uniform(min(first, last) - 0.1, max(first, last) + 0.1)
+        pad = 0.2 * abs(last - first)
+        x = rng.uniform(min(first, last) - pad, max(first, last) + pad)
         got = cur.project(t, x)
-        assert bits(got) == bits(project_by_ray_pos(cur, t, x)), (t, x)
-        interior += cur.t_a2 < got < cur.t_b2
-    # most unclamped solves reach one segment and take its guess
-    assert sum(accepted) > 0.9 * interior > 900, (sum(accepted), interior)
-
-
-def test_fan_states_are_bit_identical(exact, accepted):
-    cur, laws = exact.curves, exact.laws
-    g = cur._fan_g
-    lam_free = lambda r: -laws.lambda_free(r)
-    rng = random.Random(12)
-    xis = [rng.uniform(cur.lam_rmax, cur.xi_b) for _ in range(1000)]
-    for xi in xis + [cur.lam_rmax, cur.xi_b, cur.lam_rmax - 0.01, cur.xi_b + 0.01]:
-        ref = plain_invert_increasing(g, laws.rho_free_crit, laws.R_max, laws.W_max - xi)
-        assert bits(cur.fan_state(xi).rho) == bits(ref), xi
-    xis = [rng.uniform(exact.lam_f2, laws.V_max) for _ in range(1000)]
-    for xi in xis + [exact.lam_f2, laws.V_max]:
-        ref = plain_invert_increasing(lam_free, 0.0, laws.rho_free_max, -xi)
-        assert bits(exact._free_fan_state(xi).rho) == bits(ref), xi
-    # the closed forms guide all but the solves at or near the clamps
-    assert sum(accepted) > 0.95 * 2000, (sum(accepted), len(accepted))
+        if x <= first or x >= last:
+            # beyond the first or last ray the source time clamps to the
+            # fan, as in the plain bisection
+            assert got in ends and got == project_by_ray_pos(cur, t, x), (t, x)
+            ends[got] += 1
+            continue
+        root, slope, size = _mp_ray_root(cur, t, x)
+        # qb and qc each sum at most four rounded terms no larger than
+        # `size`: the float root is the exact one of an x moved by at most
+        # 8u size, which moves it by 8u size / slope.  The square root, the
+        # quotient, the products and the subtraction from t_i add at most
+        # six roundings relative to t0: below 8u t0.
+        assert abs(got - root) <= 8.0 * U * (size / slope + root), (t, x, got, root)
+        interior += 1
+    # both clamps and the interior are exercised
+    assert min(ends.values()) > 20 and interior > 300, (ends, interior)
 
 
 def test_wrong_guesses_fall_back():
@@ -178,15 +242,14 @@ def test_guess_near_a_noisy_root_matches():
         assert bits(got) == bits(plain_invert_increasing(f, 0.0, 1.0, y, tol=1e-15)), y
 
 
-def test_project_keeps_one_step_budget():
-    # a fan path whose first segment reaches down to t = 1e-30: the
-    # bisection needs more than 80 halvings to settle there, so the
-    # in-segment steps must continue the budget the bracket search began
+def test_project_resolves_a_tiny_segment():
+    # a fan path whose first segment reaches down to t = 1e-30, with
+    # vertical rays: the source time of x is x itself, and the segment's
+    # root returns it to one ulp however far below the segment's length
     cur = object.__new__(_Curves)
     cur._c2_ts = [1e-30, 1e-3, 1.0]
     cur._c2_xs = list(cur._c2_ts)
     cur._c2_lam = [0.0, 0.0, 0.0]
-    cur.t_a2, cur.t_b2 = cur._c2_ts[0], cur._c2_ts[-1]
     for x in (1e-20, 3e-17, 2e-25, 5e-4):
-        assert bits(cur.project(2.0, x)) == bits(project_by_ray_pos(cur, 2.0, x)), x
-
+        got = cur.project(2.0, x)
+        assert abs(got - x) <= math.ulp(x), (x, got)
