@@ -1,7 +1,7 @@
 """Plain versions of optimized routines, kept apart from the package as
-references: the guided solves in `numerics` and `scenario` must return
-their bits, and `invariants.audit_run` the messages of its per-record
-loop."""
+references: the guided solves in `numerics` must return their bits,
+`_Curves.project` those of its segment scan, and `invariants.audit_run`
+the messages of its per-record loop."""
 
 
 def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
@@ -21,8 +21,8 @@ def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
 
 
 def project_by_ray_pos(cur, t, x):
-    """The plain bisection over `ray_pos` that `_Curves.project` must
-    reproduce, with its 80-step budget."""
+    """The plain bisection over `ray_pos`, with its 80-step budget:
+    `_Curves.project` must return its clamps and lie close to its roots."""
     lo, hi = cur.t_a2, cur.t_b2
     if cur.ray_pos(lo, t) >= x:
         return lo
@@ -39,6 +39,28 @@ def project_by_ray_pos(cur, t, x):
                 break
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def project_by_segment_scan(cur, t, x):
+    """`_Curves.project` with its segment found by a linear scan over the
+    knots instead of a bisection; the root formula is the same."""
+    ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
+    if xs[0] + (t - ts[0]) * lams[0] >= x:
+        return ts[0]
+    if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
+        return ts[-1]
+    j = 1
+    while xs[j] + (t - ts[j]) * lams[j] < x:
+        j += 1
+    i = j - 1
+    t_i, h = ts[i], ts[j] - ts[i]
+    l_i, dl = lams[i], lams[j] - lams[i]
+    qb = xs[j] - xs[i] - h * l_i + (t - t_i) * dl
+    qc = xs[i] + (t - t_i) * l_i - x
+    den = qb + max(qb * qb + 4.0 * h * dl * qc, 0.0) ** 0.5
+    if den <= 0.0:
+        return ts[j]
+    return min(max(t_i - 2.0 * qc / den * h, t_i), ts[j])
 
 
 def audit_run_per_record(res):

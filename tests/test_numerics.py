@@ -20,7 +20,7 @@ import phasetrack as pt
 from phasetrack.numerics import GUIDE_DELTA, guide_window, invert_increasing
 from phasetrack.scenario import ExactSolution, _Curves
 
-from references import plain_invert_increasing, project_by_ray_pos
+from references import plain_invert_increasing, project_by_ray_pos, project_by_segment_scan
 
 U = 2.0 ** -53      # unit roundoff of a double
 GAMMAS = (0.0, 0.5, 1.0, 2.0, 3.0)
@@ -206,6 +206,25 @@ def test_project_is_accurate(exact):
         interior += 1
     # both clamps and the interior are exercised
     assert min(ends.values()) > 20 and interior > 300, (ends, interior)
+
+
+def test_project_is_bit_identical(exact):
+    # the bisection over the knots finds the segment a scan finds, so the
+    # roots agree bit for bit; the clamps are the plain bisection's
+    cur = exact.curves
+    rng = random.Random(11)
+    segments = set()
+    for _ in range(3000):
+        t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
+        first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
+        x = rng.uniform(min(first, last) - 0.1, max(first, last) + 0.1)
+        got = cur.project(t, x)
+        assert bits(got) == bits(project_by_segment_scan(cur, t, x)), (t, x)
+        if x <= first or x >= last:
+            assert bits(got) == bits(project_by_ray_pos(cur, t, x)), (t, x)
+        segments.add(bisect.bisect_right(cur._c2_ts, got))
+    # the samples reach the clamps and most segments of the path
+    assert len(segments) > 0.9 * len(cur._c2_ts), (len(segments), len(cur._c2_ts))
 
 
 def test_wrong_guesses_fall_back():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ import phasetrack as pt
 from phasetrack.errors import NotReached, OutOfWindow, StructuralAssumptionViolated
 from phasetrack.riemann import WaveKind
 from phasetrack.scenario import ExactSolution
+
+from references import project_by_ray_pos
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +265,38 @@ def test_exact_construction_bit_identity():
         got, regions = _construction_digest(ex)
         assert {"fan_main", "fan_reemitted", "fan_free"} <= regions, kw
         assert got == digest, kw
+
+
+def test_project_matches_bisection_over_ray_pos(exact):
+    cur = exact.curves
+    ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
+    u = 2.0 ** -53
+    rng = random.Random(5)
+    ends = {cur.t_a2: 0, cur.t_b2: 0}
+    for _ in range(2000):
+        t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
+        first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
+        x = rng.uniform(min(first, last) - 1.0, max(first, last) + 1.0)
+        got, ref = cur.project(t, x), project_by_ray_pos(cur, t, x)
+        if x <= first or x >= last:
+            # beyond the first or last ray both clamp to the same end
+            assert got == ref and got in ends, (t, x)
+            ends[got] += 1
+            continue
+        # inside, the closed form and the bisection each lie within
+        # 8u (size / slope + t0) of the exact root: the bisection because
+        # `ray_pos` rounds fewer than eight times on terms no larger than
+        # `size`, then settles to one ulp of t0
+        i = min(bisect.bisect_right(ts, got), len(ts) - 1) - 1
+        h = ts[i + 1] - ts[i]
+        dl = lams[i + 1] - lams[i]
+        lam = lams[i] + (got - ts[i]) / h * dl
+        slope = (xs[i + 1] - xs[i]) / h - lam + (t - got) * dl / h
+        size = abs(x) + abs(xs[i]) + abs(xs[i + 1]) \
+            + (abs(t - ts[i]) + h) * (abs(lams[i]) + abs(lams[i + 1]))
+        assert abs(got - ref) <= 16.0 * u * (size / slope + got), (t, x, got, ref)
+    # both clamps and the interior are exercised
+    assert min(ends.values()) > 50 and sum(ends.values()) < 1500, ends
 
 
 def test_exact_reference_helper(exact):
