@@ -137,7 +137,7 @@ def _default_t_end(cfg: RunConfig, t_last: float | None = None) -> float:
     if cfg.scenario_cfg is None:
         return 100.0
     if t_last is None:
-        t_last = closed_form_table(cfg.scenario_cfg).t_last
+        t_last = closed_form_table(cfg.scenario_cfg, laws=cfg.laws).t_last
     return 1.25 * t_last
 
 
@@ -272,9 +272,9 @@ def cmd_ladder(args) -> int:
         n_max = args.n_max if args.n_max is not None else cfg.scenario_cfg.n_levels[1]
         if n_min > n_max or n_min < 1:
             raise ValueError(f"bad level range {n_min}..{n_max}")
-        # the construction depends on the config alone: build it once and
+        # build the construction once, on the config's laws and datum, and
         # hand the same object to every level (pickled to --jobs workers)
-        exact = ExactSolution(cfg.scenario_cfg)
+        exact = ExactSolution(cfg.scenario_cfg, (cfg.laws, cfg.datum))
     except (PhasetrackError, ValueError, KeyError, configparser.Error) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

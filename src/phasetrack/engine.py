@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
 from .grid import GridMesh, Node, VACUUM_IW, solve_approx
-from .invariants import functional_violations
+from .invariants import row_violations
 from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
 
@@ -611,7 +611,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
                      waves=n_waves, phase_transitions=n_pts))
 
         if strict:
-            bad = functional_violations(log, mesh.eps_w, len(log.ts) - 1)
+            bad = row_violations(log, len(log.ts) - 1, mesh.eps_w)
             if bad:
                 raise InvariantViolation(bad[0])
 

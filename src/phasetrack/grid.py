@@ -171,7 +171,8 @@ class GridMesh:
         state.  Floors are order-preserving in each coordinate; a congested
         marker is clamped into the congested band, and under a constant free
         speed a sub-critical free density, indistinguishable from vacuum in
-        coordinates, brackets to the vacuum node."""
+        coordinates, brackets to the vacuum node.  A state equal to a mesh
+        node brackets to that node alone, however its marker rounds."""
         laws = self.laws
         if u.phase is Phase.FREE:
             ivb = (self.iv_free, self.iv_free)
@@ -189,7 +190,14 @@ class GridMesh:
             lo = last
         else:
             lo = min(max(int(math.floor((w2 - w[0]) / self.eps_w + _IDX_GUARD)), iw_min), last)
-        return ivb, (lo, lo if w[lo] >= w2 - 1e-12 else min(lo + 1, last))
+        iwb = (lo, lo if w[lo] >= w2 - 1e-12 else min(lo + 1, last))
+        if ivb[0] != ivb[1] or iwb[0] != iwb[1]:
+            # compare the corners by value: _rev holds only the nodes built so far
+            for iv in ivb:
+                for iw in iwb:
+                    if self.states[iv, iw] == u:
+                        return (iv, iv), (iw, iw)
+        return ivb, iwb
 
     def snap(self, u: TrafficState) -> TrafficState:
         """The low corner of the state's brackets: componentwise floor of the

@@ -7,8 +7,8 @@ potential, and phase boundaries vanish only in pairs.  Every front must
 also satisfy the mass jump condition, and the momentum one wherever the
 marker is conserved across it.  A snapshot must be a profile: its fronts
 in order of position, each starting from the state the one before it ends
-in.  `run(strict=True)` checks the functional rules after each event;
-`audit_run` checks all of them after a run.
+in.  `run(strict=True)` checks the functional rules at each event's log
+row; `audit_run` checks all of them after a run.
 """
 
 from __future__ import annotations
@@ -48,25 +48,39 @@ def momentum_conserved(laws: ModelLaws, left: TrafficState, right: TrafficState)
         or laws.degenerate_free
 
 
-def functional_violations(log: FunctionalLog, eps_w: float, first: int = 1) -> list[str]:
-    """Violations of the four functional rules on log rows first..end, each
-    row compared with the one before it; eps_w is the marker quantum."""
+def row_violations(log: FunctionalLog, i: int, eps_w: float) -> list[str]:
+    """Violations of the four functional rules at log row i, compared with
+    row i - 1; eps_w is the marker quantum."""
     bad: list[str] = []
-    for i in range(first, len(log.ts)):
-        t = log.ts[i]
-        dtv = log.tv[i] - log.tv[i - 1]
-        dtemple = log.temple[i] - log.temple[i - 1]
-        if dtv > MONO_TOL:
-            bad.append(f"TV increased by {dtv} at t={t}")
-        if dtemple > MONO_TOL:
-            bad.append(f"wave potential increased by {dtemple} at t={t}")
-        if log.waves[i] > log.waves[i - 1] and dtemple > -eps_w + MONO_TOL:
-            bad.append(f"wave count grew without paying a quantum "
-                       f"(potential changed by {dtemple}) at t={t}")
-        dpt = log.phase_transitions[i] - log.phase_transitions[i - 1]
-        if dpt > 0 or dpt % 2 != 0:
-            bad.append(f"phase-transition count changed by {dpt} at t={t}")
+    t = log.ts[i]
+    dtv = log.tv[i] - log.tv[i - 1]
+    dtemple = log.temple[i] - log.temple[i - 1]
+    if dtv > MONO_TOL:
+        bad.append(f"TV increased by {dtv} at t={t}")
+    if dtemple > MONO_TOL:
+        bad.append(f"wave potential increased by {dtemple} at t={t}")
+    if log.waves[i] > log.waves[i - 1] and dtemple > -eps_w + MONO_TOL:
+        bad.append(f"wave count grew without paying a quantum "
+                   f"(potential changed by {dtemple}) at t={t}")
+    dpt = log.phase_transitions[i] - log.phase_transitions[i - 1]
+    if dpt > 0 or dpt % 2 != 0:
+        bad.append(f"phase-transition count changed by {dpt} at t={t}")
     return bad
+
+
+def functional_violations(log: FunctionalLog, eps_w: float, first: int = 1) -> list[str]:
+    """`row_violations` of log rows first..end, in order: rows are flagged
+    over the log's columns with numpy, with the same float operations as
+    `row_violations`, which words only the flagged ones."""
+    n = len(log.ts) - first + 1
+    cols = ((log.tv, float), (log.temple, float), (log.waves, np.int64),
+            (log.phase_transitions, np.int64))
+    dtv, dtemple, dwaves, dpt = (np.diff(np.fromiter(c[first - 1:], dtype, n))
+                                 for c, dtype in cols)
+    flagged = (dtv > MONO_TOL) | (dtemple > MONO_TOL) \
+        | ((dwaves > 0) & (dtemple > -eps_w + MONO_TOL)) | (dpt > 0) | (dpt % 2 != 0)
+    return [msg for i in (np.flatnonzero(flagged) + first).tolist()
+            for msg in row_violations(log, i, eps_w)]
 
 
 def snapshot_violations(diagram: FrontDiagram) -> list[str]:

@@ -111,9 +111,9 @@ class PowerPressure:
     def inv(self, y: float) -> float:
         """Closed-form inverse; 0 below the range of a power law.
 
-        ModelLaws.p_inv uses it only as the guess of its bisection, whose
-        bits it does not change; the traffic-light reference takes it as
-        the answer.
+        `ModelLaws.p_inv` and the traffic-light reference take it as the
+        answer: it is within a few ulps of the exact root, where a
+        bisection stops at its tolerance.
         """
         g = self.gamma
         if g == 0.0:
@@ -161,7 +161,7 @@ class ModelLaws:
                 f"need 0 < R_f'={rho_free_crit} < R_f''={rho_free_max}")
         self.v_f = v_f
         self.p = p
-        self._p_guess = getattr(p, "inv", None)    # a closed-form inverse, if the law has one
+        self._p_closed_inv = getattr(p, "inv", None)    # a closed-form inverse, if the law has one
         self.rho_free_crit = float(rho_free_crit)   # R_f'
         self.rho_free_max = float(rho_free_max)     # R_f''
 
@@ -171,6 +171,7 @@ class ModelLaws:
         self.W_c = p(self.rho_free_crit) + v_f(self.rho_free_crit)
         self.W_min = self.W_c + v_f(self.rho_free_crit) - self.V_max
         self.V_c = float(v_crit)
+        self._p_crit = p(self.rho_free_crit)         # bottom of p_inv's domain
 
         self._validate_h1()
         # H2 is checked twice: a pre-check near the free band (so degenerate
@@ -242,7 +243,11 @@ class ModelLaws:
         return self.v_f(rho)
 
     def _p_inv_raw(self, y: float) -> float:
+        """p^-1(y) on [R_f', inf): the law's closed form when it has one,
+        else a bisection over a doubling bracket."""
         lo = self.rho_free_crit
+        if self._p_closed_inv is not None:
+            return max(self._p_closed_inv(y), lo)
         hi = max(2.0 * self.rho_free_max, 2.0 * lo)
         while self.p(hi) < y:
             hi *= 2.0
@@ -251,11 +256,15 @@ class ModelLaws:
         return invert_increasing(self.p, lo, hi, y)
 
     def p_inv(self, y: float) -> float:
-        """Inverse pressure on [p(R_f'), W_max]."""
-        if y < self.p(self.rho_free_crit) - STATE_TOL or y > self.W_max + STATE_TOL:
-            raise OutOfDomain(f"p_inv({y}) outside [{self.p(self.rho_free_crit)}, {self.W_max}]")
-        guess = self._p_guess(y) if self._p_guess is not None else None
-        return invert_increasing(self.p, self.rho_free_crit, self.R_max, y, guess=guess)
+        """Inverse pressure on [p(R_f'), W_max], clamped to [R_f', R_max].
+
+        With one inverse per law, p_inv(W_max) is R_max and p_inv(W_c) is
+        R_c bit for bit."""
+        if y < self._p_crit - STATE_TOL or y > self.W_max + STATE_TOL:
+            raise OutOfDomain(f"p_inv({y}) outside [{self._p_crit}, {self.W_max}]")
+        if self._p_closed_inv is not None:
+            return min(max(self._p_closed_inv(y), self.rho_free_crit), self.R_max)
+        return invert_increasing(self.p, self.rho_free_crit, self.R_max, y)
 
     def v_f_inv(self, v: float) -> float:
         """Inverse of v_f on [0, R_f'] (used by the low-density marker branch)."""

@@ -250,6 +250,7 @@ class _Curves:
 
 
 def closed_form_table(cfg: TrafficLightConfig, strict: bool = False,
+                      laws: ModelLaws | None = None,
                       _curves: _Curves | None = None) -> ExactEventTable:
     """Interaction points and passage times of the exact construction.
 
@@ -259,13 +260,13 @@ def closed_form_table(cfg: TrafficLightConfig, strict: bool = False,
     the two trailing free-phase shocks meet upstream of the light the
     closed-form picture is inconsistent; the table then reports the merge
     point and the last-passage time of the merged front.
+
+    `laws` are those of `build_scenario(cfg)`, for a caller that has built
+    them already.
     """
     if _curves is None:
-        laws, _ = build_scenario(cfg)
-        cur = _Curves(laws, cfg)
-    else:
-        cur = _curves
-        laws = cur.laws
+        _curves = _Curves(laws if laws is not None else build_scenario(cfg)[0], cfg)
+    cur, laws = _curves, _curves.laws
     vf1 = laws.v_f(laws.rho_free_crit)
     u_f2 = TrafficState(laws.rho_free_max, laws.V_f, Phase.FREE)
     u_f1 = TrafficState(laws.rho_free_crit, vf1, Phase.FREE)
@@ -312,11 +313,15 @@ def closed_form_table(cfg: TrafficLightConfig, strict: bool = False,
 
 
 class ExactSolution:
-    """Pointwise evaluator for the exact construction."""
+    """Pointwise evaluator for the exact construction.
 
-    def __init__(self, cfg: TrafficLightConfig):
+    `scenario` is the `(laws, datum)` of `build_scenario(cfg)`, for a
+    caller that has built them already."""
+
+    def __init__(self, cfg: TrafficLightConfig,
+                 scenario: tuple[ModelLaws, PiecewiseConstantDatum] | None = None):
         self.cfg = cfg
-        self.laws, self.datum = build_scenario(cfg)
+        self.laws, self.datum = scenario if scenario is not None else build_scenario(cfg)
         self.curves = _Curves(self.laws, cfg)
         self.table = closed_form_table(cfg, _curves=self.curves)
         laws = self.laws

@@ -1,12 +1,12 @@
-"""Plain versions of optimized routines, kept apart from the package as
-references: the guided solves in `numerics` must return their bits,
-`_Curves.project` those of its segment scan, and `invariants.audit_run`
-the messages of its per-record loop."""
+"""Plain versions of package routines, kept apart from the package as
+references: `ModelLaws.p_inv` on a law without a closed-form inverse must
+return the bits of the plain bisection, `_Curves.project` those of its
+segment scan, and `invariants.audit_run` and `functional_violations` the
+messages of their per-row loops."""
 
 
 def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
-    """Bisection for increasing f, as `numerics.invert_increasing` was
-    before it took a guess."""
+    """Bisection for increasing f on [lo, hi], clamped at the ends."""
     if f(lo) >= target:
         return lo
     if f(hi) <= target:
@@ -94,4 +94,27 @@ def audit_run_per_record(res):
         if mom is not None and abs(mom) > MONO_TOL:
             bad.append(f"momentum jump condition violated ({mom}) on a front born t={rec.t0}")
             break
+    return bad
+
+
+def functional_violations_per_row(log, eps_w, first=1):
+    """`invariants.functional_violations` as it was before it flagged rows
+    with numpy: one Python pass over the log rows, the body unchanged."""
+    from phasetrack.invariants import MONO_TOL
+
+    bad = []
+    for i in range(first, len(log.ts)):
+        t = log.ts[i]
+        dtv = log.tv[i] - log.tv[i - 1]
+        dtemple = log.temple[i] - log.temple[i - 1]
+        if dtv > MONO_TOL:
+            bad.append(f"TV increased by {dtv} at t={t}")
+        if dtemple > MONO_TOL:
+            bad.append(f"wave potential increased by {dtemple} at t={t}")
+        if log.waves[i] > log.waves[i - 1] and dtemple > -eps_w + MONO_TOL:
+            bad.append(f"wave count grew without paying a quantum "
+                       f"(potential changed by {dtemple}) at t={t}")
+        dpt = log.phase_transitions[i] - log.phase_transitions[i - 1]
+        if dpt > 0 or dpt % 2 != 0:
+            bad.append(f"phase-transition count changed by {dpt} at t={t}")
     return bad

@@ -184,16 +184,16 @@ def test_ladder_parallel_jobs(tmp_path):
     assert (out1 / "ladder.csv").read_bytes() == (out2 / "ladder.csv").read_bytes()
 
 
-# ladder.csv of SCENARIO_INI, levels 4..5.  Every column but l1_error was
-# written before the exact construction was shared across levels; l1_error
-# is that of the closed-form fan states and ray projections
+# ladder.csv of SCENARIO_INI, levels 4..5, with the pressure inverted in
+# closed form: for the mesh nodes, R_c and R_max, and the exact
+# construction's fan states; the ray projections are closed forms too
 LADDER_4_5_GOLDEN = [
     ["n", "sim_t_last", "closed_form_t_d1", "abs_error", "l1_error",
      "negative_entropy", "events"],
-    ["4", "335.36932818818025", "333.81606715675446", "1.5532610314257909",
-     "1.0124250474999217e-10", "0.0016927172208691717", "35"],
-    ["5", "335.36932818818013", "333.81606715675446", "1.5532610314256772",
-     "1.0124258616634722e-10", "0.0008463714203644344", "67"],
+    ["4", "335.36932818844895", "333.81606715674451", "1.5532610317044373",
+     "1.0105961401040178e-10", "0.0016927171960651739", "35"],
+    ["5", "335.36932818844895", "333.81606715674451", "1.5532610317044373",
+     "1.0105961401040178e-10", "0.00084637130768686476", "67"],
 ]
 
 
@@ -222,6 +222,28 @@ def test_ladder_builds_construction_once(tmp_path, monkeypatch):
     monkeypatch.setattr(scenario._Curves, "__init__", counting_init)
     assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "5",
                  "--jobs", "1", "--out", str(tmp_path / "lad")]) == 0
+    assert len(builds) == 1
+
+
+def test_one_scenario_build_per_command(tmp_path, monkeypatch):
+    # the construction and the default t_end take the laws and datum the
+    # config already built
+    cfgf = tmp_path / "s.ini"
+    cfgf.write_text(SCENARIO_INI.replace("t_end = 430\n", ""))
+    builds = []
+    original = scenario.build_scenario
+
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "build_scenario", counting_build)
+    monkeypatch.setattr(cli, "build_scenario", counting_build)
+    assert main(["ladder", str(cfgf), "--n-min", "4", "--n-max", "5",
+                 "--out", str(tmp_path / "lad")]) == 0
+    assert len(builds) == 1
+    builds.clear()
+    assert main(["run", str(cfgf), "--out", str(tmp_path / "run")]) == 0
     assert len(builds) == 1
 
 

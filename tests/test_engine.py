@@ -392,18 +392,18 @@ def test_event_cap_overflow(laws, mesh5, rng):
 # the event loop produced them before it moved to mesh node ids; any change
 # to the event sequence, a speed, a state or a functional changes a digest
 ENGINE_DIGESTS = {
-    "traffic": ["6e93db69526d1a8d63908cbfdd836c42c91a3cd97ce7f06cbeee656c34ed2b32",
-                "7d25fab2f80a5854cebcfe03f16b3bb03ab54e20e6ca24eca534a6dae4ff17a4",
-                "05ea857e550f5e8e6ac5431ab1fc47b6c923a7317855004db5a0281c962e2f5b",
-                "497be49f050e502c1aa9af64489ec5c95f54de0bb882a7e65cd11a48c1f7516b",
-                "77dd09928348b7b4ad184e844db6452deea28310c4cf2dbc89ae285a66f6faac",
-                "d6bf8e2cbd1c28984015367e7eb2e3c45b4bede3d11026c471116bbfe6828680"],
-    "flat": ["31cb1078fe740af0f152929b15838afb49a89de2afeb7da8f6601d7d8da63096",
-             "fe91ba43dc5a2e196c04c7c8643d93f7227a9c1753506c5683c78ed9fe1a34c8",
-             "315a97d54418d1b2fc10c89fa84a881c6712d0edb7c2512c74dd8a113b712e66",
-             "c1baec6f498a247f9d1e27f5f60b9e04ee02d12095648a6b681d7aeed671e50b",
-             "ad76facd28a7f6cc92953e009aead28fb852c756869a87135992307aeeb88f4a",
-             "a41fe58e59ffddfbf36e78d738dc18ab0b785b5adc7e3d7912d636a358d285fd"],
+    "traffic": ["0e8e52e5ea3e4712014ffd79d6feb75ef7e1f1cd2bc3a164a5c91763dc191be4",
+                "22dd0578a729396a468a36e6979e879a1c14d83dbcd1654c11f7dbcb1715b221",
+                "060f1502b5f04ffdbe1197b989ce7d270af5de2ecbdbff7c3921164fcf11c3c6",
+                "6a689fbdd659dde5b70129ca0693d557a1cae4ad32ecf8c9303217c5874cf1ac",
+                "1e61121ed62434705a692ec0de812d29002addb85af39c8dd87e20a462b2d6ad",
+                "1f28f765d4b8ac17f074c09da5acc53358d65c3a19ff420412c7449120eeaf30"],
+    "flat": ["adb8799ed8a749b6ec49b4d8378fa56760acd5e5f36394f279a299a4afd1527e",
+             "a96508e9d7aa60122329caf553110270d50bcdcffd9ceb8f632d473dcb9dbba1",
+             "2b154dbf2c87b8fdf8a7ff37f9911e148ea1b1805966f1ad4bf531aca67ec1e8",
+             "17d3c6d28ff90972ed0aca7915c54457f4693d0ee0ffc634f0152bc4efc86028",
+             "b71a3f773a95c22f98521a2256e00f504c64a6568efb5993da6fa804ee392d15",
+             "dd873c1d1cb9a61a201f0a19d462db7e582fc9b02315e03288a676b42ba6ac15"],
 }
 
 

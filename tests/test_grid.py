@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import phasetrack as pt
@@ -28,10 +30,32 @@ def test_nodes_in_domain(laws, mesh5):
     assert count > 100
 
 
-def test_snap_fixed_point(laws, mesh5):
-    for iv, iw in [(0, 40), (17, 35), (mesh5.iv_free, 0), (mesh5.iv_free, 12)]:
-        u = mesh5.state(iv, iw)
-        assert mesh5.snap(u) is u
+def test_snap_fixed_point(laws, flat_laws):
+    # every node of levels 5-7 snaps to itself, the flat laws' vacuum node
+    # included, however far its recomputed marker w2 rounds from the
+    # node's marker line
+    for lw in (laws, flat_laws):
+        for n in (5, 6, 7):
+            mesh = pt.GridMesh(lw, n)
+            moved = [node for node in mesh.nodes()
+                     if mesh.snap(mesh.state(*node)) is not mesh.state(*node)]
+            assert moved == [], (n, lw.degenerate_free, len(moved))
+
+
+def test_approximate_datum_keeps_mesh_data(laws, flat_laws):
+    # a datum of mesh nodes is already projected: its states all stay
+    rng = random.Random(31)
+    for lw in (laws, flat_laws):
+        mesh = pt.GridMesh(lw, 7)
+        for _ in range(40):
+            datum = pt.random_mesh_datum(mesh, rng, max_jumps=25)
+            diagram = pt.approximate_datum(datum, mesh)
+            kept = [diagram.left_state] + [f.right for f in diagram.fronts]
+            # consecutive equal states merge into one (no front between them)
+            states = [u for i, u in enumerate(datum.states)
+                      if i == 0 or u is not datum.states[i - 1]]
+            assert len(kept) == len(states)
+            assert all(a is b for a, b in zip(kept, states))
 
 
 def test_snap_floor(laws, mesh5):

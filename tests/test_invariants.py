@@ -8,6 +8,7 @@ from phasetrack.invariants import audit_run, functional_violations
 from phasetrack.riemann import WaveKind
 
 from faults import inflate_event_tv, mass_fault, momentum_fault
+from references import functional_violations_per_row
 
 EPS_W = 0.01
 
@@ -45,6 +46,28 @@ def test_functional_rules_start_at_first():
     log = _log(BASE, (2.0, 1.5, 1.5, 3, 2), (3.0, 1.5, 1.5, 3, 2))
     assert len(functional_violations(log, EPS_W)) == 1
     assert functional_violations(log, EPS_W, first=2) == []
+
+
+def test_functional_violations_match_the_row_loop(mesh5):
+    # real logs, with rows nudged across and along each rule's threshold;
+    # the messages and their order are those of the per-row loop
+    rng = random.Random(17)
+    eps_w = mesh5.eps_w
+    for seed in range(6):
+        log = _random_run(mesh5, seed).log
+        assert functional_violations(log, eps_w) == []
+        n = len(log.ts)
+        for i in rng.sample(range(1, n), min(40, n - 1)):
+            col = rng.choice(("tv", "temple", "waves", "phase_transitions"))
+            if col in ("tv", "temple"):
+                delta = rng.choice((1e-10, 1.5e-10, 1e-3, eps_w, -eps_w + 1e-10))
+            else:
+                delta = rng.choice((1, 2, -1))
+            getattr(log, col)[i] += delta
+        for first in (1, 2, n // 2, n - 1, n):
+            got = functional_violations(log, eps_w, first)
+            assert got == functional_violations_per_row(log, eps_w, first), (seed, first)
+        assert functional_violations(log, eps_w)
 
 
 def _random_run(mesh, seed, t_end=100.0):

@@ -1,11 +1,12 @@
-"""Root solves: guided bisections return the bits of the plain ones, and
-the traffic-light reference's closed forms solve their equations.
+"""Root solves: the closed-form inverses solve their equations, and the
+bisection that laws without one keep returns the plain bisection's bits.
 
-A guess only lets `invert_increasing` (as `ModelLaws.p_inv` calls it) skip
-evaluations; its results are compared bit for bit against the plain
-bisections of `references`.  The exact construction's fan states and ray
-projections are closed forms, compared against `mpmath` roots of the
-equations they solve within bounds derived from their roundings.
+`ModelLaws.p_inv` returns the pressure's closed-form inverse when the law
+has one, and the exact construction's fan states and ray projections are
+closed forms: each is compared against `mpmath` roots of the equation it
+solves, within a bound derived from its roundings.  A law without a
+closed form (`CustomLaw`) is inverted by `invert_increasing`, compared bit
+for bit against the plain bisection of `references`.
 """
 
 import bisect
@@ -17,7 +18,7 @@ import mpmath as mp
 import pytest
 
 import phasetrack as pt
-from phasetrack.numerics import GUIDE_DELTA, guide_window, invert_increasing
+from phasetrack.model import CustomLaw
 from phasetrack.scenario import ExactSolution, _Curves
 
 from references import plain_invert_increasing, project_by_ray_pos, project_by_segment_scan
@@ -31,7 +32,8 @@ def bits(x: float) -> bytes:
 
 
 class Counted:
-    """f with a count of its evaluations."""
+    """f with a count of its evaluations; its other attributes (a law's
+    derivatives and inverse) are f's."""
 
     def __init__(self, f):
         self.f, self.calls = f, 0
@@ -40,35 +42,33 @@ class Counted:
         self.calls += 1
         return self.f(x)
 
+    def __getattr__(self, name):
+        return getattr(self.f, name)
 
-def _check_pressure(p, lo, hi, targets):
-    """Guided and plain inversions of p agree bit for bit; returns the
-    evaluation counts of the guided solves."""
-    counts = []
-    for y in targets:
-        f = Counted(p)
-        got = invert_increasing(f, lo, hi, y, guess=p.inv(y))
-        assert bits(got) == bits(plain_invert_increasing(p, lo, hi, y)), (p.gamma, y)
-        counts.append(f.calls)
-    return counts
+
+def _power_laws(gamma):
+    """Constant-free-speed laws on the pressure PowerPressure(gamma,
+    rho_max=1.7), whose evaluations are counted."""
+    p = Counted(pt.PowerPressure(gamma, rho_max=1.7))
+    return pt.validate_laws(pt.LinearFreeSpeed(0.01, math.inf), p, 0.3, 0.35, 0.005), p
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_power_pressure_guided_inverse_is_bit_identical(gamma):
-    p = pt.PowerPressure(gamma, rho_max=1.7)
-    lo, hi = 0.21, 2.9
-    y_lo, y_hi = p(lo), p(hi)
+    # PowerPressure.inv, the closed form that guided p_inv's bisection, is
+    # now p_inv's answer, clamped to [R_f', R_max], bit for bit; no
+    # bisection is left behind it, so p is not evaluated
+    laws, p = _power_laws(gamma)
+    lo, hi = laws.p(laws.rho_free_crit), laws.W_max
     rng = random.Random(int(10 * gamma) + 1)
-    interior = [rng.uniform(y_lo, y_hi) for _ in range(400)]
-    counts = _check_pressure(p, lo, hi, interior)
-    # the guess does its work: most solves evaluate p far fewer times
-    # than the ~42 steps of the plain bisection over [lo, hi]
-    assert sorted(counts)[len(counts) // 2] <= 16, counts
-    span = y_hi - y_lo
-    edges = [y_lo, y_hi, y_lo - 1e-3 * span, y_hi + 1e-3 * span,
-             y_lo + 1e-14, y_hi - 1e-14, math.nextafter(y_lo, -math.inf),
-             math.nextafter(y_hi, math.inf), p(lo + GUIDE_DELTA), p(hi - GUIDE_DELTA)]
-    _check_pressure(p, lo, hi, edges)
+    ys = [rng.uniform(lo, hi) for _ in range(400)]
+    ys += [lo, hi, lo - 1e-11, hi + 1e-11, math.nextafter(lo, -math.inf),
+           math.nextafter(hi, math.inf)]
+    p.calls = 0
+    for y in ys:
+        ref = min(max(p.inv(y), laws.rho_free_crit), laws.R_max)
+        assert bits(laws.p_inv(y)) == bits(ref), (gamma, y)
+    assert p.calls == 0
 
 
 def test_power_pressure_inv_inverts():
@@ -81,13 +81,24 @@ def test_power_pressure_inv_inverts():
 
 
 def test_p_inv_is_bit_identical(laws, flat_laws):
+    # one inverse per law: the end values of the marker band invert to the
+    # constants built from them, and values past either end clamp
+    for lw in (laws, flat_laws):
+        lo = lw.p(lw.rho_free_crit)
+        assert lw.p_inv(lw.W_max) == lw.R_max and lw.p_inv(lw.W_c) == lw.R_c
+        assert lw.p_inv(lo - 1e-11) == lw.rho_free_crit
+        assert lw.p_inv(lw.W_max + 1e-11) == lw.R_max
+    # a law without a closed-form inverse keeps the plain bisection's bits
     rng = random.Random(3)
     for lw in (laws, flat_laws):
-        lo, hi = lw.p(lw.rho_free_crit), lw.W_max
+        p = lw.p
+        custom = pt.validate_laws(lw.v_f, CustomLaw(p, p.deriv, p.deriv2),
+                                  lw.rho_free_crit, lw.rho_free_max, lw.V_c)
+        lo, hi = custom.p(custom.rho_free_crit), custom.W_max
         ys = [rng.uniform(lo, hi) for _ in range(500)] + [lo, hi, lo - 1e-11, hi + 1e-11]
         for y in ys:
-            ref = plain_invert_increasing(lw.p, lw.rho_free_crit, lw.R_max, y)
-            assert bits(lw.p_inv(y)) == bits(ref), y
+            ref = plain_invert_increasing(p, custom.rho_free_crit, custom.R_max, y)
+            assert bits(custom.p_inv(y)) == bits(ref), y
 
 
 def _log_law_markers():
@@ -109,6 +120,34 @@ def _mp_root(f, y, start):
 
 def _clamp(r, lo, hi):
     return min(max(r, lo), hi)
+
+
+@mp.workdps(40)
+def test_p_inv_is_accurate(exact):
+    laws = exact.laws
+    p = laws.p
+    gam, v_ref, rho_max = (mp.mpf(c) for c in (p.gamma, p.v_ref, p.rho_max))
+
+    def p_exact(r):
+        if p.gamma == 0.0:
+            return v_ref * mp.log(r / rho_max)
+        return (v_ref / gam) * (r / rho_max) ** gam
+
+    # Relative errors, with u = 2^-53.  The power law's closed form rounds
+    # gamma y and the quotient by v_ref before the 1/gamma power: 2u / gamma
+    # <= u after it (gamma >= 2 here).  The rounded exponent 1/3 adds
+    # |ln base| u / 3 <= 0.8u, since base = y >= p(R_f') > 0.09 for the
+    # gamma = 3 laws.  The log law's exponent y / v_ref is off by
+    # u |y| <= 1.25u.  pow or exp adds one ulp (2u) and the product with
+    # rho_max one rounding (u): at most 4.5u.  The clamp to [R_f', R_max]
+    # is 1-Lipschitz, so the clamped root keeps the bound.
+    lo, hi = laws.p(laws.rho_free_crit), laws.W_max
+    rng = random.Random(15)
+    for y in [rng.uniform(lo, hi) for _ in range(500)] + [lo, hi]:
+        got = laws.p_inv(y)
+        root = _mp_root(p_exact, mp.mpf(y), got)
+        ref = _clamp(root, laws.rho_free_crit, laws.R_max)
+        assert abs(got - ref) <= 4.5 * U * root, (y, got, root)
 
 
 @mp.workdps(40)
@@ -225,40 +264,6 @@ def test_project_is_bit_identical(exact):
         segments.add(bisect.bisect_right(cur._c2_ts, got))
     # the samples reach the clamps and most segments of the path
     assert len(segments) > 0.9 * len(cur._c2_ts), (len(segments), len(cur._c2_ts))
-
-
-def test_wrong_guesses_fall_back():
-    p = pt.PowerPressure(2.0, rho_max=1.7)
-    lo, hi = 0.21, 2.9
-    rng = random.Random(13)
-    for _ in range(300):
-        y = rng.uniform(p(lo), p(hi))
-        root = p.inv(y)
-        for guess in (root + 0.1, root - 0.1, root + 3.0 * GUIDE_DELTA,
-                      root - 3.0 * GUIDE_DELTA, lo, hi, lo - 1.0, math.nan):
-            assert guide_window(p, lo, hi, y, guess) is None, (y, guess)
-            got = invert_increasing(p, lo, hi, y, guess=guess)
-            assert bits(got) == bits(plain_invert_increasing(p, lo, hi, y)), (y, guess)
-
-
-def _jitter(x: float) -> float:
-    """A fixed pseudo-random value in [-1, 1] for each float x."""
-    return random.Random(struct.unpack("<q", bits(x))[0]).uniform(-1.0, 1.0)
-
-
-def test_guess_near_a_noisy_root_matches():
-    # f is increasing only up to an error e = 1e-13 (2e is below the window
-    # margin): a window edge a hair from the root must not be taken, since
-    # the plain bisection's choices there follow f's noise
-    def f(x):
-        return x + 1e-13 * _jitter(x)
-
-    rng = random.Random(14)
-    for _ in range(200):
-        y = rng.uniform(0.3, 0.7)
-        guess = y + GUIDE_DELTA - rng.uniform(0.0, 3e-13)
-        got = invert_increasing(f, 0.0, 1.0, y, tol=1e-15, guess=guess)
-        assert bits(got) == bits(plain_invert_increasing(f, 0.0, 1.0, y, tol=1e-15)), y
 
 
 def test_project_resolves_a_tiny_segment():

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 
+import mpmath as mp
 import pytest
 
 import phasetrack as pt
@@ -90,10 +91,9 @@ def test_merged_passage_flux_argument(table, scenario_cfg, laws):
     assert table.t_last == pytest.approx(t_flux, abs=5e-7)
 
 
+@mp.workdps(50)
 def test_closed_form_against_high_precision_oracle(table, scenario_cfg):
     # independent evaluation of every closed form with 50-digit arithmetic
-    import mpmath as mp
-    mp.mp.dps = 50
     one = mp.mpf(1)
     g, vmax = mp.mpf(2), one / 20
     wmax, wc = mp.mpf(4) / 30, one / 8
@@ -233,9 +233,9 @@ def test_exact_solution_pickle_round_trip(exact):
 # the b-points, the event table and `evaluate` on a grid that crosses every
 # fan; any change to a bit of any of them changes a digest
 CONSTRUCTION_DIGESTS = {
-    (): "56b66f60c348081bc7c33a00cb5cf55a056f4c1118f49e8dd64bc130e18e106f",
+    (): "817317bf5f913fc2d27f498c0fa6217c264c77bc74820b5f7f70c1ca1b8f9b82",
     (("x1", -13.0), ("x2", -5.0)):
-        "b4174359e07ec7411807f2e71afdaa402cb7fd2088069bbd92e8f1454115200e",
+        "f91bcc8952e49db7ac0c0406873eb2cd795ec45518119bb23af76e067daf5bd8",
 }
 
 
