@@ -15,13 +15,13 @@ import itertools
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
-from .grid import GridMesh, Node, VACUUM_IW, solve_approx
+from .grid import GridMesh, Node, VACUUM_IW, node_fan, solve_approx
 from .invariants import row_violations
 from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
@@ -164,8 +164,8 @@ def _front_measures(mesh: GridMesh, l: Node, r: Node) -> tuple[float, float, int
     nodes l and r."""
     ivl, iwl = l
     ivr, iwr = r
-    w_at = mesh.w_at
-    dw1 = abs(mesh.v_values[ivl] - mesh.v_values[ivr])
+    v_values, w_at = mesh.v_values, mesh.w_at
+    dw1 = abs(v_values[ivl] - v_values[ivr])
     dw2 = abs(w_at[iwl] - w_at[iwr])
     tv = dw1 + dw2
     # the marker drop of a slow contact is counted twice once it exceeds a
@@ -192,15 +192,19 @@ def count_phase_transitions(diagram: FrontDiagram) -> int:
     return sum(1 for f in diagram.fronts if f.left.phase is not f.right.phase)
 
 
-@dataclass
 class FunctionalLog:
-    """Per-event history of the tracked functionals."""
+    """Per-event history of the tracked functionals, one row per event, as
+    columns: times and the two functionals array('d'), the wave and
+    phase-transition counts array('q')."""
 
-    ts: list[float] = field(default_factory=list)
-    tv: list[float] = field(default_factory=list)
-    temple: list[float] = field(default_factory=list)
-    waves: list[int] = field(default_factory=list)
-    phase_transitions: list[int] = field(default_factory=list)
+    __slots__ = ("ts", "tv", "temple", "waves", "phase_transitions")
+
+    def __init__(self):
+        self.ts = array("d")
+        self.tv = array("d")
+        self.temple = array("d")
+        self.waves = array("q")
+        self.phase_transitions = array("q")
 
     def record(self, t, tv, temple, waves, pts):
         self.ts.append(t)
@@ -366,13 +370,15 @@ class _F:
     """Live front in the simulation's doubly linked list, between the mesh
     nodes l and r ((iv, iw) ids)."""
 
-    __slots__ = ("x0", "t0", "speed", "l", "r", "kind",
+    __slots__ = ("x0", "t0", "speed", "icpt", "l", "r", "kind",
                  "prev", "next", "tv", "temple", "pt")
 
     def __init__(self, x0, t0, speed, l, r, kind):
         self.x0 = x0
         self.t0 = t0
         self.speed = speed
+        # the line's intercept at t = 0, which collision times are read from
+        self.icpt = x0 - speed * t0
         self.l = l
         self.r = r
         self.kind = kind
@@ -486,18 +492,20 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     """Advance a diagram to t_end, resolving collisions as they come due.
 
     Raw (unclassified) fronts of the initial diagram are first resolved into
-    mesh Riemann fans at t = 0.  The functional log gets one row at t = 0 and
-    one per interaction; with strict=True each new row is checked against
-    the functional rules of `invariants`, and the first violation raises
-    InvariantViolation.  Inside the loop fronts carry mesh node ids, and
-    each fan is read as solve_approx's node jumps; states are looked up
-    only to call solve_approx and for the two snapshots.  Each front that
-    closes, at an event or at t_end, is appended as one row of the run's
-    `FrontHistory`, its states as integer state ids.
+    mesh Riemann fans at t = 0, through the state-level `solve_approx`.  The
+    functional log gets one row at t = 0 and one per interaction; with
+    strict=True each new row is checked against the functional rules of
+    `invariants`, and the first violation raises InvariantViolation.  Inside
+    the loop fronts carry mesh node ids only: each collision is resolved by
+    `node_fan` on the outer node ids of its group, and states are looked up
+    only for the two snapshots.  Each front that closes, at an event or at
+    t_end, is appended as one row of the run's `FrontHistory`, its states as
+    integer state ids.
 
     Fronts never change once built, so a heap entry stays valid exactly as
-    long as its two fronts are adjacent: dead fronts are unlinked.  A
-    negative or non-finite t_end raises ValueError.
+    long as its two fronts are adjacent: dead fronts are unlinked.  Two
+    adjacent fronts a, b collide at (b.icpt - a.icpt) / (a.speed - b.speed)
+    when a is the faster.  A negative or non-finite t_end raises ValueError.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -506,6 +514,12 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     history = FrontHistory(mesh)
     close = history.closer()
     log = FunctionalLog()
+    add_t, add_tv, add_temple, add_waves, add_pts = (
+        log.ts.append, log.tv.append, log.temple.append, log.waves.append,
+        log.phase_transitions.append)
+    # looked up once per run, so a patched module attribute is honoured
+    measures = _front_measures
+    heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap: list[tuple[float, int, _F, _F]] = []
 
@@ -516,7 +530,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     for raw in diagram.fronts:
         for s, a, b, kind in solve_approx(mesh, raw.left, raw.right):
             f = _F(raw.x, 0.0, s, a, b, kind)
-            f.tv, f.temple, f.pt = _front_measures(mesh, a, b)
+            f.tv, f.temple, f.pt = measures(mesh, a, b)
             tot_tv += f.tv
             tot_temple += f.temple
             n_waves += 1
@@ -527,77 +541,86 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
 
     log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
 
-    def collision_time(a: _F, b: _F) -> float | None:
-        dv = a.speed - b.speed
-        if dv <= 0.0:
-            return None
-        return ((b.x0 - b.speed * b.t0) - (a.x0 - a.speed * a.t0)) / dv
-
     def push(a: _F | None, b: _F | None, now: float):
         if a is None or b is None:
             return
-        t = collision_time(a, b)
-        if t is None or t < now - TIME_GROUP_TOL:
+        dv = a.speed - b.speed
+        if dv <= 0.0:
             return
-        heapq.heappush(heap, (t, next(counter), a, b))
+        t = (b.icpt - a.icpt) / dv
+        if t < now - TIME_GROUP_TOL:
+            return
+        heappush(heap, (t, next(counter), a, b))
 
     for a, b in zip(fronts, fronts[1:]):
         push(a, b, 0.0)
 
     events = 0
     now = 0.0
+    eps_w = mesh.eps_w
     while heap:
-        t_star, _, fa, fb = heapq.heappop(heap)
+        t_star, _, fa, fb = heappop(heap)
         if fa.next is not fb:
             continue
         if t_star > t_end:
             break
-        now = max(now, t_star)
-        x_star = fa.position(t_star)
+        if t_star > now:
+            now = t_star
+        x_star = fa.x0 + fa.speed * (t_star - fa.t0)
 
-        # gather every front arriving at (t_star, x_star)
-        group = [fa, fb]
+        # gather every front arriving at (t_star, x_star): first..last
         tol_t = TIME_GROUP_TOL * (1.0 + abs(t_star))
         tol_x = 1e-9 * (1.0 + abs(x_star))
-        g = group[0].prev
+        first = fa
+        g = first.prev
         while g is not None:
-            t = collision_time(g, group[0])
-            if t is None or abs(t - t_star) > tol_t or abs(g.position(t) - x_star) > tol_x:
+            dv = g.speed - first.speed
+            if dv <= 0.0:
                 break
-            group.insert(0, g)
+            t = (first.icpt - g.icpt) / dv
+            if abs(t - t_star) > tol_t or abs(g.x0 + g.speed * (t - g.t0) - x_star) > tol_x:
+                break
+            first = g
             g = g.prev
-        g = group[-1].next
+        last = fb
+        g = last.next
         while g is not None:
-            t = collision_time(group[-1], g)
-            if t is None or abs(t - t_star) > tol_t or abs(group[-1].position(t) - x_star) > tol_x:
+            dv = last.speed - g.speed
+            if dv <= 0.0:
                 break
-            group.append(g)
+            t = (g.icpt - last.icpt) / dv
+            if abs(t - t_star) > tol_t or abs(last.x0 + last.speed * (t - last.t0) - x_star) > tol_x:
+                break
+            last = g
             g = g.next
 
-        fan = solve_approx(mesh, states[group[0].l], states[group[-1].r])
+        fan = node_fan(mesh, first.l, last.r)
 
-        before, after = group[0].prev, group[-1].next
-        for g in group:
+        before, after = first.prev, last.next
+        g = first
+        while g is not after:
             close(g, t_star)
             tot_tv -= g.tv
             tot_temple -= g.temple
             n_waves -= 1
             n_pts -= g.pt
             # unlinked, a dead front is freed by reference counting alone
+            nxt = g.next
             g.prev = g.next = None
+            g = nxt
 
         new_fronts: list[_F] = []
         for s, a, b, kind in fan:
             nf = _F(x_star, t_star, s, a, b, kind)
-            nf.tv, nf.temple, nf.pt = _front_measures(mesh, a, b)
+            nf.tv, nf.temple, nf.pt = measures(mesh, a, b)
             tot_tv += nf.tv
             tot_temple += nf.temple
             n_waves += 1
             n_pts += nf.pt
             new_fronts.append(nf)
-        first = _splice(before, new_fronts, after)
+        joined = _splice(before, new_fronts, after)
         if before is None:
-            head = first
+            head = joined
 
         if new_fronts:
             push(before, new_fronts[0], now)
@@ -605,13 +628,17 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         else:
             push(before, after, now)
 
-        log.record(t_star, tot_tv, tot_temple, n_waves, n_pts)
+        add_t(t_star)
+        add_tv(tot_tv)
+        add_temple(tot_temple)
+        add_waves(n_waves)
+        add_pts(n_pts)
         for obs in observers:
             obs(dict(t=t_star, x=x_star, tv=tot_tv, temple=tot_temple,
                      waves=n_waves, phase_transitions=n_pts))
 
         if strict:
-            bad = row_violations(log, len(log.ts) - 1, mesh.eps_w)
+            bad = row_violations(log, len(log.ts) - 1, eps_w)
             if bad:
                 raise InvariantViolation(bad[0])
 

@@ -60,10 +60,13 @@ class GridMesh:
             w_base = laws.W_c
             span = laws.W_max - laws.W_c
             self._iw_c = 0
+            # and every free wave, up or down the free line, is a contact
+            self.free_shock = self.free_wave = WaveKind.CONTACT
         else:
             w_base = laws.W_min
             span = laws.W_c - laws.W_min
             self._iw_c = two_n
+            self.free_shock, self.free_wave = WaveKind.SHOCK, WaveKind.RAREFACTION_STEP
         self.eps_w = span / two_n
 
         m = int(math.floor((laws.W_max - w_base) / self.eps_w + _IDX_GUARD))
@@ -228,10 +231,6 @@ class GridMesh:
         raise NotOnMesh(f"{u} is not a mesh node")
 
 
-def _free_wave_kind(laws: ModelLaws) -> WaveKind:
-    return WaveKind.CONTACT if laws.degenerate_free else WaveKind.RAREFACTION_STEP
-
-
 def _congested_steps(a: Node, b: Node) -> list[tuple[Node, WaveKind]]:
     """Rarefaction steps from node a up the velocity nodes to b (same marker)."""
     iw = a[1]
@@ -257,13 +256,12 @@ def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, 
     Rarefactions become chains of jumps between consecutive nodes along the
     corresponding wave curve, each jump travelling at its own
     mass-conserving speed."""
-    laws = mesh.laws
     iv_free = mesh.iv_free
     ivl, iwl = l
     ivr, iwr = r
     # the fan as a path of nodes from l: (next node, kind of the jump to it)
     steps: list[tuple[Node, WaveKind]] = []
-    free_shock = WaveKind.CONTACT if laws.degenerate_free else WaveKind.SHOCK
+    free_shock = mesh.free_shock
     lf, rf = ivl == iv_free, ivr == iv_free
 
     if ivl == ivr and iwl == iwr:
@@ -272,7 +270,7 @@ def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, 
         if iwl < iwr:
             steps.append((r, free_shock))
         else:
-            steps = _free_steps(iv_free, l, r, _free_wave_kind(laws))
+            steps = _free_steps(iv_free, l, r, mesh.free_wave)
     elif not lf and not rf:
         m = (ivr, iwl)
         if ivr < ivl:
@@ -301,7 +299,7 @@ def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, 
         if iwl < iwr:
             steps.append((r, free_shock))
         elif iwl > iwr:
-            steps += _free_steps(iv_free, m2, r, _free_wave_kind(laws))
+            steps += _free_steps(iv_free, m2, r, mesh.free_wave)
 
     states = mesh.states
     fan: list[tuple[float, Node, Node, WaveKind]] = []

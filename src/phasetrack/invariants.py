@@ -70,12 +70,11 @@ def row_violations(log: FunctionalLog, i: int, eps_w: float) -> list[str]:
 
 def functional_violations(log: FunctionalLog, eps_w: float, first: int = 1) -> list[str]:
     """`row_violations` of log rows first..end, in order: rows are flagged
-    over the log's columns with numpy, with the same float operations as
-    `row_violations`, which words only the flagged ones."""
-    n = len(log.ts) - first + 1
-    cols = ((log.tv, float), (log.temple, float), (log.waves, np.int64),
+    over numpy views of the log's columns, with the same float operations
+    as `row_violations`, which words only the flagged ones."""
+    cols = ((log.tv, np.float64), (log.temple, np.float64), (log.waves, np.int64),
             (log.phase_transitions, np.int64))
-    dtv, dtemple, dwaves, dpt = (np.diff(np.fromiter(c[first - 1:], dtype, n))
+    dtv, dtemple, dwaves, dpt = (np.diff(np.frombuffer(c, dtype)[first - 1:])
                                  for c, dtype in cols)
     flagged = (dtv > MONO_TOL) | (dtemple > MONO_TOL) \
         | ((dwaves > 0) & (dtemple > -eps_w + MONO_TOL)) | (dpt > 0) | (dpt % 2 != 0)

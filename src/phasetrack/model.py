@@ -178,7 +178,7 @@ class ModelLaws:
         # pressures fail loudly), then the full sweep once R_max is known
         self._validate_h2(self.rho_free_crit, 2.0 * self.rho_free_max)
         self.R_max = self._p_inv_raw(self.W_max)
-        self.R_c = self._p_inv_raw(self.W_c)
+        self.R_c = self._p_inv_band(self.W_c)
         self._validate_h2(self.rho_free_crit, self.R_max)
         self._validate_h3()
         self._validate_orderings()
@@ -244,7 +244,8 @@ class ModelLaws:
 
     def _p_inv_raw(self, y: float) -> float:
         """p^-1(y) on [R_f', inf): the law's closed form when it has one,
-        else a bisection over a doubling bracket."""
+        else a bisection over a doubling bracket.  It finds R_max, the top
+        of the bracket `_p_inv_band` bisects over."""
         lo = self.rho_free_crit
         if self._p_closed_inv is not None:
             return max(self._p_closed_inv(y), lo)
@@ -255,16 +256,24 @@ class ModelLaws:
                 raise HypothesisViolation("H2", hi, f"p never reaches {y}")
         return invert_increasing(self.p, lo, hi, y)
 
+    def _p_inv_band(self, y: float) -> float:
+        """p^-1(y) clamped to [R_f', R_max]: the law's closed form when it
+        has one, else a bisection over [R_f', R_max], with y >= W_max read
+        as R_max itself."""
+        if self._p_closed_inv is not None:
+            return min(max(self._p_closed_inv(y), self.rho_free_crit), self.R_max)
+        if y >= self.W_max:
+            return self.R_max
+        return invert_increasing(self.p, self.rho_free_crit, self.R_max, y)
+
     def p_inv(self, y: float) -> float:
         """Inverse pressure on [p(R_f'), W_max], clamped to [R_f', R_max].
 
-        With one inverse per law, p_inv(W_max) is R_max and p_inv(W_c) is
-        R_c bit for bit."""
+        With one inverse per law, `_p_inv_band`, which also gives R_c,
+        p_inv(W_max) is R_max and p_inv(W_c) is R_c bit for bit."""
         if y < self._p_crit - STATE_TOL or y > self.W_max + STATE_TOL:
             raise OutOfDomain(f"p_inv({y}) outside [{self._p_crit}, {self.W_max}]")
-        if self._p_closed_inv is not None:
-            return min(max(self._p_closed_inv(y), self.rho_free_crit), self.R_max)
-        return invert_increasing(self.p, self.rho_free_crit, self.R_max, y)
+        return self._p_inv_band(y)
 
     def v_f_inv(self, v: float) -> float:
         """Inverse of v_f on [0, R_f'] (used by the low-density marker branch)."""

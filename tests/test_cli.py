@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -207,6 +208,29 @@ def test_ladder_golden_columns(tmp_path):
     assert [header[:7]] + [r[:7] for r in rows] == LADDER_4_5_GOLDEN
     assert header[7:] == ["violations"]
     assert [r[7:] for r in rows] == [["0"], ["0"]]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of the two CSVs `phasetrack run` writes from a run, on the shipped
+# configs, as written before the event loop resolved collisions on node ids
+RUN_OUTPUT_GOLDENS = {
+    ("traffic_light.ini",): {
+        "fronts.csv": "7a623891fdbe7b4c5f6aa20675bf05e66d526d95bc58428ead0ff293e24c4f59",
+        "functionals.csv": "75ddda36ac88d6294a335ec6cccb391065a939c8f82955fb8bea804ea68c1524"},
+    ("flat_free_random.ini", "--seed", "7"): {
+        "fronts.csv": "8b941894d8a7ac28e65114072cde2873fe277a22563755962ab45a0a1438ef45",
+        "functionals.csv": "98838b2d72ad594c44c1a401387ba5a0c6c816be9b0bb17854c09660440991ee"},
+}
+
+
+@pytest.mark.parametrize("args", list(RUN_OUTPUT_GOLDENS), ids=lambda a: a[0])
+def test_shipped_config_outputs_are_byte_identical(tmp_path, args):
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / args[0]), *args[1:], "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in RUN_OUTPUT_GOLDENS[args]}
+    assert got == RUN_OUTPUT_GOLDENS[args]
 
 
 def test_ladder_builds_construction_once(tmp_path, monkeypatch):

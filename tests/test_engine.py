@@ -6,7 +6,7 @@ import random
 import pytest
 
 import phasetrack as pt
-from phasetrack import engine
+from phasetrack import engine, grid
 from phasetrack.engine import DiagramFront, FrontDiagram
 from phasetrack.errors import ValueOutsideOmega
 from phasetrack.riemann import WaveKind
@@ -143,7 +143,7 @@ def test_next_event_groups_triple(mesh5):
     T = 10.0
     res = _triple_run(mesh5, T)
     assert res.events == 1
-    assert res.log.waves == [3, 1]
+    assert res.log.waves.tolist() == [3, 1]
     t_event = res.log.ts[1]
     assert t_event == pytest.approx(T, rel=1e-12)
     assert [r.t1 for r in res.records].count(t_event) == 3
@@ -158,7 +158,7 @@ def test_next_event_groups_triple_from_its_right_pair(mesh5):
     t_bc = (fc.x - fb.x) / (fb.speed - fc.speed)
     assert t_bc < t_ab
     assert res.events == 1
-    assert res.log.waves == [3, 1]
+    assert res.log.waves.tolist() == [3, 1]
     assert [r.t1 for r in res.records].count(res.log.ts[1]) == 3
 
 
@@ -431,6 +431,34 @@ def test_engine_bit_identity(laws, flat_laws):
         got = [_run_digest(_seeded_run(mesh, s, jumps, t_end))
                for s in range(len(ENGINE_DIGESTS[name]))]
         assert got == ENGINE_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("family", ["traffic", "flat"])
+def test_events_resolve_on_node_ids(laws, flat_laws, monkeypatch, family):
+    # solve_approx and index_of are the state-level adapter of node_fan:
+    # run calls them only to resolve the datum jumps at t = 0, one solve and
+    # two lookups per raw front, however many events follow
+    mesh = pt.GridMesh(laws if family == "traffic" else flat_laws, 5)
+    datum = pt.random_mesh_datum(mesh, random.Random(11), max_jumps=20)
+    diagram0 = pt.approximate_datum(datum, mesh)
+    calls = {"solve_approx": 0, "index_of": 0}
+    solve_approx, index_of = grid.solve_approx, grid.GridMesh.index_of
+
+    def counted_solve(*args):
+        calls["solve_approx"] += 1
+        return solve_approx(*args)
+
+    def counted_index_of(self, u):
+        calls["index_of"] += 1
+        return index_of(self, u)
+
+    monkeypatch.setattr(grid.GridMesh, "index_of", counted_index_of)
+    for module in (grid, engine):
+        monkeypatch.setattr(module, "solve_approx", counted_solve)
+    res = pt.run(diagram0, 150.0, mesh)
+    n = len(diagram0.fronts)
+    assert res.events > 10 * n
+    assert calls == {"solve_approx": n, "index_of": 2 * n}
 
 
 def _continuity_breaks(d):

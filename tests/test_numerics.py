@@ -88,17 +88,21 @@ def test_p_inv_is_bit_identical(laws, flat_laws):
         assert lw.p_inv(lw.W_max) == lw.R_max and lw.p_inv(lw.W_c) == lw.R_c
         assert lw.p_inv(lo - 1e-11) == lw.rho_free_crit
         assert lw.p_inv(lw.W_max + 1e-11) == lw.R_max
-    # a law without a closed-form inverse keeps the plain bisection's bits
+    # a law without a closed-form inverse has the same two identities, and
+    # inside the band keeps the plain bisection's bits; from W_max up it
+    # reads R_max, the top of the bisection's bracket
     rng = random.Random(3)
     for lw in (laws, flat_laws):
         p = lw.p
         custom = pt.validate_laws(lw.v_f, CustomLaw(p, p.deriv, p.deriv2),
                                   lw.rho_free_crit, lw.rho_free_max, lw.V_c)
+        assert custom.p_inv(custom.W_max) == custom.R_max
+        assert custom.p_inv(custom.W_c) == custom.R_c
         lo, hi = custom.p(custom.rho_free_crit), custom.W_max
-        ys = [rng.uniform(lo, hi) for _ in range(500)] + [lo, hi, lo - 1e-11, hi + 1e-11]
-        for y in ys:
+        for y in [rng.uniform(lo, hi) for _ in range(500)] + [lo, lo - 1e-11]:
             ref = plain_invert_increasing(p, custom.rho_free_crit, custom.R_max, y)
             assert bits(custom.p_inv(y)) == bits(ref), y
+        assert custom.p_inv(hi) == custom.p_inv(hi + 1e-11) == custom.R_max
 
 
 def _log_law_markers():
