@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
-from .grid import GridMesh, Node, VACUUM_IW, node_fan, solve_approx
+from .grid import GridMesh, Node, VACUUM_IW, solve_approx
 from .invariants import row_violations
 from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
@@ -492,15 +492,15 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     """Advance a diagram to t_end, resolving collisions as they come due.
 
     Raw (unclassified) fronts of the initial diagram are first resolved into
-    mesh Riemann fans at t = 0, through the state-level `solve_approx`.  The
-    functional log gets one row at t = 0 and one per interaction; with
-    strict=True each new row is checked against the functional rules of
-    `invariants`, and the first violation raises InvariantViolation.  Inside
-    the loop fronts carry mesh node ids only: each collision is resolved by
-    `node_fan` on the outer node ids of its group, and states are looked up
-    only for the two snapshots.  Each front that closes, at an event or at
-    t_end, is appended as one row of the run's `FrontHistory`, its states as
-    integer state ids.
+    mesh Riemann fans at t = 0.  The functional log gets one row at t = 0 and
+    one per interaction; with strict=True each new row is checked against
+    the functional rules of `invariants`, and the first violation raises
+    InvariantViolation.  Inside the loop fronts carry mesh node ids: each
+    collision is resolved by one `solve_approx` call on the node states of
+    its group's outer ids, which finds those nodes again by one probe each,
+    and states are otherwise looked up only for the two snapshots.  Each
+    front that closes, at an event or at t_end, is appended as one row of
+    the run's `FrontHistory`, its states as integer state ids.
 
     Fronts never change once built, so a heap entry stays valid exactly as
     long as its two fronts are adjacent: dead fronts are unlinked.  Two
@@ -518,7 +518,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         log.ts.append, log.tv.append, log.temple.append, log.waves.append,
         log.phase_transitions.append)
     # looked up once per run, so a patched module attribute is honoured
-    measures = _front_measures
+    measures, solve = _front_measures, solve_approx
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap: list[tuple[float, int, _F, _F]] = []
@@ -528,7 +528,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     n_waves = n_pts = 0
     fronts: list[_F] = []
     for raw in diagram.fronts:
-        for s, a, b, kind in solve_approx(mesh, raw.left, raw.right):
+        for s, a, b, kind in solve(mesh, raw.left, raw.right):
             f = _F(raw.x, 0.0, s, a, b, kind)
             f.tv, f.temple, f.pt = measures(mesh, a, b)
             tot_tv += f.tv
@@ -594,7 +594,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             last = g
             g = g.next
 
-        fan = node_fan(mesh, first.l, last.r)
+        fan = solve(mesh, states[first.l], states[last.r])
 
         before, after = first.prev, last.next
         g = first

@@ -314,5 +314,10 @@ def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, 
 def solve_approx(mesh: GridMesh, u_l: TrafficState,
                  u_r: TrafficState) -> list[tuple[float, Node, Node, WaveKind]]:
     """State-level adapter of node_fan: the mesh Riemann fan between the
-    nodes of u_l and u_r, as node jumps."""
-    return node_fan(mesh, mesh.index_of(u_l), mesh.index_of(u_r))
+    nodes of u_l and u_r, as node jumps.  A node state built by the mesh is
+    found by one probe of its (rho, v), index_of's fast path; any other
+    state goes through index_of."""
+    rev = mesh._rev
+    l = rev.get((u_l.rho, u_l.v)) or mesh.index_of(u_l)
+    r = rev.get((u_r.rho, u_r.v)) or mesh.index_of(u_r)
+    return node_fan(mesh, l, r)
