@@ -265,6 +265,8 @@ def _ladder_level(payload) -> dict:
 
 def cmd_ladder(args) -> int:
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = RunConfig(Path(args.config))
         if cfg.scenario_cfg is None:
             raise ValueError("ladder requires a [scenario] config")

@@ -85,6 +85,10 @@ class _Curves:
     """ODE-integrated pieces: the accelerating contact through the main fan
     and the phase boundary through the re-emitted fan."""
 
+    # end knot of the c2 segment `project` found last: where its next
+    # search starts, and `source_speed`'s segment when it holds the source
+    _seg = 1
+
     def __init__(self, laws: ModelLaws, cfg: TrafficLightConfig):
         self.laws = laws
         self.cfg = cfg
@@ -99,6 +103,8 @@ class _Curves:
         self.t_a1 = self.t_a2 + (cfg.x1 - cfg.x2) / laws.lambda1(
             TrafficState(laws.R_c, 0.0, Phase.CONGESTED))
 
+        self.lam_first = self.ray_slope(0.0)
+
         self._c2_ts: list[float] = []
         self._c2_xs: list[float] = []
         self._integrate_c2()
@@ -109,17 +115,21 @@ class _Curves:
     # main centered fan, where lambda_1 = W_max - g(rho) = xi with
     # g = p + rho p'; the scenario's power law has g = (1 + gamma) p, its
     # log law g = p + v_ref, so g inverts in closed form
-    def fan_state(self, xi: float) -> TrafficState:
+    def _fan_rho(self, xi: float) -> float:
         laws = self.laws
         p = laws.p
         y = laws.W_max - xi
         rho = p.inv(y - p.v_ref) if p.gamma == 0.0 else p.inv(y / (1.0 + p.gamma))
-        rho = min(max(rho, laws.rho_free_crit), laws.R_max)
-        return TrafficState(rho, laws.W_max - laws.p(rho), Phase.CONGESTED)
+        return min(max(rho, laws.rho_free_crit), laws.R_max)
+
+    def fan_state(self, xi: float) -> TrafficState:
+        rho = self._fan_rho(xi)
+        return TrafficState(rho, self.laws.W_max - self.laws.p(rho), Phase.CONGESTED)
 
     def fan_speed(self, xi: float) -> float:
-        xi = min(max(xi, self.lam_rmax), self.xi_b)
-        return self.fan_state(xi).v
+        """`fan_state(xi).v` on the fan's clamped ray, without the state."""
+        rho = self._fan_rho(min(max(xi, self.lam_rmax), self.xi_b))
+        return self.laws.W_max - self.laws.p(rho)
 
     def _rk4(self, f, t0, x0, stop, h_guess):
         """Fixed-step RK4 until `stop` changes sign, then a fresh pass with
@@ -187,7 +197,14 @@ class _Curves:
         return interp_polyline(self._c2_ts, self._c2_xs, t)
 
     def source_speed(self, t0: float) -> float:
-        return interp_polyline(self._c2_ts, self._c2_v0, t0)
+        """`interp_polyline` of the source speeds at t0, read on the segment
+        `project` last found when t0 lies in it."""
+        ts, j = self._c2_ts, self._seg
+        if ts[0] < t0 and ts[j - 1] <= t0 < ts[j]:
+            v0, i = self._c2_v0, j - 1
+            f = (t0 - ts[i]) / (ts[j] - ts[i])
+            return v0[i] + f * (v0[j] - v0[i])
+        return interp_polyline(ts, self._c2_v0, t0)
 
     def ray_slope(self, v0: float) -> float:
         laws = self.laws
@@ -204,15 +221,25 @@ class _Curves:
         The ray position is linear in the source time between two knots of
         the c2 path, as `ray_pos` interpolates, and moves up through the
         knots; the root is that of the first segment whose end ray reaches
-        x, a quadratic in the segment fraction.
+        x, a quadratic in the segment fraction.  The search walks from the
+        end knot found by the previous call (`_seg`), which successive RK4
+        stages keep within a few knots; each step tests the same predicate,
+        so any start gives that first knot.
         """
         ts, xs, lams = self._c2_ts, self._c2_xs, self._c2_lam
         if xs[0] + (t - ts[0]) * lams[0] >= x:
             return ts[0]
         if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
             return ts[-1]
-        j = _bisect.bisect_left(range(len(ts)), True,
-                                key=lambda k: xs[k] + (t - ts[k]) * lams[k] >= x)
+        j = min(max(self._seg, 1), len(ts) - 1)
+        if xs[j] + (t - ts[j]) * lams[j] >= x:
+            while j > 1 and xs[j - 1] + (t - ts[j - 1]) * lams[j - 1] >= x:
+                j -= 1
+        else:
+            j += 1
+            while xs[j] + (t - ts[j]) * lams[j] < x:
+                j += 1
+        self._seg = j
         i = j - 1
         t_i, h = ts[i], ts[j] - ts[i]
         l_i, dl = lams[i], lams[j] - lams[i]
@@ -232,7 +259,7 @@ class _Curves:
         return TrafficState(laws.p_inv(laws.W_c - v), v, Phase.CONGESTED)
 
     def first_ray(self, t: float) -> float:
-        return self.cfg.x2 + (t - self.t_a2) * self.ray_slope(0.0)
+        return self.cfg.x2 + (t - self.t_a2) * self.lam_first
 
     def last_ray(self, t: float) -> float:
         return self.x_b2 + (t - self.t_b2) * self.lam_last
@@ -406,26 +433,31 @@ class ExactSolution:
         return bounds, regions
 
     def evaluate(self, t: float, x: float) -> TrafficState:
-        if not (0.0 <= t <= self.window_end):
-            raise OutOfWindow(f"t={t} outside [0, {self.window_end}]")
-        if t == 0.0:
-            return self.datum.evaluate(x)
-        bounds, regions = self._segments(t)
-        r = regions[_bisect.bisect_right(bounds, x)]
-        if isinstance(r, str):
-            if r == "fan_main":
-                return self.curves.fan_state(x / t)
-            if r == "fan_reemitted":
-                return self.curves.reemitted_state(t, x)
-            return self._free_fan_state(x / t)
-        return r
+        return self.profile(t, (x,))[0]
 
     def breakpoints(self, t: float) -> list[float]:
         bounds, _ = self._segments(t)
         return bounds
 
     def profile(self, t: float, xs) -> list[TrafficState]:
-        return [self.evaluate(t, x) for x in xs]
+        """The states at (t, x) for x in xs, from one region list of t."""
+        if not (0.0 <= t <= self.window_end):
+            raise OutOfWindow(f"t={t} outside [0, {self.window_end}]")
+        if t == 0.0:
+            return [self.datum.evaluate(x) for x in xs]
+        bounds, regions = self._segments(t)
+        out = []
+        for x in xs:
+            r = regions[_bisect.bisect_right(bounds, x)]
+            if isinstance(r, str):
+                if r == "fan_main":
+                    r = self.curves.fan_state(x / t)
+                elif r == "fan_reemitted":
+                    r = self.curves.reemitted_state(t, x)
+                else:
+                    r = self._free_fan_state(x / t)
+            out.append(r)
+        return out
 
 
 def last_passage_time(run: RunResult, x_light: float = 0.0) -> float:

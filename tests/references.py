@@ -1,8 +1,11 @@
 """Plain versions of package routines, kept apart from the package as
 references: `ModelLaws.p_inv` on a law without a closed-form inverse must
 return the bits of the plain bisection, `_Curves.project` those of its
-segment scan, and `invariants.audit_run` and `functional_violations` the
-messages of their per-row loops."""
+segment scan and of its cold bisection over the knots, and
+`invariants.audit_run` and `functional_violations` the messages of their
+per-row loops."""
+
+import bisect
 
 
 def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
@@ -41,17 +44,16 @@ def project_by_ray_pos(cur, t, x):
     return 0.5 * (lo + hi)
 
 
-def project_by_segment_scan(cur, t, x):
-    """`_Curves.project` with its segment found by a linear scan over the
-    knots instead of a bisection; the root formula is the same."""
+def _project_on(cur, t, x, first_reaching):
+    """`_Curves.project` with the end knot of its segment found by
+    `first_reaching(ts, xs, lams, t, x)`; the clamps and the root formula
+    are the same."""
     ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
     if xs[0] + (t - ts[0]) * lams[0] >= x:
         return ts[0]
     if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
         return ts[-1]
-    j = 1
-    while xs[j] + (t - ts[j]) * lams[j] < x:
-        j += 1
+    j = first_reaching(ts, xs, lams, t, x)
     i = j - 1
     t_i, h = ts[i], ts[j] - ts[i]
     l_i, dl = lams[i], lams[j] - lams[i]
@@ -61,6 +63,30 @@ def project_by_segment_scan(cur, t, x):
     if den <= 0.0:
         return ts[j]
     return min(max(t_i - 2.0 * qc / den * h, t_i), ts[j])
+
+
+def _bisect_knots(ts, xs, lams, t, x):
+    return bisect.bisect_left(range(len(ts)), True,
+                              key=lambda k: xs[k] + (t - ts[k]) * lams[k] >= x)
+
+
+def _scan_knots(ts, xs, lams, t, x):
+    j = 1
+    while xs[j] + (t - ts[j]) * lams[j] < x:
+        j += 1
+    return j
+
+
+def project_cold(cur, t, x):
+    """`_Curves.project` with its segment found by a bisection over all the
+    knots, started afresh on each call."""
+    return _project_on(cur, t, x, _bisect_knots)
+
+
+def project_by_segment_scan(cur, t, x):
+    """`_Curves.project` with its segment found by a linear scan over the
+    knots from the first."""
+    return _project_on(cur, t, x, _scan_knots)
 
 
 def audit_run_per_record(res):

@@ -185,6 +185,18 @@ def test_ladder_parallel_jobs(tmp_path):
     assert (out1 / "ladder.csv").read_bytes() == (out2 / "ladder.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_ladder_jobs_below_one_exit_2(tmp_path, monkeypatch, capsys, jobs):
+    # rejected before the config is read or any level runs
+    monkeypatch.setattr(cli, "RunConfig", None)
+    out = tmp_path / "lad"
+    assert main(["ladder", str(tmp_path / "s.ini"), "--jobs", jobs,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
 # ladder.csv of SCENARIO_INI, levels 4..5, with the pressure inverted in
 # closed form: for the mesh nodes, R_c and R_max, and the exact
 # construction's fan states; the ray projections are closed forms too

@@ -13,7 +13,9 @@ from phasetrack.errors import NotReached, OutOfWindow, StructuralAssumptionViola
 from phasetrack.riemann import WaveKind
 from phasetrack.scenario import ExactSolution
 
-from references import project_by_ray_pos
+from phasetrack.numerics import interp_polyline
+
+from references import project_by_ray_pos, project_cold
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +299,81 @@ def test_project_matches_bisection_over_ray_pos(exact):
         assert abs(got - ref) <= 16.0 * u * (size / slope + got), (t, x, got, ref)
     # both clamps and the interior are exercised
     assert min(ends.values()) > 50 and sum(ends.values()) < 1500, ends
+
+
+def test_project_is_independent_of_its_hint(exact):
+    # `project` starts its knot search where the last call ended; from any
+    # start it must land on the knot a cold bisection finds, bit for bit
+    cur = pickle.loads(pickle.dumps(exact.curves))
+    n = len(cur._c2_ts)
+    rng, hints = random.Random(5), random.Random(6)
+    interior = 0
+    for _ in range(2000):
+        t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
+        first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
+        x = rng.uniform(min(first, last) - 1.0, max(first, last) + 1.0)
+        ref = project_cold(cur, t, x)
+        # the hint the previous sample left, then both ends and a random knot
+        for hint in (None, 1, n - 1, hints.randrange(n)):
+            if hint is not None:
+                cur._seg = hint
+            got = cur.project(t, x)
+            assert got.hex() == ref.hex(), (t, x, hint, got, ref)
+        interior += ref not in (cur._c2_ts[0], cur._c2_ts[-1])
+    assert interior > 500, interior
+
+
+def test_source_speed_matches_interp_polyline(exact):
+    # read on the hinted segment or through `interp_polyline`, the source
+    # speed keeps interp_polyline's bits, whatever segment the hint names
+    cur = pickle.loads(pickle.dumps(exact.curves))
+    ts, v0 = cur._c2_ts, cur._c2_v0
+    n = len(ts)
+    rng = random.Random(7)
+    t0s = list(ts) + [ts[0] - 1.0, ts[-1] + 1.0]
+    t0s += [rng.uniform(ts[0], ts[-1]) for _ in range(2000)]
+    hinted = 0
+    for t0 in t0s:
+        k = bisect.bisect_right(ts, t0)       # the segment whose end is ts[k]
+        ref = interp_polyline(ts, v0, t0)
+        for hint in {1, n - 1, max(k - 1, 1), min(max(k, 1), n - 1),
+                     min(k + 1, n - 1), rng.randrange(1, n)}:
+            cur._seg = hint
+            got = cur.source_speed(t0)
+            assert got.hex() == ref.hex(), (t0, hint, got, ref)
+            hinted += ts[0] < t0 and ts[hint - 1] <= t0 < ts[hint]
+    # the hinted read is taken at the knots and inside the segments
+    assert hinted > 2000, hinted
+
+
+def _state_bits(u):
+    return u.rho.hex(), u.v.hex(), u.phase
+
+
+def test_profile_matches_evaluate(exact):
+    # a profile builds its region list once and carries the projection's
+    # knot hint from x to x; each state keeps the bits of a pointwise
+    # read: at t = 0, across every region and at the end of the window
+    tab = exact.table
+    t_hi = min(1.5 * tab.c1[0], exact.window_end)
+    times = [0.0] + [t_hi * k / 40 for k in range(1, 41)] + [exact.window_end]
+    regions = set()
+    for t in times:
+        bounds = exact.breakpoints(t) if t > 0.0 else list(exact.datum.breaks)
+        lo, hi = bounds[0] - 1.0, bounds[-1] + 1.0
+        xs = [lo + (hi - lo) * j / 150 for j in range(151)]
+        xs += [b + d for b in bounds for d in (-1e-9, 0.0, 1e-9)]
+        got = exact.profile(t, xs)
+        assert [_state_bits(u) for u in got] \
+            == [_state_bits(exact.evaluate(t, x)) for x in xs], t
+        if t > 0.0:
+            _, regs = exact._segments(t)
+            regions.update(regs[bisect.bisect_right(bounds, x)] for x in xs)
+    cur = exact.curves
+    assert {"fan_main", "fan_reemitted", "fan_free", exact.u_rc, exact.u_rmax,
+            exact.u_f1, exact.u_f2, exact.vac, cur.u_wmax_vc, cur.u_wc_vc} <= regions
+    with pytest.raises(OutOfWindow):
+        exact.profile(exact.window_end * 1.01, [0.0])
 
 
 def test_exact_reference_helper(exact):
