@@ -10,8 +10,7 @@ from .riemann import (Wave, WaveFan, WaveKind, check_consistency, sigma,
 from .grid import GridMesh, solve_approx
 from .engine import (FrontDiagram, FrontRecord, FunctionalLog,
                      PiecewiseConstantDatum, RunResult, approximate_datum,
-                     count_phase_transitions, random_mesh_datum, run,
-                     temple_functional, tv_coords)
+                     random_mesh_datum, run)
 from .analysis import (BumpTestFunction, EntropyReport, classify_transition,
                        entropy_k_grid, entropy_pair, entropy_production,
                        entropy_report, lwr_entropy_pair, rh_residual,
@@ -26,11 +25,11 @@ __all__ = [
     "PowerPressure", "RiemannCoords", "RunResult", "TrafficLightConfig",
     "TrafficState", "Wave", "WaveFan", "WaveKind", "approximate_datum",
     "build_scenario", "check_consistency", "classify_transition",
-    "closed_form_table", "count_phase_transitions", "entropy_k_grid",
+    "closed_form_table", "entropy_k_grid",
     "entropy_pair", "entropy_production", "entropy_report",
     "last_passage_time", "laws_from_config",
     "lwr_entropy_pair", "random_mesh_datum",
     "rh_residual", "run", "sigma", "solve_approx",
     "solve_arz", "solve_coupled", "solve_lwr", "step_entropy_deficit_bound",
-    "temple_functional", "tv_coords", "validate_laws", "weak_residual",
+    "validate_laws", "weak_residual",
 ]

@@ -5,13 +5,14 @@ lives in `invariants` and is re-exported here."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
-from .engine import FrontRecord, RunResult
+import numpy as np
+
+from .engine import RunResult
 from .errors import OutOfDomain, SamePhase, UnsupportedTestFunction
-from .invariants import jump_residuals, rh_residual  # rh_residual is re-exported
+from .invariants import rh_residual  # rh_residual is re-exported
 from .model import ModelLaws, Phase, TrafficState
 from .numerics import gauss_integrate
 from .riemann import WaveKind
@@ -75,8 +76,15 @@ def entropy_pair(laws: ModelLaws, u: TrafficState, k: float) -> tuple[float, flo
     density; defined for reference speeds k in [0, V_f]."""
     if u.v <= k:
         return 0.0, 0.0
-    rk = laws.R_k(laws.marker_W(u), k)
-    return 1.0 - u.rho / rk, k - u.flow / rk
+    return _pair_above(laws, u.rho, u.v, laws.marker_W(u), k)
+
+
+def _pair_above(laws: ModelLaws, rho: float, v: float, marker: float,
+                k: float) -> tuple[float, float]:
+    """`entropy_pair` of a state with v > k, from its density, velocity and
+    conserved marker."""
+    rk = laws.R_k(marker, k)
+    return 1.0 - rho / rk, k - rho * v / rk
 
 
 def lwr_entropy_pair(laws: ModelLaws, u: TrafficState, h: float) -> tuple[float, float]:
@@ -127,31 +135,32 @@ class EntropyReport:
             yield (r.t0, r.t1, r.x0, r.kind, r.k, r.upsilon)
 
 
-def _step_deficit(laws: ModelLaws, rec: FrontRecord) -> float:
-    """Worst entropy deficit of one congested discretized-fan jump, probed at
-    interior reference speeds (grid-aligned speeds sit exactly on the
-    conservation identity and produce nothing)."""
-    if rec.left.phase is not Phase.CONGESTED or rec.right.phase is not Phase.CONGESTED:
-        return 0.0
-    vl, vr = rec.left.v, rec.right.v
-    lo, hi = min(vl, vr), max(vl, vr)
+def _step_deficit(laws: ModelLaws, speed: float, left: tuple, right: tuple) -> float:
+    """Worst entropy deficit of one congested discretized-fan jump, its sides
+    given as (rho, v, marker_W), probed at interior reference speeds (mesh
+    speeds sit exactly on the conservation identity and produce nothing)."""
+    lo, hi = min(left[1], right[1]), max(left[1], right[1])
     worst = 0.0
     for q in (0.25, 0.5, 0.75):
         k = lo + (hi - lo) * q
-        u = entropy_production(laws, rec.speed, rec.left, rec.right, k)
-        if -u > worst:
-            worst = -u
+        (el, ql), (er, qr) = ((0.0, 0.0) if v <= k else _pair_above(laws, rho, v, w, k)
+                              for rho, v, w in (left, right))
+        worst = max(worst, -(speed * (er - el) - (qr - ql)))
     return worst
 
 
 def step_deficit_totals(run: RunResult) -> tuple[float, float]:
     """(lifetime-weighted, unweighted) sums of the fan-step entropy deficits
-    over the run's discretized-fan jumps; needs no reference-speed grid."""
+    over the run's congested discretized-fan jumps; needs no k grid."""
+    step = WaveKind.RAREFACTION_STEP
     weighted = unweighted = 0.0
-    for rec in run.records:
-        if rec.kind is WaveKind.RAREFACTION_STEP:
-            d = _step_deficit(run.laws, rec)
-            weighted += d * (rec.t1 - rec.t0)
+    for _, (kind, speed, t0, t1), (rl, vl, cl, wl), (rr, vr, cr, wr) in \
+            run.history.sides("kind", "speed", "t0", "t1"):
+        pick = np.flatnonzero(np.array([k is step for k in kind]) & cl & cr)
+        for s, a, b, *sides in zip(*(c[pick].tolist()
+                                     for c in (speed, t0, t1, rl, vl, wl, rr, vr, wr))):
+            d = _step_deficit(run.laws, s, sides[:3], sides[3:])
+            weighted += d * (b - a)
             unweighted += d
     return weighted, unweighted
 
@@ -222,33 +231,35 @@ def weak_residual(run: RunResult, phi: BumpTestFunction,
 
     The area integral of rho (phi_t + v phi_x) (and its marker-weighted
     companion) over the run equals the sum over fronts of the jump deficit
-    times phi along the front path; both components are returned.  A record
-    is one inter-event segment of a front; its lifetime is clipped to the
-    bump support and sub-panelled against the bump radius so the fixed
-    Gauss rule stays resolved.
+    times phi along the front path; both components are returned.  A row
+    of the history is one inter-event segment of a front; its lifetime is
+    clipped to the bump support and sub-panelled against the bump radius so
+    the fixed Gauss rule stays resolved.
     """
     t_lo, t_hi = phi.t_support
     if t_lo < 0.0 or t_hi > run.t_end:
         raise UnsupportedTestFunction(
             f"support [{t_lo}, {t_hi}] exceeds the run window [0, {run.t_end}]")
-    laws = run.laws
     res_mass = 0.0
     res_mom = 0.0
-    for rec in run.records:
-        a = max(rec.t0, t_lo)
-        b = min(rec.t1, t_hi)
-        if b <= a:
-            continue
-        dm, dq = jump_residuals(rec.speed, rec.left, rec.right,
-                                laws.marker_W(rec.left), laws.marker_W(rec.right))
-        if dm == 0.0 and dq == 0.0:
-            continue
-        panels = min(64, max(1, math.ceil((b - a) / (0.25 * phi.t_radius))))
-        w = 0.0
-        h = (b - a) / panels
-        for j in range(panels):
-            w += gauss_integrate(lambda t: phi(t, rec.position(t)),
-                                 a + j * h, a + (j + 1) * h, nodes_per_segment)
-        res_mass += float(dm * w)
-        res_mom += float(dq * w)
+    for _, (t0, t1, x0, speed), (rl, vl, _, wl), (rr, vr, _, wr) in \
+            run.history.sides("t0", "t1", "x0", "speed"):
+        # `jump_residuals` with both markers, in its float operations
+        yl, yr = rl * wl, rr * wr
+        dm = speed * (rr - rl) - (rr * vr - rl * vl)
+        dq = speed * (yr - yl) - (yr * vr - yl * vl)
+        pick = np.flatnonzero((np.minimum(t1, t_hi) > np.maximum(t0, t_lo))
+                              & ((dm != 0.0) | (dq != 0.0)))
+        for r_t0, r_t1, r_x0, s, m, q in zip(*(c[pick].tolist()
+                                               for c in (t0, t1, x0, speed, dm, dq))):
+            a = max(r_t0, t_lo)
+            b = min(r_t1, t_hi)
+            panels = min(64, max(1, math.ceil((b - a) / (0.25 * phi.t_radius))))
+            w = 0.0
+            h = (b - a) / panels
+            for j in range(panels):
+                w += gauss_integrate(lambda t: phi(t, r_x0 + s * (t - r_t0)),
+                                     a + j * h, a + (j + 1) * h, nodes_per_segment)
+            res_mass += float(m * w)
+            res_mom += float(q * w)
     return res_mass, res_mom

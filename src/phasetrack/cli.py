@@ -169,6 +169,18 @@ def _scenario_meta(sc: TrafficLightConfig) -> dict:
                  "ordering are rejected by validation"))
 
 
+def _front_rows(res: RunResult):
+    """The rows of fronts.csv, read from the history's columns."""
+    phase = {False: Phase.FREE.value, True: Phase.CONGESTED.value}.__getitem__
+    for _, (t0, t1, x0, speed, kind), (rl, vl, cl, _), (rr, vr, cr, _) in \
+            res.history.sides("t0", "t1", "x0", "speed", "kind"):
+        x1 = x0 + speed * (t1 - t0)
+        yield from zip(t0.tolist(), t1.tolist(), x0.tolist(), x1.tolist(), speed.tolist(),
+                       [k.value if k else "initial" for k in kind],
+                       rl.tolist(), vl.tolist(), map(phase, cl.tolist()),
+                       rr.tolist(), vr.tolist(), map(phase, cr.tolist()))
+
+
 def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, meta_extra: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     laws = res.laws
@@ -187,11 +199,7 @@ def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, meta_extra: dic
                ["t0", "t1", "x0", "x1", "speed", "kind",
                 "left_rho", "left_v", "left_phase",
                 "right_rho", "right_v", "right_phase"],
-               [(r.t0, r.t1, r.x0, r.x1, r.speed,
-                 r.kind.value if r.kind else "initial",
-                 r.left.rho, r.left.v, r.left.phase.value,
-                 r.right.rho, r.right.v, r.right.phase.value)
-                for r in res.records])
+               _front_rows(res))
 
     _write_csv(outdir / "functionals.csv",
                ["t", "tv", "temple", "waves", "phase_transitions"],

@@ -26,6 +26,9 @@ from .invariants import row_violations
 from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
 
+# The event tolerances scale with the event they judge, so that a datum
+# scaled by a power of two, which is exact in binary floating point, gives
+# the scaled history bit for bit.  This one is relative, on times.
 TIME_GROUP_TOL = 1e-12
 
 
@@ -175,23 +178,6 @@ def _front_measures(mesh: GridMesh, l: Node, r: Node) -> tuple[float, float, int
     return tv, temple, 1 if (ivl == mesh.iv_free) != (ivr == mesh.iv_free) else 0
 
 
-def _diagram_measures(mesh: GridMesh, diagram: FrontDiagram):
-    for f in diagram.fronts:
-        yield _front_measures(mesh, mesh.index_of(f.left), mesh.index_of(f.right))
-
-
-def tv_coords(mesh: GridMesh, diagram: FrontDiagram) -> float:
-    return sum(m[0] for m in _diagram_measures(mesh, diagram))
-
-
-def temple_functional(mesh: GridMesh, diagram: FrontDiagram) -> float:
-    return sum(m[1] for m in _diagram_measures(mesh, diagram))
-
-
-def count_phase_transitions(diagram: FrontDiagram) -> int:
-    return sum(1 for f in diagram.fronts if f.left.phase is not f.right.phase)
-
-
 class FunctionalLog:
     """Per-event history of the tracked functionals, one row per event, as
     columns: times and the two functionals array('d'), the wave and
@@ -246,12 +232,6 @@ class FrontRecord(NamedTuple):
     def alive_at(self, t: float) -> bool:
         return (self.t0 < t <= self.t1) or (t == self.t0 == 0.0)
 
-    def crossing_time(self, x: float) -> float | None:
-        if self.speed == 0.0:
-            return None
-        t = self.t0 + (x - self.x0) / self.speed
-        return t if self.t0 <= t <= self.t1 else None
-
 
 CHUNK_ROWS = 1024     # rows per numpy pass over a history's columns
 
@@ -280,7 +260,7 @@ class FrontHistory(Sequence):
     and kinds a list.  `run` appends a row as each front closes.  Read as a
     sequence, the history is read-only: each row is built into a
     `FrontRecord`, with the mesh's own state objects, when it is read, and
-    none is kept.
+    none is kept.  Diagnostics read it as columns instead, through `sides`.
     """
 
     __slots__ = ("t0", "t1", "x0", "speed", "left", "right", "kind", "states")
@@ -345,15 +325,27 @@ class FrontHistory(Sequence):
                    zip(t0, t1, x0, speed, map(st, left), map(st, right), kind))
 
     def chunks(self, *names: str):
-        """(first row, numpy views of the named columns) over consecutive
-        runs of at most CHUNK_ROWS rows.  A view shares its column's
-        memory, and the column cannot grow while one is alive."""
+        """(first row, numpy views of the named columns, list slices of
+        "kind") over consecutive runs of at most CHUNK_ROWS rows.  A view
+        shares its column's memory, and the column cannot grow while one
+        is alive."""
         cols = [getattr(self, name) for name in names]
         n = len(self)
         for start in range(0, n, CHUNK_ROWS):
             m = min(CHUNK_ROWS, n - start)
-            yield start, [np.frombuffer(c, dtype=np.float64 if c.typecode == "d" else np.int64,
+            yield start, [c[start:start + m] if isinstance(c, list) else
+                          np.frombuffer(c, dtype=np.float64 if c.typecode == "d" else np.int64,
                                         count=m, offset=start * c.itemsize) for c in cols]
+
+    def sides(self, *names: str):
+        """The history's one column reader: (first row, the named columns,
+        then each side's (rho, v, congested, marker_W) arrays, by
+        `GridMesh.node_values`) over the chunks of `chunks`."""
+        node_values = self.states.mesh.node_values
+        for start, (left, right, *cols) in self.chunks("left", "right", *names):
+            m = len(left)
+            values = node_values(np.concatenate((left, right)))
+            yield start, cols, [c[:m] for c in values], [c[m:] for c in values]
 
     def live_rows(self, t: float) -> list[int]:
         """Rows alive at t, in row order, by `FrontRecord.alive_at`."""
@@ -416,9 +408,6 @@ class RunResult:
                   for r in live]
         left = live[0].left if live else self.final.left_state
         return FrontDiagram(t, left, fronts)
-
-    def evaluate(self, t: float, x: float) -> TrafficState:
-        return self.diagram_at(t).evaluate(x)
 
     def profile(self, t: float, xs) -> list[TrafficState]:
         return self.diagram_at(t).profile(xs)
@@ -548,8 +537,10 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         if dv <= 0.0:
             return
         t = (b.icpt - a.icpt) / dv
-        if t < now - TIME_GROUP_TOL:
-            return
+        # a pair due earlier than TIME_GROUP_TOL * now before now was missed
+        # by the rounding of its intercepts alone: it collides now
+        if t < now - TIME_GROUP_TOL * now:
+            t = now
         heappush(heap, (t, next(counter), a, b))
 
     for a, b in zip(fronts, fronts[1:]):
@@ -568,9 +559,11 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             now = t_star
         x_star = fa.x0 + fa.speed * (t_star - fa.t0)
 
-        # gather every front arriving at (t_star, x_star): first..last
-        tol_t = TIME_GROUP_TOL * (1.0 + abs(t_star))
-        tol_x = 1e-9 * (1.0 + abs(x_star))
+        # gather every front arriving at (t_star, x_star): first..last.  The
+        # position slack is relative to |x_star| plus V_max t_star, the
+        # farthest a front can have moved, so it is positive at x = 0 too
+        tol_t = TIME_GROUP_TOL * abs(t_star)
+        tol_x = 1e-9 * (abs(x_star) + laws.V_max * t_star)
         first = fa
         g = first.prev
         while g is not None:

@@ -99,12 +99,6 @@ class GridMesh:
     def num_w(self) -> int:
         return len(self.w_values)
 
-    def w_value(self, iw: int) -> float:
-        return self.w_at[iw]
-
-    def v_value(self, iv: int) -> float:
-        return self.v_values[iv]
-
     def state(self, iv: int, iw: int) -> TrafficState:
         return self.states[iv, iw]
 

@@ -123,18 +123,12 @@ def jump_violation(laws: ModelLaws, rec: FrontRecord) -> str | None:
 def _suspect_rows(res: RunResult):
     """Rows, in order, whose jump residuals break MONO_TOL.
 
-    `jump_residuals` over the history's columns in bounded chunks, with the
-    same float operations in the same order, so a row is flagged exactly
-    when `jump_violation` reports it.  The states are mesh nodes, read by
-    state id with `GridMesh.node_values`."""
-    laws = res.laws
-    for start, (speed, left, right) in res.history.chunks("speed", "left", "right"):
-        m = len(speed)
-        rho, v, congested, marker = res.mesh.node_values(np.concatenate((left, right)))
-        conserves = np.ones(m, dtype=bool) if laws.degenerate_free \
-            else congested[:m] & congested[m:]
-        rl, rr, vl, vr = rho[:m], rho[m:], v[:m], v[m:]
-        yl, yr = rl * marker[:m], rr * marker[m:]
+    `jump_residuals` over the history's columns (`FrontHistory.sides`), with
+    the same float operations in the same order, so a row is flagged exactly
+    when `jump_violation` reports it."""
+    for start, (speed,), (rl, vl, cl, wl), (rr, vr, cr, wr) in res.history.sides("speed"):
+        conserves = True if res.laws.degenerate_free else cl & cr
+        yl, yr = rl * wl, rr * wr
         bad = np.abs(speed * (rr - rl) - (rr * vr - rl * vl)) > MONO_TOL
         bad |= conserves & (np.abs(speed * (yr - yl) - (yr * vr - yl * vl)) > MONO_TOL)
         yield from (np.flatnonzero(bad) + start).tolist()

@@ -310,15 +310,6 @@ class ModelLaws:
     def lambda1(self, u: TrafficState) -> float:
         return u.v - u.rho * self.p.deriv(u.rho)
 
-    def lambda2(self, u: TrafficState) -> float:
-        return u.v
-
-    def characteristics(self, u: TrafficState):
-        """Free state -> lambda_f; congested state -> (lambda_1, lambda_2)."""
-        if u.phase is Phase.FREE:
-            return self.lambda_free(u.rho)
-        return (self.lambda1(u), self.lambda2(u))
-
     # -- coordinates ---------------------------------------------------------
 
     def w1(self, u: TrafficState) -> float:
@@ -335,24 +326,6 @@ class ModelLaws:
 
     def to_coords(self, u: TrafficState) -> RiemannCoords:
         return RiemannCoords(self.w1(u), self.w2(u))
-
-    def from_coords(self, c: RiemannCoords, phase: Phase) -> TrafficState:
-        w1, w2 = c
-        if phase is Phase.FREE:
-            if abs(w1 - self.V_f) > STATE_TOL:
-                raise OutOfDomain(f"free state must carry w1 = V_f, got {w1}")
-            rho = self.free_rho_from_marker(w2)
-            return TrafficState(rho, self.v_f(rho), Phase.FREE)
-        if not (-STATE_TOL <= w1 <= self.V_c + STATE_TOL):
-            raise OutOfDomain(f"congested w1 {w1} outside [0, {self.V_c}]")
-        if not (self.W_c - STATE_TOL <= w2 <= self.W_max + STATE_TOL):
-            raise OutOfDomain(f"congested w2 {w2} outside [{self.W_c}, {self.W_max}]")
-        rho = self.p_inv(w2 - w1)
-        return TrafficState(rho, w1, Phase.CONGESTED)
-
-    def norm(self, u: TrafficState) -> float:
-        c = self.to_coords(u)
-        return abs(c.w1) + abs(c.w2)
 
     def coord_distance(self, a: TrafficState, b: TrafficState) -> float:
         ca, cb = self.to_coords(a), self.to_coords(b)

@@ -9,7 +9,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import EqualDensities, MiddleStateOutOfDomain
-from .invariants import jump_residuals
 from .model import ModelLaws, Phase, TrafficState
 from .numerics import invert_increasing, invert_decreasing
 
@@ -197,31 +196,6 @@ def solve_coupled(laws: ModelLaws, u_l: TrafficState, u_r: TrafficState) -> Wave
     tail = solve_lwr(laws, u_m2, u_r)
     fan.waves.extend(tail.waves)
     return fan
-
-
-def fan_is_speed_ordered(fan: WaveFan, tol: float = 1e-12) -> bool:
-    prev = -math.inf
-    for w in fan.waves:
-        if w.speed_lo < prev - tol:
-            return False
-        prev = w.speed_hi
-    return True
-
-
-def check_rankine_hugoniot(laws: ModelLaws, fan: WaveFan, tol: float = 1e-12) -> bool:
-    """Mass jump condition on every sharp wave of the fan; the generalized
-    momentum additionally on congested-congested waves."""
-    for w in fan.waves:
-        if w.is_fan():
-            continue
-        l, r = w.left, w.right
-        if l.phase is Phase.CONGESTED and r.phase is Phase.CONGESTED:
-            mass, mom = jump_residuals(w.speed, l, r, laws.w2(l), laws.w2(r))
-        else:
-            mass, mom = jump_residuals(w.speed, l, r)
-        if abs(mass) > tol or (mom is not None and abs(mom) > tol):
-            return False
-    return True
 
 
 def check_consistency(laws: ModelLaws, u_l: TrafficState, u_m: TrafficState,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect as _bisect
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .engine import PiecewiseConstantDatum, RunResult
 from .errors import NotReached, OutOfWindow, StructuralAssumptionViolated
 from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
@@ -463,11 +465,11 @@ class ExactSolution:
 def last_passage_time(run: RunResult, x_light: float = 0.0) -> float:
     """Arrival time at the light of the trailing vacuum-backed front."""
     crossings = []
-    for rec in run.records:
-        if rec.left.phase is Phase.FREE and rec.left.rho <= 1e-12 and rec.right.rho > 1e-12:
-            tc = rec.crossing_time(x_light)
-            if tc is not None:
-                crossings.append(tc)
+    for _, (t0, t1, x0, speed), (rl, _, cl, _), (rr, *_) in \
+            run.history.sides("t0", "t1", "x0", "speed"):
+        pick = np.flatnonzero(~cl & (rl <= 1e-12) & (rr > 1e-12) & (speed != 0.0))
+        tc = t0[pick] + (x_light - x0[pick]) / speed[pick]
+        crossings += tc[(t0[pick] <= tc) & (tc <= t1[pick])].tolist()
     probe = run.final.evaluate(x_light - 1e-6)
     if not crossings or probe.rho > 1e-12:
         raise NotReached("the queue has not fully passed the light in the run window")

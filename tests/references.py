@@ -1,11 +1,13 @@
 """Plain versions of package routines, kept apart from the package as
 references: `ModelLaws.p_inv` on a law without a closed-form inverse must
 return the bits of the plain bisection, `_Curves.project` those of its
-segment scan and of its cold bisection over the knots, and
+segment scan and of its cold bisection over the knots,
 `invariants.audit_run` and `functional_violations` the messages of their
-per-row loops."""
+per-row loops, and the history's column readers (`step_deficit_totals`,
+`last_passage_time`, `weak_residual`) the bits of their record walks."""
 
 import bisect
+import math
 
 
 def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
@@ -144,3 +146,88 @@ def functional_violations_per_row(log, eps_w, first=1):
         if dpt > 0 or dpt % 2 != 0:
             bad.append(f"phase-transition count changed by {dpt} at t={t}")
     return bad
+
+
+def step_deficit_totals_per_record(run):
+    """`analysis.step_deficit_totals` as it was before it read the history's
+    columns: one pass over the records, the entropy production of the two
+    states at three interior reference speeds.  The body is kept unchanged."""
+    from phasetrack.analysis import entropy_production
+    from phasetrack.model import Phase
+    from phasetrack.riemann import WaveKind
+
+    def step_deficit(laws, rec):
+        if rec.left.phase is not Phase.CONGESTED or rec.right.phase is not Phase.CONGESTED:
+            return 0.0
+        vl, vr = rec.left.v, rec.right.v
+        lo, hi = min(vl, vr), max(vl, vr)
+        worst = 0.0
+        for q in (0.25, 0.5, 0.75):
+            k = lo + (hi - lo) * q
+            u = entropy_production(laws, rec.speed, rec.left, rec.right, k)
+            if -u > worst:
+                worst = -u
+        return worst
+
+    weighted = unweighted = 0.0
+    for rec in run.records:
+        if rec.kind is WaveKind.RAREFACTION_STEP:
+            d = step_deficit(run.laws, rec)
+            weighted += d * (rec.t1 - rec.t0)
+            unweighted += d
+    return weighted, unweighted
+
+
+def last_passage_time_per_record(run, x_light=0.0):
+    """`scenario.last_passage_time` as it was before it read the history's
+    columns, with the record's crossing time written out."""
+    from phasetrack.errors import NotReached
+    from phasetrack.model import Phase
+
+    crossings = []
+    for rec in run.records:
+        if rec.left.phase is Phase.FREE and rec.left.rho <= 1e-12 and rec.right.rho > 1e-12:
+            if rec.speed == 0.0:
+                continue
+            tc = rec.t0 + (x_light - rec.x0) / rec.speed
+            if rec.t0 <= tc <= rec.t1:
+                crossings.append(tc)
+    probe = run.final.evaluate(x_light - 1e-6)
+    if not crossings or probe.rho > 1e-12:
+        raise NotReached("the queue has not fully passed the light in the run window")
+    return max(crossings)
+
+
+def weak_residual_per_record(run, phi, nodes_per_segment=32):
+    """`analysis.weak_residual` as it was before it read the history's
+    columns: one pass over the records, `jump_residuals` on their states.
+    The body is kept unchanged."""
+    from phasetrack.errors import UnsupportedTestFunction
+    from phasetrack.invariants import jump_residuals
+    from phasetrack.numerics import gauss_integrate
+
+    t_lo, t_hi = phi.t_support
+    if t_lo < 0.0 or t_hi > run.t_end:
+        raise UnsupportedTestFunction(
+            f"support [{t_lo}, {t_hi}] exceeds the run window [0, {run.t_end}]")
+    laws = run.laws
+    res_mass = 0.0
+    res_mom = 0.0
+    for rec in run.records:
+        a = max(rec.t0, t_lo)
+        b = min(rec.t1, t_hi)
+        if b <= a:
+            continue
+        dm, dq = jump_residuals(rec.speed, rec.left, rec.right,
+                                laws.marker_W(rec.left), laws.marker_W(rec.right))
+        if dm == 0.0 and dq == 0.0:
+            continue
+        panels = min(64, max(1, math.ceil((b - a) / (0.25 * phi.t_radius))))
+        w = 0.0
+        h = (b - a) / panels
+        for j in range(panels):
+            w += gauss_integrate(lambda t: phi(t, rec.position(t)),
+                                 a + j * h, a + (j + 1) * h, nodes_per_segment)
+        res_mass += float(dm * w)
+        res_mom += float(dq * w)
+    return res_mass, res_mom

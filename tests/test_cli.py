@@ -245,6 +245,22 @@ def test_shipped_config_outputs_are_byte_identical(tmp_path, args):
     assert got == RUN_OUTPUT_GOLDENS[args]
 
 
+@pytest.mark.parametrize("seed, events", [(1, 974), (7, 1089)])
+def test_flat_config_moved_far_from_zero_keeps_its_events(tmp_path, seed, events):
+    # the shipped constant-free-speed config with its datum window moved
+    # from [-10, 10] to [1014, 1034]: no collision is dropped, so the run
+    # has the events of the unmoved one and passes its audit
+    text = (CONFIGS / "flat_free_random.ini").read_text()
+    moved = text.replace("\nx_lo = -10\n", "\nx_lo = 1014\n").replace("\nx_hi = 10\n",
+                                                                      "\nx_hi = 1034\n")
+    assert moved.count("= 1014\n") == moved.count("= 1034\n") == 1
+    cfgf = tmp_path / "moved.ini"
+    cfgf.write_text(moved)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--seed", str(seed), "--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["events"] == events
+
+
 def test_ladder_builds_construction_once(tmp_path, monkeypatch):
     cfgf = tmp_path / "s.ini"
     cfgf.write_text(SCENARIO_INI)

@@ -3,12 +3,14 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 import phasetrack as pt
 from phasetrack import engine, grid
 from phasetrack.engine import DiagramFront, FrontDiagram
 from phasetrack.errors import ValueOutsideOmega
+from phasetrack.invariants import snapshot_violations
 from phasetrack.riemann import WaveKind
 
 from statespace import random_state
@@ -258,7 +260,7 @@ def test_riemann_datum_matches_fan(laws, mesh5, rng):
         xis += [min(xis) - 1.0, max(xis) + 1.0]
         t = 37.0
         for xi in sorted(xis):
-            u_run = res.evaluate(t, xi * t)
+            u_run = res.diagram_at(t).evaluate(xi * t)
             # the fan right-continuously: the right state of every jump at
             # or left of xi
             u_fan = a
@@ -276,20 +278,30 @@ def test_evaluate_conventions(laws, mesh5):
     assert d.profile([0.0, 1.0, 2.0]) == [a, b, b]
 
 
+def _resolved_log(mesh, a, b):
+    """The functional log of the datum a | b, resolved at t = 0 alone."""
+    d = pt.PiecewiseConstantDatum((0.0,), (a, b))
+    return pt.run(pt.approximate_datum(d, mesh), 0.0, mesh).log
+
+
 def test_functionals_on_single_fronts(laws, mesh5):
     # pure congested shock: potential equals the velocity jump
     iw = mesh5.iw_c + 6
     a, b = mesh5.state(9, iw), mesh5.state(2, iw)
-    d = diagram(0.0, [(0.0, pt.sigma(a, b), a, b, WaveKind.SHOCK)])
-    assert pt.temple_functional(mesh5, d) == pytest.approx(abs(a.v - b.v), abs=1e-12)
-    assert pt.tv_coords(mesh5, d) == pytest.approx(abs(a.v - b.v), abs=1e-12)
+    log = _resolved_log(mesh5, a, b)
+    assert log.waves.tolist() == [1]
+    assert log.temple[0] == pytest.approx(abs(a.v - b.v), abs=1e-12)
+    assert log.tv[0] == pytest.approx(abs(a.v - b.v), abs=1e-12)
     # slow contact with a two-quantum drop counts the drop twice
     c, e = mesh5.state(5, iw), mesh5.state(5, iw - 2)
-    d2 = diagram(0.0, [(0.0, c.v, c, e, WaveKind.CONTACT)])
+    log = _resolved_log(mesh5, c, e)
     drop = laws.w2(c) - laws.w2(e)
-    assert pt.tv_coords(mesh5, d2) == pytest.approx(drop, abs=1e-10)
-    assert pt.temple_functional(mesh5, d2) == pytest.approx(2 * drop, abs=1e-10)
-    assert pt.count_phase_transitions(d2) == 0
+    assert log.waves.tolist() == [1]
+    assert log.tv[0] == pytest.approx(drop, abs=1e-10)
+    assert log.temple[0] == pytest.approx(2 * drop, abs=1e-10)
+    assert log.phase_transitions.tolist() == [0]
+    # a free state against a congested one: one phase boundary
+    assert _resolved_log(mesh5, mesh5.state(mesh5.iv_free, 10), a).phase_transitions[0] == 1
 
 
 def test_potential_between_tv_and_twice_tv(laws, mesh5, rng):
@@ -353,10 +365,10 @@ def test_run_final_bounds(laws, mesh5, rng):
         datum = pt.random_mesh_datum(mesh5, rng, max_jumps=20)
         res = pt.run(pt.approximate_datum(datum, mesh5), 150.0, mesh5)
         assert res.log.tv[-1] <= datum.tv_coords(laws) + 1e-10
-        assert pt.tv_coords(mesh5, res.final) <= datum.tv_coords(laws) + 1e-10
+        assert _diagram_tv(laws, res.final) <= datum.tv_coords(laws) + 1e-10
         for f in res.final.fronts:
-            assert laws.norm(f.left) <= C + 1e-12
-            assert laws.norm(f.right) <= C + 1e-12
+            for u in (f.left, f.right):
+                assert sum(map(abs, laws.to_coords(u))) <= C + 1e-12
 
 
 def test_observers_called_at_events(laws, mesh5):
@@ -510,3 +522,58 @@ def test_front_records_are_immutable(laws, mesh5):
         rec.extra = 0.0
     assert repr(rec).startswith(f"FrontRecord(t0={rec.t0!r}, t1={rec.t1!r}, ")
     assert rec.x1 == rec.position(rec.t1)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic checks of the event geometry: a datum moved far from x = 0
+# has the same events, and a datum scaled in x and t by a power of two,
+# which is exact in binary floating point, has the scaled history bit for bit
+
+META_CASES = {"traffic": (6, 12, 250.0), "flat": (5, 25, 150.0)}   # n, max_jumps, t_end
+
+
+@pytest.fixture(scope="module", params=list(META_CASES))
+def meta_corpus(request, laws, flat_laws):
+    """(mesh, t_end, [(datum, its run)]) of eight seeded data of a family."""
+    n, jumps, t_end = META_CASES[request.param]
+    mesh = pt.GridMesh(laws if request.param == "traffic" else flat_laws, n)
+    rng = random.Random(5)
+    data = [pt.random_mesh_datum(mesh, rng, max_jumps=jumps) for _ in range(8)]
+    return mesh, t_end, [(d, pt.run(pt.approximate_datum(d, mesh), t_end, mesh)) for d in data]
+
+
+def _run_mapped(mesh, datum, t_end, f):
+    """The run of datum with every breakpoint mapped by f."""
+    moved = pt.PiecewiseConstantDatum(tuple(map(f, datum.breaks)), datum.states)
+    return pt.run(pt.approximate_datum(moved, mesh), t_end, mesh)
+
+
+def test_shifted_data_keep_their_events(meta_corpus):
+    # a dropped collision lets fronts pass through each other: events go
+    # missing and the final snapshot loses its order
+    mesh, t_end, runs = meta_corpus
+    for shift in (2.0 ** 10, 2.0 ** 13):
+        for i, (datum, base) in enumerate(runs):
+            res = _run_mapped(mesh, datum, t_end, lambda x: x + shift)
+            assert res.events == base.events, (shift, i)
+            assert snapshot_violations(res.initial) == [], (shift, i)
+            assert snapshot_violations(res.final) == [], (shift, i)
+
+
+def _history_bytes(res, scale):
+    """The history's and the log's columns as bytes, with times and
+    positions divided by scale."""
+    h, log = res.history, res.log
+    cols = [np.asarray(c) / scale for c in (h.t0, h.t1, h.x0, log.ts)]
+    cols += [np.asarray(c) for c in (h.speed, h.left, h.right, log.tv, log.temple,
+                                      log.waves, log.phase_transitions)]
+    return [c.tobytes() for c in cols] + [h.kind]
+
+
+def test_scaled_data_give_the_scaled_history(meta_corpus):
+    mesh, t_end, runs = meta_corpus
+    for k in (8, -8, 20, -20):
+        scale = 2.0 ** k
+        for i, (datum, base) in enumerate(runs):
+            res = _run_mapped(mesh, datum, t_end * scale, lambda x: x * scale)
+            assert _history_bytes(res, scale) == _history_bytes(base, 1.0), (k, i)

@@ -15,10 +15,10 @@ def test_quanta(laws, mesh5):
     assert mesh5.eps_v == laws.V_c / 32
     assert mesh5.eps_w == (laws.W_c - laws.W_min) / 32
     # the dyadic v-line hits the congested ceiling exactly
-    assert mesh5.v_value(mesh5.iv_vc) == laws.V_c
-    assert mesh5.v_value(mesh5.iv_free) == laws.V_f
+    assert mesh5.v_values[mesh5.iv_vc] == laws.V_c
+    assert mesh5.v_values[mesh5.iv_free] == laws.V_f
     # the top marker is adjoined as a node even off the lattice
-    assert mesh5.w_value(mesh5.num_w - 1) == laws.W_max
+    assert mesh5.w_at[mesh5.num_w - 1] == laws.W_max
 
 
 def test_nodes_in_domain(laws, mesh5):

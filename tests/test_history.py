@@ -1,5 +1,5 @@
-"""The column-store run history, read as a sequence of records, and the
-audit over it."""
+"""The column-store run history, read as a sequence of records, its
+column reader `FrontHistory.sides`, and the diagnostics that read it."""
 
 import random
 
@@ -7,12 +7,15 @@ import pytest
 
 import phasetrack as pt
 from phasetrack import engine
+from phasetrack.analysis import step_deficit_totals
+from phasetrack.errors import NotReached
 from phasetrack.grid import VACUUM_IW
 from phasetrack.invariants import audit_run
 from phasetrack.riemann import WaveKind
 
 from faults import mass_fault, momentum_fault
-from references import audit_run_per_record
+from references import (audit_run_per_record, last_passage_time_per_record,
+                        step_deficit_totals_per_record, weak_residual_per_record)
 
 
 def _random_run(mesh, seed, max_jumps=15, t_end=100.0):
@@ -169,3 +172,67 @@ def test_audit_matches_on_an_off_mesh_momentum_fault(laws, mesh5, monkeypatch, c
         assert len(got) == 1 and got[0].startswith("momentum jump condition violated (")
     assert contacts[-1] > 64
     assert audit_run(res) == []
+
+
+# ---------------------------------------------------------------------------
+# the column reader, and the diagnostics on it against their record walks
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_sides_reads_every_row_as_its_record(mesh5, flat_mesh5, monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(engine, "CHUNK_ROWS", chunk)
+    for mesh in (mesh5, flat_mesh5):
+        res = _random_run(mesh, 12)
+        laws = mesh.laws
+        got = []
+        for start, (t0, kind), left, right in res.history.sides("t0", "kind"):
+            assert start == len(got)
+            for i, (a, k) in enumerate(zip(t0.tolist(), kind)):
+                got.append((a, k) + tuple(tuple(c[i].item() for c in side)
+                                          for side in (left, right)))
+        want = [(r.t0, r.kind) + tuple((u.rho, u.v, u.phase is pt.Phase.CONGESTED,
+                                        laws.marker_W(u)) for u in (r.left, r.right))
+                for r in res.records]
+        assert repr(got) == repr(want)
+
+
+def _last_passage(reader, res):
+    try:
+        return reader(res)
+    except NotReached:
+        return "not reached"
+
+
+def _assert_readers_match(res, bumps):
+    assert repr(step_deficit_totals(res)) == repr(step_deficit_totals_per_record(res))
+    assert repr(_last_passage(pt.last_passage_time, res)) == \
+        repr(_last_passage(last_passage_time_per_record, res))
+    for phi in bumps:
+        assert repr(pt.weak_residual(res, phi)) == repr(weak_residual_per_record(res, phi))
+
+
+def test_readers_match_their_record_walks_on_the_ladder(scenario_cfg, laws):
+    # the traffic-light release at ladder levels 5..7, run to the ladder's t_end
+    _, datum = pt.build_scenario(scenario_cfg)
+    t_end = 1.25 * pt.closed_form_table(scenario_cfg, laws=laws).t_last
+    for n in (5, 6, 7):
+        mesh = pt.GridMesh(laws, n)
+        res = pt.run(pt.approximate_datum(datum, mesh), t_end, mesh)
+        assert step_deficit_totals(res)[0] > 0.0
+        _assert_readers_match(res, [pt.BumpTestFunction(0.5 * t_end, 0.4 * t_end, -5.0, 6.0)])
+
+
+def test_readers_match_their_record_walks_on_criterion_6(flat_laws):
+    # criterion 6's data and bumps, drawn in its order; the weak residual is
+    # compared on the first bump of each datum
+    rng = random.Random(123)
+    mesh = pt.GridMesh(flat_laws, 5)
+    for _ in range(10):
+        datum = pt.random_mesh_datum(mesh, rng, max_jumps=20)
+        res = pt.run(pt.approximate_datum(datum, mesh), 120.0, mesh)
+        span = [f.x for f in res.initial.fronts] or [0.0]
+        bumps = [pt.BumpTestFunction(rng.uniform(30, 90), rng.uniform(10, 29),
+                                     rng.uniform(min(span) - 2, max(span) + 4),
+                                     rng.uniform(0.5, 5.0)) for _ in range(10)]
+        _assert_readers_match(res, bumps[:1])

@@ -63,12 +63,13 @@ def test_vacuum_coords(laws):
     assert c.w2 == pytest.approx(laws.W_min, abs=1e-14)
 
 
-def test_coords_round_trip(laws, rng):
-    for _ in range(100):
-        u = random_state(laws, rng, vacuum_prob=0.0, free_prob=0.5)
-        back = laws.from_coords(laws.to_coords(u), u.phase)
-        assert laws.coord_distance(u, back) < 1e-10
-        assert abs(u.rho - back.rho) < 1e-9
+def test_coords_round_trip(laws, mesh5):
+    # the mesh builds each node's state from its coordinates (v, w); the
+    # coordinates of that state are (v, w) again
+    for iv, iw in mesh5.nodes():
+        c = laws.to_coords(mesh5.state(iv, iw))
+        assert c.w1 == pytest.approx(mesh5.v_values[iv], abs=1e-12), (iv, iw)
+        assert c.w2 == pytest.approx(mesh5.w_at[iw], abs=1e-10), (iv, iw)
 
 
 def test_rho_f_boundaries(laws):
@@ -96,20 +97,18 @@ def test_rho_f_domain(laws):
 
 def test_characteristics(laws):
     u = pt.TrafficState(laws.R_max, 0.0, pt.Phase.CONGESTED)
-    lam1, lam2 = laws.characteristics(u)
-    assert lam1 == pytest.approx(-2.0 * laws.R_max ** 2, abs=1e-12)
-    assert lam2 == 0.0
-    assert laws.characteristics(laws.vacuum()) == pytest.approx(laws.V_max)
+    assert laws.lambda1(u) == pytest.approx(-2.0 * laws.R_max ** 2, abs=1e-12)
+    assert laws.lambda_free(laws.vacuum().rho) == pytest.approx(laws.V_max)
 
 
 def test_characteristic_order(laws, rng):
     for _ in range(1000):
         u = random_state(laws, rng, vacuum_prob=0.0, free_prob=0.0)
-        lam1, lam2 = laws.characteristics(u)
-        assert lam1 <= lam2 == u.v
+        # the second characteristic speed of a congested state is v
+        assert laws.lambda1(u) <= u.v
     for _ in range(200):
         u = random_state(laws, rng, vacuum_prob=0.2, free_prob=0.8)
-        assert laws.characteristics(u) <= u.v + 1e-12
+        assert laws.lambda_free(u.rho) <= u.v + 1e-12
 
 
 def test_marker_W(laws):

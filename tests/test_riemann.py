@@ -4,7 +4,8 @@ import pytest
 
 import phasetrack as pt
 from phasetrack.errors import EqualDensities
-from phasetrack.riemann import WaveKind, check_rankine_hugoniot, fan_is_speed_ordered
+from phasetrack.invariants import rh_residual
+from phasetrack.riemann import WaveKind
 
 from statespace import random_state
 
@@ -144,7 +145,7 @@ class TestCoupled:
         kinds = [w.kind for w in fan]
         assert kinds == [WaveKind.RAREFACTION, WaveKind.PHASE_TRANSITION,
                          WaveKind.RAREFACTION]
-        assert fan_is_speed_ordered(fan)
+        assert all(b.speed_lo >= a.speed_hi - 1e-12 for a, b in zip(fan.waves, fan.waves[1:]))
 
     def test_delegates_within_phase(self, laws, rng):
         for _ in range(20):
@@ -167,8 +168,13 @@ class TestCoupled:
             a = random_state(laws, rng)
             b = random_state(laws, rng)
             fan = pt.solve_coupled(laws, a, b)
-            assert fan_is_speed_ordered(fan)
-            assert check_rankine_hugoniot(laws, fan, tol=1e-12)
+            assert all(b.speed_lo >= a.speed_hi - 1e-12
+                       for a, b in zip(fan.waves, fan.waves[1:]))
+            # the jump conditions on every sharp wave
+            for w in fan:
+                if not w.is_fan():
+                    mass, mom = rh_residual(laws, w.speed, w.left, w.right)
+                    assert abs(mass) <= 1e-12 and (mom is None or abs(mom) <= 1e-12), (a, b, w)
             n_pt = sum(1 for w in fan if w.kind == WaveKind.PHASE_TRANSITION)
             assert n_pt <= 1
             # outside the fan the sampled state equals the end states
