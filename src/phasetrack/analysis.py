@@ -12,7 +12,7 @@ import numpy as np
 
 from .engine import RunResult
 from .errors import OutOfDomain, SamePhase, UnsupportedTestFunction
-from .invariants import rh_residual  # rh_residual is re-exported
+from .invariants import column_residuals, rh_residual  # rh_residual is re-exported
 from .model import ModelLaws, Phase, TrafficState
 from .numerics import gauss_integrate
 from .riemann import WaveKind
@@ -74,15 +74,15 @@ def classify_transition(laws: ModelLaws, u_minus: TrafficState,
 def entropy_pair(laws: ModelLaws, u: TrafficState, k: float) -> tuple[float, float]:
     """Extended entropy/flux pair built on the marker-level intersection
     density; defined for reference speeds k in [0, V_f]."""
-    if u.v <= k:
-        return 0.0, 0.0
-    return _pair_above(laws, u.rho, u.v, laws.marker_W(u), k)
+    return _pair(laws, u.rho, u.v, laws.marker_W(u), k)
 
 
-def _pair_above(laws: ModelLaws, rho: float, v: float, marker: float,
-                k: float) -> tuple[float, float]:
-    """`entropy_pair` of a state with v > k, from its density, velocity and
+def _pair(laws: ModelLaws, rho: float, v: float, marker: float,
+          k: float) -> tuple[float, float]:
+    """The rule of `entropy_pair`, on a state's density, velocity and
     conserved marker."""
+    if v <= k:
+        return 0.0, 0.0
     rk = laws.R_k(marker, k)
     return 1.0 - rho / rk, k - rho * v / rk
 
@@ -113,26 +113,13 @@ def entropy_k_grid(laws: ModelLaws, eps_v: float) -> list[float]:
 
 
 @dataclass
-class EntropyRecord:
-    t0: float
-    t1: float
-    x0: float
-    kind: str
-    k: float
-    upsilon: float
-
-
-@dataclass
 class EntropyReport:
     k_grid: list[float]
-    records: list[EntropyRecord] = field(default_factory=list)
+    # one (t0, t1, x0, kind, k, upsilon) row per history row and k, in order
+    records: list[tuple] = field(default_factory=list)
     min_sharp: float = math.inf          # min production over non-fan-step fronts
     negative_step_total: float = 0.0     # lifetime-weighted deficit of fan steps
     negative_step_total_unweighted: float = 0.0
-
-    def rows(self):
-        for r in self.records:
-            yield (r.t0, r.t1, r.x0, r.kind, r.k, r.upsilon)
 
 
 def _step_deficit(laws: ModelLaws, speed: float, left: tuple, right: tuple) -> float:
@@ -143,8 +130,7 @@ def _step_deficit(laws: ModelLaws, speed: float, left: tuple, right: tuple) -> f
     worst = 0.0
     for q in (0.25, 0.5, 0.75):
         k = lo + (hi - lo) * q
-        (el, ql), (er, qr) = ((0.0, 0.0) if v <= k else _pair_above(laws, rho, v, w, k)
-                              for rho, v, w in (left, right))
+        (el, ql), (er, qr) = (_pair(laws, rho, v, w, k) for rho, v, w in (left, right))
         worst = max(worst, -(speed * (er - el) - (qr - ql)))
     return worst
 
@@ -166,19 +152,25 @@ def step_deficit_totals(run: RunResult) -> tuple[float, float]:
 
 
 def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> EntropyReport:
+    """`entropy_production` of every history row at every k (by default
+    `entropy_k_grid`), in its float operations, and the fan-step deficits."""
     laws = run.laws
     if k_grid is None:
         k_grid = entropy_k_grid(laws, run.mesh.eps_v)
     rep = EntropyReport(k_grid=k_grid)
-    for rec in run.records:
-        is_step = rec.kind is WaveKind.RAREFACTION_STEP
-        for k in k_grid:
-            u = entropy_production(laws, rec.speed, rec.left, rec.right, k)
-            rep.records.append(EntropyRecord(rec.t0, rec.t1, rec.x0,
-                                             rec.kind.value if rec.kind else "initial",
-                                             k, u))
-            if not is_step:
-                rep.min_sharp = min(rep.min_sharp, u)
+    add, step = rep.records.append, WaveKind.RAREFACTION_STEP
+    for _, (t0, t1, x0, speed, kind), (rl, vl, _, wl), (rr, vr, _, wr) in \
+            run.history.sides("t0", "t1", "x0", "speed", "kind"):
+        sides = [zip(*(c.tolist() for c in side)) for side in ((rl, vl, wl), (rr, vr, wr))]
+        for a, b, x, s, kd, left, right in zip(t0.tolist(), t1.tolist(), x0.tolist(),
+                                               speed.tolist(), kind, *sides):
+            label = kd.value if kd else "initial"
+            for k in k_grid:
+                (el, ql), (er, qr) = _pair(laws, *left, k), _pair(laws, *right, k)
+                u = s * (er - el) - (qr - ql)
+                add((a, b, x, label, k, u))
+                if kd is not step:
+                    rep.min_sharp = min(rep.min_sharp, u)
     rep.negative_step_total, rep.negative_step_total_unweighted = step_deficit_totals(run)
     return rep
 
@@ -242,12 +234,8 @@ def weak_residual(run: RunResult, phi: BumpTestFunction,
             f"support [{t_lo}, {t_hi}] exceeds the run window [0, {run.t_end}]")
     res_mass = 0.0
     res_mom = 0.0
-    for _, (t0, t1, x0, speed), (rl, vl, _, wl), (rr, vr, _, wr) in \
-            run.history.sides("t0", "t1", "x0", "speed"):
-        # `jump_residuals` with both markers, in its float operations
-        yl, yr = rl * wl, rr * wr
-        dm = speed * (rr - rl) - (rr * vr - rl * vl)
-        dq = speed * (yr - yl) - (yr * vr - yl * vl)
+    for _, (t0, t1, x0, speed), left, right in run.history.sides("t0", "t1", "x0", "speed"):
+        dm, dq = column_residuals(speed, left, right)
         pick = np.flatnonzero((np.minimum(t1, t_hi) > np.maximum(t0, t_lo))
                               & ((dm != 0.0) | (dq != 0.0)))
         for r_t0, r_t1, r_x0, s, m, q in zip(*(c[pick].tolist()

@@ -141,13 +141,21 @@ def _default_t_end(cfg: RunConfig, t_last: float | None = None) -> float:
     return 1.25 * t_last
 
 
-def _x_grid(cfg: RunConfig, datum, t_end: float) -> list[float]:
+def _profile_grid(cfg: RunConfig, datum, t_end: float) -> tuple[list[float], list[float]]:
+    """(times, abscissae) of profiles.csv; ValueError if a snapshot lies
+    outside [0, t_end] or the x grid is not finite and increasing."""
+    times = cfg.snapshots or [0.0, t_end]
+    if not all(0.0 <= t <= t_end for t in times):
+        raise ValueError(f"snapshots must lie in [0, t_end = {t_end}], got {times}")
     breaks = datum.breaks or (0.0,)     # a constant datum: as if broken at 0
     lo = cfg.x_lo if cfg.x_lo is not None else min(breaks) - 2.0
     hi = cfg.x_hi if cfg.x_hi is not None else \
         max(breaks) + cfg.laws.V_max * t_end + 1.0
-    n = max(cfg.x_points, 2)
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    if not (-math.inf < lo < hi < math.inf and cfg.x_points >= 2):
+        raise ValueError(f"profiles need a finite x_lo < x_hi and x_points >= 2, "
+                         f"got x_lo = {lo}, x_hi = {hi}, x_points = {cfg.x_points}")
+    n = cfg.x_points
+    return times, [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _write_metadata(outdir: Path, **fields) -> None:
@@ -181,14 +189,12 @@ def _front_rows(res: RunResult):
                        rr.tolist(), vr.tolist(), map(phase, cr.tolist()))
 
 
-def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, meta_extra: dict):
+def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, times, xs, meta_extra: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     laws = res.laws
 
-    xs = _x_grid(cfg, cfg.datum, res.t_end)
     prof_rows = []
-    for t in cfg.snapshots or [0.0, res.t_end]:
-        t = min(max(t, 0.0), res.t_end)
+    for t in times:
         states = res.profile(t, xs)
         for x, u in zip(xs, states):
             prof_rows.append((t, x, u.rho, u.v, laws.w1(u), laws.w2(u)))
@@ -208,7 +214,7 @@ def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, meta_extra: dic
     if cfg.entropy_enabled:
         rep = entropy_report(res, cfg.k_grid)
         _write_csv(outdir / "entropy.csv",
-                   ["t0", "t1", "x0", "kind", "k", "upsilon"], rep.rows())
+                   ["t0", "t1", "x0", "kind", "k", "upsilon"], rep.records)
 
     _write_metadata(
         outdir, n=cfg.n, t_end=res.t_end, events=res.events,
@@ -224,8 +230,8 @@ def cmd_run(args) -> int:
         cfg = RunConfig(Path(args.config), seed=args.seed)
         mesh = GridMesh(cfg.laws, cfg.n)
         datum = cfg.resolve_datum(mesh)
-        cfg.datum = datum
         t_end = _default_t_end(cfg)
+        times, xs = _profile_grid(cfg, datum, t_end)
         diagram = approximate_datum(datum, mesh)
     except (PhasetrackError, ValueError, KeyError, configparser.Error) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -236,7 +242,7 @@ def cmd_run(args) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     meta = _scenario_meta(cfg.scenario_cfg) if cfg.scenario_cfg is not None else {}
-    _write_outputs(Path(args.out), cfg, res, meta)
+    _write_outputs(Path(args.out), cfg, res, times, xs, meta)
     bad = audit_run(res)
     if bad:
         for b in bad:

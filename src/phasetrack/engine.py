@@ -260,7 +260,7 @@ class FrontHistory(Sequence):
     and kinds a list.  `run` appends a row as each front closes.  Read as a
     sequence, the history is read-only: each row is built into a
     `FrontRecord`, with the mesh's own state objects, when it is read, and
-    none is kept.  Diagnostics read it as columns instead, through `sides`.
+    none is kept.  Its readers in the package read columns (`sides`, `chunks`).
     """
 
     __slots__ = ("t0", "t1", "x0", "speed", "left", "right", "kind", "states")
@@ -347,16 +347,6 @@ class FrontHistory(Sequence):
             values = node_values(np.concatenate((left, right)))
             yield start, cols, [c[:m] for c in values], [c[m:] for c in values]
 
-    def live_rows(self, t: float) -> list[int]:
-        """Rows alive at t, in row order, by `FrontRecord.alive_at`."""
-        rows: list[int] = []
-        for start, (t0, t1) in self.chunks("t0", "t1"):
-            alive = (t0 < t) & (t <= t1)
-            if t == 0.0:
-                alive |= t0 == 0.0
-            rows += (np.flatnonzero(alive) + start).tolist()
-        return rows
-
 
 class _F:
     """Live front in the simulation's doubly linked list, between the mesh
@@ -398,16 +388,23 @@ class RunResult:
         return self.history
 
     def diagram_at(self, t: float) -> FrontDiagram:
-        """Left-continuous-in-time snapshot reconstructed from the records."""
+        """Left-continuous-in-time snapshot from the history's columns: the
+        rows alive at t (`FrontRecord.alive_at`) at their `position(t)`."""
         if not (0.0 <= t <= self.t_end):
             from .errors import OutOfWindow
             raise OutOfWindow(f"t={t} outside [0, {self.t_end}]")
-        live = list(self.history.records(self.history.live_rows(t)))
-        live.sort(key=lambda r: (r.position(t), r.speed))
-        fronts = [DiagramFront(r.position(t), r.speed, r.left, r.right, r.kind)
-                  for r in live]
-        left = live[0].left if live else self.final.left_state
-        return FrontDiagram(t, left, fronts)
+        h = self.history
+        live = []
+        for start, (t0, t1, x0, speed, left, right) in \
+                h.chunks("t0", "t1", "x0", "speed", "left", "right"):
+            pick = np.flatnonzero(((t0 < t) & (t <= t1)) | ((t == 0.0) & (t0 == 0.0)))
+            live += zip((x0[pick] + speed[pick] * (t - t0[pick])).tolist(), speed[pick].tolist(),
+                        (pick + start).tolist(), left[pick].tolist(), right[pick].tolist())
+        # by (position, speed), ties in row order: the row ids are distinct
+        live.sort()
+        st, kind = h.states, h.kind
+        fronts = [DiagramFront(x, s, st[l], st[r], kind[i]) for x, s, i, l, r in live]
+        return FrontDiagram(t, fronts[0].left if fronts else self.final.left_state, fronts)
 
     def profile(self, t: float, xs) -> list[TrafficState]:
         return self.diagram_at(t).profile(xs)

@@ -40,6 +40,16 @@ def jump_residuals(speed: float, left: TrafficState, right: TrafficState,
     return mass, speed * (yr - yl) - (yr * right.v - yl * left.v)
 
 
+def column_residuals(speed, left, right):
+    """`jump_residuals` with both markers, in its float operations, over a
+    speed column and the side arrays of `FrontHistory.sides`: (mass, momentum)."""
+    rl, vl, _, wl = left
+    rr, vr, _, wr = right
+    yl, yr = rl * wl, rr * wr
+    return (speed * (rr - rl) - (rr * vr - rl * vl),
+            speed * (yr - yl) - (yr * vr - yl * vl))
+
+
 def momentum_conserved(laws: ModelLaws, left: TrafficState, right: TrafficState) -> bool:
     """Whether the momentum jump condition holds across a jump: between two
     congested states, or across every front when the free speed is
@@ -123,14 +133,12 @@ def jump_violation(laws: ModelLaws, rec: FrontRecord) -> str | None:
 def _suspect_rows(res: RunResult):
     """Rows, in order, whose jump residuals break MONO_TOL.
 
-    `jump_residuals` over the history's columns (`FrontHistory.sides`), with
-    the same float operations in the same order, so a row is flagged exactly
-    when `jump_violation` reports it."""
-    for start, (speed,), (rl, vl, cl, wl), (rr, vr, cr, wr) in res.history.sides("speed"):
-        conserves = True if res.laws.degenerate_free else cl & cr
-        yl, yr = rl * wl, rr * wr
-        bad = np.abs(speed * (rr - rl) - (rr * vr - rl * vl)) > MONO_TOL
-        bad |= conserves & (np.abs(speed * (yr - yl) - (yr * vr - yl * vl)) > MONO_TOL)
+    `column_residuals` over the history's columns (`FrontHistory.sides`), so
+    a row is flagged exactly when `jump_violation` reports it."""
+    for start, (speed,), left, right in res.history.sides("speed"):
+        mass, mom = column_residuals(speed, left, right)
+        conserves = True if res.laws.degenerate_free else left[2] & right[2]
+        bad = (np.abs(mass) > MONO_TOL) | (conserves & (np.abs(mom) > MONO_TOL))
         yield from (np.flatnonzero(bad) + start).tolist()
 
 

@@ -4,7 +4,8 @@ return the bits of the plain bisection, `_Curves.project` those of its
 segment scan and of its cold bisection over the knots,
 `invariants.audit_run` and `functional_violations` the messages of their
 per-row loops, and the history's column readers (`step_deficit_totals`,
-`last_passage_time`, `weak_residual`) the bits of their record walks."""
+`last_passage_time`, `weak_residual`, `entropy_report`,
+`RunResult.diagram_at`) the bits of their record walks."""
 
 import bisect
 import math
@@ -231,3 +232,56 @@ def weak_residual_per_record(run, phi, nodes_per_segment=32):
         res_mass += float(dm * w)
         res_mom += float(dq * w)
     return res_mass, res_mom
+
+
+def entropy_report_per_record(run, k_grid=None):
+    """`analysis.entropy_report` as it was before it read the history's
+    columns: one pass over the records, the entropy production of the two
+    states at every k, with `entropy_pair` written out as it was.  The
+    report's rows are the (t0, t1, x0, kind, k, upsilon) tuples its
+    `EntropyRecord`s gave."""
+    from phasetrack.analysis import EntropyReport, entropy_k_grid
+    from phasetrack.riemann import WaveKind
+
+    laws = run.laws
+
+    def entropy_pair(u, k):
+        if u.v <= k:
+            return 0.0, 0.0
+        rk = laws.R_k(laws.marker_W(u), k)
+        return 1.0 - u.rho / rk, k - u.rho * u.v / rk
+
+    def entropy_production(speed, left, right, k):
+        el, ql = entropy_pair(left, k)
+        er, qr = entropy_pair(right, k)
+        return speed * (er - el) - (qr - ql)
+
+    if k_grid is None:
+        k_grid = entropy_k_grid(laws, run.mesh.eps_v)
+    rep = EntropyReport(k_grid=k_grid)
+    for rec in run.records:
+        is_step = rec.kind is WaveKind.RAREFACTION_STEP
+        for k in k_grid:
+            u = entropy_production(rec.speed, rec.left, rec.right, k)
+            rep.records.append((rec.t0, rec.t1, rec.x0,
+                                rec.kind.value if rec.kind else "initial", k, u))
+            if not is_step:
+                rep.min_sharp = min(rep.min_sharp, u)
+    rep.negative_step_total, rep.negative_step_total_unweighted = \
+        step_deficit_totals_per_record(run)
+    return rep
+
+
+def diagram_at_per_record(res, t):
+    """`RunResult.diagram_at` as it was before it read the history's
+    columns: the records alive at t, stably sorted by (position, speed)."""
+    from phasetrack.engine import DiagramFront, FrontDiagram
+    from phasetrack.errors import OutOfWindow
+
+    if not (0.0 <= t <= res.t_end):
+        raise OutOfWindow(f"t={t} outside [0, {res.t_end}]")
+    live = [r for r in res.records if r.alive_at(t)]
+    live.sort(key=lambda r: (r.position(t), r.speed))
+    fronts = [DiagramFront(r.position(t), r.speed, r.left, r.right, r.kind) for r in live]
+    left = live[0].left if live else res.final.left_state
+    return FrontDiagram(t, left, fronts)

@@ -28,6 +28,11 @@ t_end = 430
 snapshots = 0 100 420
 """
 
+# SCENARIO_INI run to the scenario's default t_end, 1.25 t_last = 419.2, so
+# without the snapshot at 420
+SCENARIO_NO_T_END = SCENARIO_INI.replace("t_end = 430\n", "").replace(
+    "snapshots = 0 100 420", "snapshots = 0 100 400")
+
 CONSTANT_INI = """\
 [model]
 family = linear
@@ -224,15 +229,23 @@ def test_ladder_golden_columns(tmp_path):
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# sha256 of the two CSVs `phasetrack run` writes from a run, on the shipped
-# configs, as written before the event loop resolved collisions on node ids
+# sha256 of the CSVs `phasetrack run` writes on the shipped configs:
+# fronts.csv and functionals.csv as written before the event loop resolved
+# collisions on node ids, profiles.csv and entropy.csv as written before
+# diagram_at and entropy_report read the history's columns.  The flat
+# profiles.csv still carries the continuity breaks of diagram_at's
+# (position, speed) sort; it is pinned against accidental change only
 RUN_OUTPUT_GOLDENS = {
     ("traffic_light.ini",): {
         "fronts.csv": "7a623891fdbe7b4c5f6aa20675bf05e66d526d95bc58428ead0ff293e24c4f59",
-        "functionals.csv": "75ddda36ac88d6294a335ec6cccb391065a939c8f82955fb8bea804ea68c1524"},
+        "functionals.csv": "75ddda36ac88d6294a335ec6cccb391065a939c8f82955fb8bea804ea68c1524",
+        "profiles.csv": "c8784875e6b36857c691f8d7871305c0de4e4008b94cf80cb161e9c51f71d0b1",
+        "entropy.csv": "7fe08edc980017e1ee1cfcf390255717ac825a21a0dcd20b3c989dd1a48c3e78"},
     ("flat_free_random.ini", "--seed", "7"): {
         "fronts.csv": "8b941894d8a7ac28e65114072cde2873fe277a22563755962ab45a0a1438ef45",
-        "functionals.csv": "98838b2d72ad594c44c1a401387ba5a0c6c816be9b0bb17854c09660440991ee"},
+        "functionals.csv": "98838b2d72ad594c44c1a401387ba5a0c6c816be9b0bb17854c09660440991ee",
+        "profiles.csv": "37f7181b99b0a78380df7a01cfe577d4b34ff7839e12d4aa3e4e5d75fa99d0c0",
+        "entropy.csv": "0a543a60f34673a135c67c6549bff704a25c281081a0526762d641ef1ba4ad9d"},
 }
 
 
@@ -281,7 +294,7 @@ def test_one_scenario_build_per_command(tmp_path, monkeypatch):
     # the construction and the default t_end take the laws and datum the
     # config already built
     cfgf = tmp_path / "s.ini"
-    cfgf.write_text(SCENARIO_INI.replace("t_end = 430\n", ""))
+    cfgf.write_text(SCENARIO_NO_T_END)
     builds = []
     original = scenario.build_scenario
 
@@ -333,7 +346,7 @@ def test_scenario_defaults_come_from_the_config_class(tmp_path):
 
 def test_scenario_run_without_t_end_runs_past_the_last_passage(tmp_path):
     cfgf = tmp_path / "s.ini"
-    cfgf.write_text(SCENARIO_INI.replace("t_end = 430\n", ""))
+    cfgf.write_text(SCENARIO_NO_T_END)
     out = tmp_path / "out"
     assert main(["run", str(cfgf), "--out", str(out)]) == 0
     meta = json.loads((out / "metadata.json").read_text())
@@ -379,6 +392,32 @@ def test_k_grid_outside_zero_to_v_f_exit_2(tmp_path, capsys, text, k_grid):
     out = tmp_path / "out"
     assert main(["run", str(cfgf), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: k_grid speeds must lie in")
+    assert not out.exists()
+
+
+FLAT_INI = (CONFIGS / "flat_free_random.ini").read_text()
+
+
+@pytest.mark.parametrize("text, old, new, message, tail", [
+    (FLAT_INI, "snapshots = 0 50 100 150", "snapshots = -3 0 500",
+     "snapshots must lie in [0, t_end = 150.0]", "got [-3.0, 0.0, 500.0]\n"),
+    (SCENARIO_INI, "t_end = 430\n", "",      # the default t_end, 1.25 t_last
+     "snapshots must lie in [0, t_end = 419.2", "got [0.0, 100.0, 420.0]\n"),
+    (FLAT_INI, "[run]\n", "[run]\nx_lo = 5\nx_hi = -5\n", "profiles need a finite x_lo < x_hi",
+     "got x_lo = 5.0, x_hi = -5.0, x_points = 400\n"),
+    (FLAT_INI, "[run]\n", "[run]\nx_points = 1\n", "profiles need a finite x_lo < x_hi "
+     "and x_points >= 2", ", x_points = 1\n"),
+], ids=["snapshots-outside-t_end", "snapshot-after-the-default-t_end",
+        "descending-window", "one-x-point"])
+def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, new,
+                                                    message, tail):
+    assert text.count(old) == 1
+    cfgf = tmp_path / "p.ini"
+    cfgf.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--seed", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.endswith(tail), err
     assert not out.exists()
 
 

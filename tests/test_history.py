@@ -6,15 +6,16 @@ import random
 import pytest
 
 import phasetrack as pt
-from phasetrack import engine
-from phasetrack.analysis import step_deficit_totals
+from phasetrack import cli, engine
+from phasetrack.analysis import entropy_report, step_deficit_totals
 from phasetrack.errors import NotReached
 from phasetrack.grid import VACUUM_IW
 from phasetrack.invariants import audit_run
 from phasetrack.riemann import WaveKind
 
 from faults import mass_fault, momentum_fault
-from references import (audit_run_per_record, last_passage_time_per_record,
+from references import (audit_run_per_record, diagram_at_per_record,
+                        entropy_report_per_record, last_passage_time_per_record,
                         step_deficit_totals_per_record, weak_residual_per_record)
 
 
@@ -35,14 +36,16 @@ def long_run(laws):
 # the history as a read-only sequence
 
 
+class Unbuildable:
+    """Stands in for `engine.FrontRecord`: building a record fails."""
+
+    def __new__(cls, *args):
+        raise AssertionError("a record was built")
+
+
 def test_len_does_not_build_records(mesh5, monkeypatch):
     res = _random_run(mesh5, 11)
     n = len(res.history.t0)
-
-    class Unbuildable:
-        def __new__(cls, *args):
-            raise AssertionError("a record was built")
-
     monkeypatch.setattr(engine, "FrontRecord", Unbuildable)
     assert len(res.records) == n > 0
     with pytest.raises((AssertionError, TypeError)):
@@ -236,3 +239,67 @@ def test_readers_match_their_record_walks_on_criterion_6(flat_laws):
                                      rng.uniform(min(span) - 2, max(span) + 4),
                                      rng.uniform(0.5, 5.0)) for _ in range(10)]
         _assert_readers_match(res, bumps[:1])
+
+
+def _event_times(res, count=6):
+    """t = 0, t_end, and about `count` event times and as many midpoints
+    between consecutive events."""
+    ts = sorted(set(res.log.ts[1:]))
+    stride = max(1, len(ts) // count)
+    return [0.0, res.t_end] + ts[::stride] + \
+        [0.5 * (a + b) for a, b in zip(ts, ts[1:])][::stride]
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_diagram_at_matches_its_record_walk(mesh5, flat_mesh5, monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(engine, "CHUNK_ROWS", chunk)
+    for mesh in (mesh5, flat_mesh5):
+        res = _random_run(mesh, 12)
+        times = _event_times(res)
+        assert len(times) > 10
+        for t in times:
+            assert repr(res.diagram_at(t)) == repr(diagram_at_per_record(res, t)), t
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_entropy_report_matches_its_record_walk(mesh5, flat_mesh5, monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(engine, "CHUNK_ROWS", chunk)
+    for mesh in (mesh5, flat_mesh5):
+        res = _random_run(mesh, 12)
+        laws = mesh.laws
+        assert len(res.records) > 64
+        # the default grid, and one off the mesh speeds on both k branches
+        for k_grid in (None, [laws.V_f, 0.0, 0.3 * laws.V_c, laws.V_c, 0.7 * laws.V_f]):
+            rep = entropy_report(res, k_grid)
+            want = entropy_report_per_record(res, k_grid)
+            # row by row, so that a failure reports its first differing row
+            assert [repr(r) for r in rep.records] == [repr(r) for r in want.records]
+            assert len(rep.records) == len(res.records) * len(rep.k_grid) > 0
+            rep.records = want.records = []
+            assert repr(rep) == repr(want)
+
+
+def test_internal_readers_build_no_records(scenario_cfg, laws, flat_mesh5, monkeypatch):
+    # a clean run of each family: the traffic-light release at level 5, run
+    # past its last passage, and a constant-free-speed random datum
+    _, datum = pt.build_scenario(scenario_cfg)
+    mesh = pt.GridMesh(laws, 5)
+    t_end = 1.25 * pt.closed_form_table(scenario_cfg, laws=laws).t_last
+    light = pt.run(pt.approximate_datum(datum, mesh), t_end, mesh)
+    flat = _random_run(flat_mesh5, 12)
+    monkeypatch.setattr(engine, "FrontRecord", Unbuildable)
+    for res in (light, flat):
+        with pytest.raises((AssertionError, TypeError)):
+            res.records[0]
+        assert audit_run(res) == []
+        assert len(entropy_report(res).records) > 0
+        step_deficit_totals(res)
+        t = 0.5 * res.t_end
+        pt.weak_residual(res, pt.BumpTestFunction(t, 0.4 * res.t_end, 0.0, 6.0))
+        assert res.diagram_at(t).fronts
+        res.profile(t, [-1.0, 0.0, 1.0])
+        res.l1_distance(0.0, t)
+        assert len(list(cli._front_rows(res))) == len(res.history)
+    assert pt.last_passage_time(light) > 0.0
