@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -66,6 +65,25 @@ def _floats(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """ValueError naming the first key of [scenario], [model], [datum] or
+    [run] that no config reads, so a misspelt option cannot silently do
+    nothing.  configparser has lowercased the keys; [model] takes those of
+    `laws_from_config`."""
+    known = dict(
+        scenario={f.name for f in dataclasses.fields(TrafficLightConfig)
+                  if f.type == "float"} | {"n_min", "n_max"},
+        model={"family", "v_max", "r", "gamma", "v_ref", "rho_max",
+               "r_f_prime", "w_c", "r_f_second", "w_max", "v_c"},
+        datum={"kind", "breaks", "states", "jumps", "x_lo", "x_hi"},
+        run={"n", "t_end", "snapshots", "x_points", "x_lo", "x_hi", "entropy", "k_grid"})
+    for section, keys in known.items():
+        if cp.has_section(section):
+            for key in cp[section]:
+                if key not in keys:
+                    raise ValueError(f"unknown [{section}] key {key!r}")
+
+
 class RunConfig:
     """Resolved configuration for a single run."""
 
@@ -74,6 +92,7 @@ class RunConfig:
         read = cp.read(path)
         if not read:
             raise ValueError(f"cannot read config {path}")
+        _check_keys(cp)
         self.scenario_cfg: TrafficLightConfig | None = None
         if cp.has_section("scenario"):
             s = cp["scenario"]
@@ -300,6 +319,9 @@ def cmd_ladder(args) -> int:
     payloads = [(exact, n, t_end, args.strict) for n in range(n_min, n_max + 1)]
     try:
         if args.jobs > 1:
+            # imported here: the pool machinery costs a fresh process about
+            # 15 ms that a serial command never uses
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 rows = list(ex.map(_ladder_level, payloads))
         else:

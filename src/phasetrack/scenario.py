@@ -4,12 +4,13 @@ through a light at x = 0.
 Provides the model laws and datum, the closed-form interaction points and
 last-passage time, and a piecewise-exact reference solution (centered fans,
 a non-centered fan obtained by projecting along characteristic rays, and
-the two curved discontinuities integrated as ODEs).
+the two curved discontinuities tabulated from their closed forms).
 """
 
 from __future__ import annotations
 
 import bisect as _bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
 from .numerics import interp_polyline
 from .riemann import sigma
 
-ODE_STEPS = 1024
+PATH_KNOTS = 1025
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,20 @@ class ExactEventTable:
 
 
 class _Curves:
-    """ODE-integrated pieces: the accelerating contact through the main fan
-    and the phase boundary through the re-emitted fan."""
+    """The construction's two curved pieces, tabulated from their closed
+    forms at PATH_KNOTS source times s evenly spaced over [t_a2, t_b2].
+
+    On the main fan v = (gamma W_max + x/t) / (1 + gamma), or x/t + v_ref
+    for the log law, so the accelerating contact c2 (x' = v) solves a
+    linear equation: x = W_max t + C t^q with q = 1 / (1 + gamma), or
+    x = t (C + v_ref ln t).  A ray of the re-emitted fan leaves c2(s) with
+    the source speed v0(s) = c2'(s) and the slope `ray_slope(v0)`.  The
+    phase boundary pt1 meets it at (s + tau, c2(s) + tau lam) and moves at
+    v0(s); since c2' = v0 this gives tau' (lam - v0) + tau lam' = 0, so
+    tau(s) = tau(t_a2) ((W_c - v0(t_a2)) / (W_c - v0(s)))^((1 + gamma) / gamma),
+    or tau(t_a2) exp((v0(s) - v0(t_a2)) / v_ref).  b2 and b1 are the
+    points at s = t_b2, where c2 reaches the fan's last ray xi_b.
+    """
 
     # end knot of the c2 segment `project` found last: where its next
     # search starts, and `source_speed`'s segment when it holds the source
@@ -107,12 +120,36 @@ class _Curves:
 
         self.lam_first = self.ray_slope(0.0)
 
-        self._c2_ts: list[float] = []
-        self._c2_xs: list[float] = []
-        self._integrate_c2()
-        self._pt1_ts: list[float] = []
-        self._pt1_xs: list[float] = []
-        self._integrate_pt1()
+        p, w, t_a2 = laws.p, laws.W_max, self.t_a2
+        if p.gamma == 0.0:
+            c = cfg.x2 / t_a2 - p.v_ref * math.log(t_a2)
+            self.t_b2 = math.exp((self.xi_b - c) / p.v_ref)
+        else:
+            q = 1.0 / (1.0 + p.gamma)
+            c = (cfg.x2 - w * t_a2) / t_a2 ** q
+            self.t_b2 = (c / (self.xi_b - w)) ** (1.0 + 1.0 / p.gamma)
+        h = (self.t_b2 - t_a2) / (PATH_KNOTS - 1)
+        ss = [t_a2 + k * h for k in range(PATH_KNOTS - 1)] + [self.t_b2]
+        if p.gamma == 0.0:
+            logs = [math.log(s) for s in ss]
+            xs = [s * (c + p.v_ref * ln) for s, ln in zip(ss, logs)]
+            v0 = [c + p.v_ref * (ln + 1.0) for ln in logs]
+            growth = [math.exp((v - v0[0]) / p.v_ref) for v in v0]
+        else:
+            xs = [w * s + c * s ** q for s in ss]
+            v0 = [w + q * c * s ** (q - 1.0) for s in ss]
+            w_c = laws.W_c
+            growth = [((w_c - v0[0]) / (w_c - v)) ** (1.0 + 1.0 / p.gamma) for v in v0]
+        lams = [self.ray_slope(v) for v in v0]
+        tau0 = self.t_a1 - t_a2
+        # both paths start at their interaction points a2 and a1
+        self._pt1_ts = [self.t_a1] + [s + tau0 * g for s, g in zip(ss[1:], growth[1:])]
+        self._pt1_xs = [cfg.x1] + [x + tau0 * g * lam for x, g, lam
+                                   in zip(xs[1:], growth[1:], lams[1:])]
+        xs[0] = cfg.x2
+        self._c2_ts, self._c2_xs, self._c2_v0, self._c2_lam = ss, xs, v0, lams
+        self.x_b2 = xs[-1]
+        self.t_b1, self.x_b1 = self._pt1_ts[-1], self._pt1_xs[-1]
 
     # main centered fan, where lambda_1 = W_max - g(rho) = xi with
     # g = p + rho p'; the scenario's power law has g = (1 + gamma) p, its
@@ -128,73 +165,6 @@ class _Curves:
         rho = self._fan_rho(xi)
         return TrafficState(rho, self.laws.W_max - self.laws.p(rho), Phase.CONGESTED)
 
-    def fan_speed(self, xi: float) -> float:
-        """`fan_state(xi).v` on the fan's clamped ray, without the state."""
-        rho = self._fan_rho(min(max(xi, self.lam_rmax), self.xi_b))
-        return self.laws.W_max - self.laws.p(rho)
-
-    def _rk4(self, f, t0, x0, stop, h_guess):
-        """Fixed-step RK4 until `stop` changes sign, then a fresh pass with
-        (t_b - t_a)/ODE_STEPS steps and a bisected endpoint.
-
-        Returns the stored path and its endpoint."""
-        def advance(t, x, h):
-            k1 = f(t, x)
-            k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = f(t + h, x + h * k3)
-            return x + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-
-        t, x = t0, x0
-        while stop(t, x) < 0.0:
-            t, x = t + h_guess, advance(t, x, h_guess)
-            if t > 1e6:
-                raise OutOfWindow("curved path never reaches its stop condition")
-        t_hi = t
-        h = (t_hi - t0) / ODE_STEPS
-        ts, xs = [t0], [x0]
-        t, x = t0, x0
-        for _ in range(ODE_STEPS):
-            t, x = t + h, advance(t, x, h)
-            ts.append(t)
-            xs.append(x)
-
-        # endpoint by bisection on the dense path, one RK4 substep for accuracy
-        def value(tq: float) -> float:
-            i = min(max(_bisect.bisect_right(ts, tq) - 1, 0), len(ts) - 2)
-            return advance(ts[i], xs[i], tq - ts[i])
-
-        lo, hi = t0, t_hi
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if stop(mid, value(mid)) < 0.0:
-                if lo == mid:
-                    break       # (lo, hi) is a fixed point of the loop
-                lo = mid
-            else:
-                if hi == mid:
-                    break
-                hi = mid
-        t_b = 0.5 * (lo + hi)
-        x_b = value(t_b)
-        # keep the stored path monotone in time and ending at the endpoint
-        cut = _bisect.bisect_left(ts, t_b)
-        ts, xs = ts[:cut], xs[:cut]
-        ts.append(t_b)
-        xs.append(x_b)
-        return ts, xs, (t_b, x_b)
-
-    def _integrate_c2(self):
-        f = lambda t, x: self.fan_speed(x / t)
-        stop = lambda t, x: x - self.xi_b * t
-        ts, xs, end = self._rk4(f, self.t_a2, self.cfg.x2, stop, self.t_a2 / 64.0)
-        self._c2_ts, self._c2_xs = ts, xs
-        self.t_b2, self.x_b2 = end
-        # cached source speeds and ray slopes along the path keep the
-        # projections free of nested root finding
-        self._c2_v0 = [self.fan_speed(x / t) for t, x in zip(ts, xs)]
-        self._c2_lam = [self.ray_slope(v) for v in self._c2_v0]
-
     def c2_pos(self, t: float) -> float:
         return interp_polyline(self._c2_ts, self._c2_xs, t)
 
@@ -209,9 +179,13 @@ class _Curves:
         return interp_polyline(ts, self._c2_v0, t0)
 
     def ray_slope(self, v0: float) -> float:
-        laws = self.laws
-        rho = laws.p_inv(laws.W_c - v0)
-        return v0 - rho * laws.p.deriv(rho)
+        """Slope v0 - rho p'(rho) of the re-emitted ray whose state has speed
+        v0 and marker W_c: rho p' is gamma p = gamma (W_c - v0) for the
+        power law and v_ref for the log law."""
+        p = self.laws.p
+        if p.gamma == 0.0:
+            return v0 - p.v_ref
+        return (1.0 + p.gamma) * v0 - p.gamma * self.laws.W_c
 
     def ray_pos(self, t0: float, t: float) -> float:
         lam = interp_polyline(self._c2_ts, self._c2_lam, t0)
@@ -224,9 +198,9 @@ class _Curves:
         the c2 path, as `ray_pos` interpolates, and moves up through the
         knots; the root is that of the first segment whose end ray reaches
         x, a quadratic in the segment fraction.  The search walks from the
-        end knot found by the previous call (`_seg`), which successive RK4
-        stages keep within a few knots; each step tests the same predicate,
-        so any start gives that first knot.
+        end knot found by the previous call (`_seg`), which successive points
+        of a profile keep within a few knots; each step tests the same
+        predicate, so any start gives that first knot.
         """
         ts, xs, lams = self._c2_ts, self._c2_xs, self._c2_lam
         if xs[0] + (t - ts[0]) * lams[0] >= x:
@@ -266,14 +240,6 @@ class _Curves:
     def last_ray(self, t: float) -> float:
         return self.x_b2 + (t - self.t_b2) * self.lam_last
 
-    def _integrate_pt1(self):
-        f = lambda t, x: self.source_speed(self.project(t, x))
-        stop = lambda t, x: x - self.last_ray(t)
-        ts, xs, end = self._rk4(f, self.t_a1, self.cfg.x1, stop,
-                                (self.t_b2 - self.t_a2) / 16.0)
-        self._pt1_ts, self._pt1_xs = ts, xs
-        self.t_b1, self.x_b1 = end
-
     def pt1_pos(self, t: float) -> float:
         return interp_polyline(self._pt1_ts, self._pt1_xs, t)
 
@@ -284,7 +250,8 @@ def closed_form_table(cfg: TrafficLightConfig, strict: bool = False,
     """Interaction points and passage times of the exact construction.
 
     a-points and the t_star / c2 / d2 / d1 values come from the closed
-    forms; the b-points and c1 require the two curved-path integrations.
+    forms, the b-points and c1 from the closed forms of the two curved
+    paths (`_Curves`).
     The car-count identity ties d1 to d2 and t_star by construction.  When
     the two trailing free-phase shocks meet upstream of the light the
     closed-form picture is inconsistent; the table then reports the merge

@@ -1,13 +1,15 @@
 """Plain versions of package routines, kept apart from the package as
 references: `ModelLaws.p_inv` on a law without a closed-form inverse must
 return the bits of the plain bisection, `_Curves.project` those of its
-segment scan and of its cold bisection over the knots,
+segment scan and of its cold bisection over the knots, the closed-form
+curved paths of `_Curves` the b-points of the RK4 integration they replaced,
 `invariants.audit_run` and `functional_violations` the messages of their
 per-row loops, and the history's column readers (`step_deficit_totals`,
 `last_passage_time`, `weak_residual`, `entropy_report`,
 `RunResult.diagram_at`) the bits of their record walks."""
 
 import bisect
+import copy
 import math
 
 
@@ -90,6 +92,79 @@ def project_by_segment_scan(cur, t, x):
     """`_Curves.project` with its segment found by a linear scan over the
     knots from the first."""
     return _project_on(cur, t, x, _scan_knots)
+
+
+RK4_STEPS = 1024
+
+
+def rk4_path(f, t0, x0, stop, h_guess):
+    """Fixed-step RK4 of x' = f(t, x) until `stop` changes sign, then a
+    fresh pass with (t_b - t0)/RK4_STEPS steps and a bisected endpoint,
+    as `_Curves` integrated its two curved paths before they had closed
+    forms.  Returns the endpoint (t_b, x_b)."""
+    def advance(t, x, h):
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(t + h, x + h * k3)
+        return x + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+    t, x = t0, x0
+    while stop(t, x) < 0.0:
+        t, x = t + h_guess, advance(t, x, h_guess)
+        if t > 1e6:
+            raise RuntimeError("curved path never reaches its stop condition")
+    t_hi = t
+    h = (t_hi - t0) / RK4_STEPS
+    ts, xs = [t0], [x0]
+    t, x = t0, x0
+    for _ in range(RK4_STEPS):
+        t, x = t + h, advance(t, x, h)
+        ts.append(t)
+        xs.append(x)
+
+    # endpoint by bisection on the dense path, one RK4 substep for accuracy
+    def value(tq: float) -> float:
+        i = min(max(bisect.bisect_right(ts, tq) - 1, 0), len(ts) - 2)
+        return advance(ts[i], xs[i], tq - ts[i])
+
+    lo, hi = t0, t_hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if stop(mid, value(mid)) < 0.0:
+            if lo == mid:
+                break       # (lo, hi) is a fixed point of the loop
+            lo = mid
+        else:
+            if hi == mid:
+                break
+            hi = mid
+    t_b = 0.5 * (lo + hi)
+    return t_b, value(t_b)
+
+
+def fan_speed(cur, xi):
+    """Speed of the main fan's state on the ray xi, clamped to the fan:
+    the contact c2 solves x' = fan_speed(cur, x / t)."""
+    laws = cur.laws
+    return laws.W_max - laws.p(cur._fan_rho(min(max(xi, cur.lam_rmax), cur.xi_b)))
+
+
+def rk4_curves(cur):
+    """A copy of `cur` whose b-points come from RK4 integrations of the two
+    curved paths' ODEs: the contact c2 from a2 at the main fan's speed until
+    it reaches the fan's last ray, then the phase boundary pt1 from a1 at
+    the re-emitted fan's speed (read through `cur`'s ray projection) until
+    it reaches the last re-emitted ray from the integrated b2.
+    `closed_form_table(cfg, _curves=copy)` then gives the c1 they imply."""
+    ref = copy.copy(cur)
+    ref.t_b2, ref.x_b2 = rk4_path(
+        lambda t, x: fan_speed(cur, x / t), cur.t_a2, cur.cfg.x2,
+        lambda t, x: x - cur.xi_b * t, cur.t_a2 / 64.0)
+    ref.t_b1, ref.x_b1 = rk4_path(
+        lambda t, x: ref.source_speed(ref.project(t, x)), cur.t_a1, cur.cfg.x1,
+        lambda t, x: x - ref.last_ray(t), (ref.t_b2 - cur.t_a2) / 16.0)
+    return ref
 
 
 def audit_run_per_record(res):

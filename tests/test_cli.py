@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,14 +207,15 @@ def test_ladder_jobs_below_one_exit_2(tmp_path, monkeypatch, capsys, jobs):
 
 # ladder.csv of SCENARIO_INI, levels 4..5, with the pressure inverted in
 # closed form: for the mesh nodes, R_c and R_max, and the exact
-# construction's fan states; the ray projections are closed forms too
+# construction's fan states; the ray projections and the two curved paths
+# are closed forms too, so the L1 gap at the probe is rounding alone
 LADDER_4_5_GOLDEN = [
     ["n", "sim_t_last", "closed_form_t_d1", "abs_error", "l1_error",
      "negative_entropy", "events"],
     ["4", "335.36932818844895", "333.81606715674451", "1.5532610317044373",
-     "1.0105961401040178e-10", "0.0016927171960651739", "35"],
+     "1.9984014443228744e-17", "0.0016927171960651739", "35"],
     ["5", "335.36932818844895", "333.81606715674451", "1.5532610317044373",
-     "1.0105961401040178e-10", "0.00084637130768686476", "67"],
+     "1.9984014443228744e-17", "0.00084637130768686476", "67"],
 ]
 
 
@@ -419,6 +423,35 @@ def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, 
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {message}") and err.endswith(tail), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, old, new, section, key", [
+    (FLAT_INI, "snapshots = 0 50 100 150", "snapshot = 0 500", "run", "snapshot"),
+    (SCENARIO_INI, "x2 = -7\n", "x2 = -7\nx3 = -2\n", "scenario", "x3"),
+    (FLAT_INI, "V_c = 0.02\n", "V_c = 0.02\nW_min = 0\n", "model", "w_min"),
+    (FLAT_INI, "jumps = 20\n", "jumps = 20\nseed = 3\n", "datum", "seed"),
+], ids=["run", "scenario", "model", "datum"])
+@pytest.mark.parametrize("command", ["run", "ladder"])
+def test_unknown_config_key_exit_2(tmp_path, capsys, text, old, new, section, key, command):
+    # a key no config reads (here a misspelt or invented one) is an error,
+    # not an option that silently does nothing
+    assert text.count(old) == 1
+    cfgf = tmp_path / "u.ini"
+    cfgf.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, str(cfgf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: unknown [{section}] key {key!r}\n"
+    assert not out.exists()
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only `ladder --jobs N` with N > 1 needs the pool; a fresh process
+    # that imports the CLI must not pay for its import
+    code = "import sys, phasetrack.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_constant_datum_without_breaks_profiles_around_0(tmp_path):

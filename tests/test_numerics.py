@@ -4,7 +4,9 @@ bisection that laws without one keep returns the plain bisection's bits.
 `ModelLaws.p_inv` returns the pressure's closed-form inverse when the law
 has one, and the exact construction's fan states and ray projections are
 closed forms: each is compared against `mpmath` roots of the equation it
-solves, within a bound derived from its roundings.  A law without a
+solves, within a bound derived from its roundings.  Its two curved paths
+are closed forms too: `mpmath` derivatives check them against the ODEs
+they solve, and an RK4 integration of those ODEs bounds their b-points.  A law without a
 closed form (`CustomLaw`) is inverted by `invert_increasing`, compared bit
 for bit against the plain bisection of `references`.
 """
@@ -19,9 +21,10 @@ import pytest
 
 import phasetrack as pt
 from phasetrack.model import CustomLaw
-from phasetrack.scenario import ExactSolution, _Curves
+from phasetrack.scenario import ExactSolution, _Curves, closed_form_table
 
-from references import plain_invert_increasing, project_by_ray_pos, project_by_segment_scan
+from references import (plain_invert_increasing, project_by_ray_pos,
+                        project_by_segment_scan, rk4_curves)
 
 U = 2.0 ** -53      # unit roundoff of a double
 GAMMAS = (0.0, 0.5, 1.0, 2.0, 3.0)
@@ -257,7 +260,7 @@ def test_project_is_bit_identical(exact):
     cur = exact.curves
     rng = random.Random(11)
     segments = set()
-    for _ in range(3000):
+    for _ in range(6000):
         t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
         first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
         x = rng.uniform(min(first, last) - 0.1, max(first, last) + 0.1)
@@ -281,3 +284,89 @@ def test_project_resolves_a_tiny_segment():
     for x in (1e-20, 3e-17, 2e-25, 5e-4):
         got = cur.project(2.0, x)
         assert abs(got - x) <= math.ulp(x), (x, got)
+
+
+# the exact construction's configs: the default, a longer queue, a steeper
+# power law and the log law
+CURVE_CONFIGS = [{}, {"x1": -13.0, "x2": -5.0}, {"gamma": 3.0}, _log_law_markers()]
+CURVE_IDS = ["default", "x1-13-x2-5", "gamma3", "log-law"]
+
+
+@pytest.mark.parametrize("kw", CURVE_CONFIGS, ids=CURVE_IDS)
+def test_curved_paths_match_rk4(kw):
+    # the closed forms against the RK4 integration they replaced, whose own
+    # error (about 3e-8 at 1024 steps) sets the bound
+    cfg = pt.TrafficLightConfig(**kw)
+    ex = ExactSolution(cfg)
+    ref = closed_form_table(cfg, _curves=rk4_curves(ex.curves))
+    for point in ("b2", "b1", "c1"):
+        got, want = getattr(ex.table, point), getattr(ref, point)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-7, (point, got, want)
+
+
+@pytest.mark.parametrize("kw", CURVE_CONFIGS, ids=CURVE_IDS)
+@mp.workdps(40)
+def test_curved_paths_solve_their_odes(kw):
+    # c2 and pt1 in 40-digit arithmetic: c2 from its closed form, whose
+    # derivative must be the main fan's speed at c2's ray; the ray slopes
+    # from the law's own p and p' (not the closed-form slope); pt1 from its
+    # closed form tau(s), whose point (s + tau, c2 + tau lam) must move at
+    # the source speed v0 = c2'.  The float knots at about 20 source times
+    # must lie on their rays and on those mp paths, within 64u of their size.
+    ex = ExactSolution(pt.TrafficLightConfig(**kw))
+    cur, laws = ex.curves, ex.laws
+    g, v_ref, r_max = (mp.mpf(v) for v in (laws.p.gamma, laws.p.v_ref, laws.p.rho_max))
+    w, w_c = mp.mpf(laws.W_max), mp.mpf(laws.W_c)
+    t_a2, t_a1, x2 = mp.mpf(cur.t_a2), mp.mpf(cur.t_a1), mp.mpf(ex.cfg.x2)
+
+    def p(r):
+        return v_ref * mp.log(r / r_max) if g == 0 else v_ref / g * (r / r_max) ** g
+
+    def dp(r):
+        return v_ref / r if g == 0 else v_ref / r_max * (r / r_max) ** (g - 1)
+
+    if g == 0:
+        c = x2 / t_a2 - v_ref * mp.log(t_a2)
+
+        def c2(s):
+            return s * (c + v_ref * mp.log(s))
+    else:
+        q = 1 / (1 + g)
+        c = (x2 - w * t_a2) / t_a2 ** q
+
+        def c2(s):
+            return w * s + c * s ** q
+
+    def v0(s):
+        return mp.diff(c2, s)
+
+    def lam(s):
+        v = v0(s)
+        r = mp.findroot(lambda r: p(r) - (w_c - v), mp.mpf(laws.p_inv(float(w_c - v))))
+        return v - r * dp(r)
+
+    def tau(s):
+        if g == 0:
+            return (t_a1 - t_a2) * mp.exp((v0(s) - v0(t_a2)) / v_ref)
+        return (t_a1 - t_a2) * ((w_c - v0(t_a2)) / (w_c - v0(s))) ** ((1 + g) / g)
+
+    def pt1_t(s):
+        return s + tau(s)
+
+    def pt1_x(s):
+        return c2(s) + tau(s) * lam(s)
+
+    n = len(cur._c2_ts)
+    for k in sorted({round(i * (n - 1) / 19) for i in range(20)}):
+        s = mp.mpf(cur._c2_ts[k])
+        x = c2(s)
+        # c2 solves x' = v(x / t), v the speed of the main fan's state
+        r = mp.findroot(lambda r: w - p(r) - r * dp(r) - x / s, mp.mpf(cur._fan_rho(float(x / s))))
+        assert abs(v0(s) - (w - p(r))) <= 1e-30, k
+        assert abs(cur._c2_xs[k] - x) <= 64 * U * (abs(s) + abs(x)), k
+        # pt1 moves at v0: dx/ds = v0 dt/ds along the source times
+        assert abs(mp.diff(pt1_x, s) - v0(s) * mp.diff(pt1_t, s)) <= 1e-30, k
+        t1, x1 = cur._pt1_ts[k], cur._pt1_xs[k]
+        size = 64 * U * (abs(t1) + abs(x1))
+        assert abs(x1 - (x + (t1 - s) * lam(s))) <= size, k       # on its ray
+        assert abs(t1 - pt1_t(s)) <= size and abs(x1 - pt1_x(s)) <= size, k

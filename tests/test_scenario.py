@@ -90,7 +90,7 @@ def test_merged_passage_flux_argument(table, scenario_cfg, laws):
     total_cars = (scenario_cfg.x2 - scenario_cfg.x1) * laws.R_c \
         + (0.0 - scenario_cfg.x2) * laws.R_max
     t_flux = total_cars / (laws.rho_free_max * laws.V_f)
-    assert table.t_last == pytest.approx(t_flux, abs=5e-7)
+    assert table.t_last == pytest.approx(t_flux, abs=1e-10)
 
 
 @mp.workdps(50)
@@ -138,13 +138,13 @@ def test_accelerating_contact_against_closed_form(table, scenario_cfg, laws):
     C = (x2 - laws.W_max * t_a2) / t_a2 ** (1.0 / 3.0)
     xi_b = laws.V_c - 2.0 * (laws.W_max - laws.V_c)
     t_b2 = ((-C) / (laws.W_max - xi_b)) ** 1.5
-    assert table.b2[0] == pytest.approx(t_b2, abs=1e-7)
-    assert table.b2[1] == pytest.approx(xi_b * t_b2, abs=1e-7)
+    assert table.b2[0] == pytest.approx(t_b2, abs=1e-11)
+    assert table.b2[1] == pytest.approx(xi_b * t_b2, abs=1e-11)
 
 
 def test_d1_matches_construction(table):
     # the car-count closed form and the geometric construction agree
-    assert table.t_d1 == pytest.approx(table.t_d1_construction, abs=1e-6)
+    assert table.t_d1 == pytest.approx(table.t_d1_construction, abs=1e-11)
 
 
 def test_exact_left_of_everything_is_vacuum(exact):
@@ -230,14 +230,14 @@ def test_exact_solution_pickle_round_trip(exact):
     assert {"fan_main", "fan_reemitted", "fan_free"} <= regions
 
 
-# sha256 of the construction with closed-form fan states and ray
-# projections: the c2 and pt1 paths with their source speeds and ray slopes,
-# the b-points, the event table and `evaluate` on a grid that crosses every
-# fan; any change to a bit of any of them changes a digest
+# sha256 of the construction with closed-form fan states, ray projections
+# and curved paths: the c2 and pt1 paths with their source speeds and ray
+# slopes, the b-points, the event table and `evaluate` on a grid that
+# crosses every fan; any change to a bit of any of them changes a digest
 CONSTRUCTION_DIGESTS = {
-    (): "817317bf5f913fc2d27f498c0fa6217c264c77bc74820b5f7f70c1ca1b8f9b82",
+    (): "1639cd35590b11ea0d4a67b3c9aa147a6912891b1c056825333c62f423c4c8c5",
     (("x1", -13.0), ("x2", -5.0)):
-        "f91bcc8952e49db7ac0c0406873eb2cd795ec45518119bb23af76e067daf5bd8",
+        "984ba3599df1d25f0a0b4f3cc040910c239a9e45e83983748c859907b1e5dbde",
 }
 
 
@@ -390,7 +390,9 @@ def test_last_passage_converges(scenario_cfg, table, laws):
         res = pt.run(pt.approximate_datum(datum, mesh), 1.25 * table.t_last, mesh)
         t = pt.last_passage_time(res)
         err = abs(t - table.t_last)
-        assert err <= 5e-7
+        # the merged front's passage is mesh-exact, and so is the closed
+        # form: they agree to rounding at every level
+        assert err <= 1e-9
         prev_err = err
 
 
