@@ -180,11 +180,8 @@ def step_entropy_deficit_bound(laws: ModelLaws, samples: int = 1025) -> float:
     2 + rho p'' / p', the constant in the per-jump deficit bound."""
     lo = laws.rho_congested_min
     hi = laws.R_max
-    worst = -math.inf
-    for i in range(samples):
-        r = lo + (hi - lo) * i / (samples - 1)
-        worst = max(worst, 2.0 + r * laws.p.deriv2(r) / laws.p.deriv(r))
-    return worst
+    r = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+    return float(np.max(2.0 + r * laws.p.deriv2(r) / laws.p.deriv(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ class HypothesisViolation(PhasetrackError):
     def __init__(self, which: str, rho: float, detail: str = ""):
         self.which = which
         self.rho = rho
+        self.detail = detail
         msg = f"{which} fails at rho={rho!r}"
         if detail:
             msg += f": {detail}"

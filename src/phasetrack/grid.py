@@ -183,10 +183,7 @@ class GridMesh:
         w2 = laws.w2(u)
         w = self.w_values
         last = len(w) - 1
-        if w2 >= w[last] - 1e-9 * self.eps_w:
-            lo = last
-        else:
-            lo = min(max(int(math.floor((w2 - w[0]) / self.eps_w + _IDX_GUARD)), iw_min), last)
+        lo = self.marker_floor(w2, iw_min)
         iwb = (lo, lo if w[lo] >= w2 - 1e-12 else min(lo + 1, last))
         if ivb[0] != ivb[1] or iwb[0] != iwb[1]:
             # compare the corners by value: _rev holds only the nodes built so far
@@ -195,6 +192,15 @@ class GridMesh:
                     if self.states[iv, iw] == u:
                         return (iv, iv), (iw, iw)
         return ivb, iwb
+
+    def marker_floor(self, w2: float, iw_min: int) -> int:
+        """Index of the marker line at or just below w2, within _IDX_GUARD
+        of a line in index space, clamped to [iw_min, num_w - 1]."""
+        w = self.w_values
+        last = len(w) - 1
+        if w2 >= w[last] - 1e-9 * self.eps_w:
+            return last
+        return min(max(int(math.floor((w2 - w[0]) / self.eps_w + _IDX_GUARD)), iw_min), last)
 
     def snap(self, u: TrafficState) -> TrafficState:
         """The low corner of the state's brackets: componentwise floor of the

@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import HypothesisViolation, OrderingViolation, OutOfDomain
 from .numerics import invert_decreasing, invert_increasing
@@ -51,7 +54,10 @@ class RiemannCoords(NamedTuple):
 
 
 class LinearFreeSpeed:
-    """v(rho) = v_max (1 - rho / R); R = inf gives a constant free speed."""
+    """v(rho) = v_max (1 - rho / R); R = inf gives a constant free speed.
+
+    Evaluates scalars and numpy arrays alike (a constant speed returns the
+    scalar, which broadcasts)."""
 
     def __init__(self, v_max: float, R: float = 1.0):
         if v_max <= 0 or R <= 0:
@@ -70,11 +76,20 @@ class LinearFreeSpeed:
     def deriv2(self, rho: float) -> float:
         return 0.0
 
+    def inv(self, v: float) -> float:
+        """Closed-form inverse: the density of speed v.  A constant speed is
+        v_max at density 0 and no lower speed is reached: 0 at or above
+        v_max, inf below it."""
+        if math.isinf(self.R):
+            return 0.0 if v >= self.v_max else math.inf
+        return (self.v_max - v) / self.v_max * self.R
+
 
 class PowerPressure:
     """p(rho) = (v_ref / gamma) (rho / rho_max)^gamma, or the log law at gamma = 0.
 
     With v_ref = gamma and rho_max = 1 this reduces to p(rho) = rho^gamma.
+    Evaluates scalars and numpy arrays alike.
     """
 
     def __init__(self, gamma: float, v_ref: float | None = None, rho_max: float = 1.0):
@@ -93,7 +108,8 @@ class PowerPressure:
     def __call__(self, rho: float) -> float:
         g = self.gamma
         if g == 0.0:
-            return self.v_ref * math.log(rho / self.rho_max)
+            log = np.log if isinstance(rho, np.ndarray) else math.log
+            return self.v_ref * log(rho / self.rho_max)
         return (self.v_ref / g) * (rho / self.rho_max) ** g
 
     def deriv(self, rho: float) -> float:
@@ -123,29 +139,76 @@ class PowerPressure:
         return self.rho_max * (g * y / self.v_ref) ** (1.0 / g)
 
 
+def _elementwise(f: Callable[[float], float], rho):
+    """f(rho), mapped over the elements of an array as Python floats."""
+    if isinstance(rho, np.ndarray):
+        return np.fromiter(map(f, rho.tolist()), float, rho.size)
+    return f(rho)
+
+
 class CustomLaw:
-    """Wrap plain callables (value, first, second derivative) as a law."""
+    """Wrap plain callables (value, first, second derivative) as a law.
+
+    The callables take floats; an array argument is mapped over
+    elementwise, so the law evaluates arrays with the callables' bits."""
 
     def __init__(self, f: Callable[[float], float], df: Callable[[float], float],
                  ddf: Callable[[float], float]):
         self._f, self._df, self._ddf = f, df, ddf
 
     def __call__(self, rho: float) -> float:
-        return self._f(rho)
+        return _elementwise(self._f, rho)
 
     def deriv(self, rho: float) -> float:
-        return self._df(rho)
+        return _elementwise(self._df, rho)
 
     def deriv2(self, rho: float) -> float:
-        return self._ddf(rho)
+        return _elementwise(self._ddf, rho)
 
 
-def _sample_points(lo: float, hi: float, n: int = _N_SAMPLES) -> list[float]:
+def _sample_points(lo: float, hi: float, n: int = _N_SAMPLES) -> np.ndarray:
+    """lo, n interior points lo + i (hi - lo) / (n + 1), and hi."""
     if hi <= lo:
-        return [lo]
+        return np.array([lo])
     step = (hi - lo) / (n + 1)
-    pts = [lo + i * step for i in range(1, n + 1)]
-    return [lo] + pts + [hi]
+    return np.concatenate(([lo], lo + np.arange(1, n + 1) * step, [hi]))
+
+
+def _raise_first(which: str, r: np.ndarray, checks) -> None:
+    """Raise HypothesisViolation at the lowest sample r[i] failing one of
+    `checks`, (failed mask, detail) pairs, naming the first that fails there."""
+    failed = [np.broadcast_to(mask, r.shape) for mask, _ in checks]
+    bad = np.logical_or.reduce(failed)
+    if bad.any():
+        i = int(np.argmax(bad))
+        detail = next(d for mask, (_, d) in zip(failed, checks) if mask[i])
+        raise HypothesisViolation(which, float(r[i]), detail)
+
+
+def _quadratic_free_line(a: float, b: float, v_max: float, w: float) -> float:
+    """The larger root of a rho^2 - b rho + (v_max - w) = 0, b > 0: the
+    free line of a linear speed and the quadratic pressure.  b is added to
+    the square root, so nothing cancels."""
+    return (b + math.sqrt(max(b * b + 4.0 * a * (w - v_max), 0.0))) / (2.0 * a)
+
+
+def _shifted_inverse(inv: Callable[[float], float], v_max: float, w: float) -> float:
+    """inv(w - v_max): the free line of a constant speed v_max."""
+    return inv(w - v_max)
+
+
+def _free_line_closed_form(v_f, p) -> Callable[[float], float] | None:
+    """w -> the root of v_f(rho) + p(rho) = w, for the laws where it has a
+    closed form: a constant free speed (the pressure's inverse at w - V_f)
+    and a linear one with the quadratic pressure.  None for any other."""
+    if not (isinstance(v_f, LinearFreeSpeed) and isinstance(p, PowerPressure)):
+        return None
+    if math.isinf(v_f.R):
+        return partial(_shifted_inverse, p.inv, v_f.v_max)
+    if p.gamma != 2.0:
+        return None
+    return partial(_quadratic_free_line, p.v_ref / (2.0 * p.rho_max * p.rho_max),
+                   v_f.v_max / v_f.R, v_f.v_max)
 
 
 class ModelLaws:
@@ -162,6 +225,8 @@ class ModelLaws:
         self.v_f = v_f
         self.p = p
         self._p_closed_inv = getattr(p, "inv", None)    # a closed-form inverse, if the law has one
+        self._v_f_closed_inv = getattr(v_f, "inv", None)
+        self._free_line_inv = _free_line_closed_form(v_f, p)
         self.rho_free_crit = float(rho_free_crit)   # R_f'
         self.rho_free_max = float(rho_free_max)     # R_f''
 
@@ -192,28 +257,24 @@ class ModelLaws:
         vf = self.v_f
         if vf(self.rho_free_max) <= 0:
             raise HypothesisViolation("H1", self.rho_free_max, "v_f(R_f'') <= 0")
-        for r in _sample_points(0.0, self.rho_free_max):
-            if vf.deriv(r) > _GRACE:
-                raise HypothesisViolation("H1", r, "v_f' > 0")
-            if vf(r) + r * vf.deriv(r) <= _GRACE:
-                raise HypothesisViolation("H1", r, "v_f + rho v_f' <= 0")
-            if 2.0 * vf.deriv(r) + r * vf.deriv2(r) > _GRACE:
-                raise HypothesisViolation("H1", r, "2 v_f' + rho v_f'' > 0")
+        r = _sample_points(0.0, self.rho_free_max)
+        d1, d2 = vf.deriv(r), vf.deriv2(r)
+        _raise_first("H1", r, [(d1 > _GRACE, "v_f' > 0"),
+                               (vf(r) + r * d1 <= _GRACE, "v_f + rho v_f' <= 0"),
+                               (2.0 * d1 + r * d2 > _GRACE, "2 v_f' + rho v_f'' > 0")])
 
     def _validate_h2(self, lo: float, hi: float) -> None:
-        p = self.p
-        for r in _sample_points(lo, hi):
-            if p.deriv(r) <= _GRACE:
-                raise HypothesisViolation("H2", r, "p' <= 0")
-            if 2.0 * p.deriv(r) + r * p.deriv2(r) <= _GRACE:
-                raise HypothesisViolation("H2", r, "2 p' + rho p'' <= 0")
+        r = _sample_points(lo, hi)
+        d1 = self.p.deriv(r)
+        _raise_first("H2", r, [(d1 <= _GRACE, "p' <= 0"),
+                               (2.0 * d1 + r * self.p.deriv2(r) <= _GRACE,
+                                "2 p' + rho p'' <= 0")])
 
     def _validate_h3(self) -> None:
-        for r in _sample_points(self.rho_free_crit, self.rho_free_max):
-            if self.v_f.deriv(r) + self.p.deriv(r) <= _GRACE:
-                raise HypothesisViolation("H3", r, "v_f + p not increasing")
-            if self.v_f(r) >= r * self.p.deriv(r) - _GRACE:
-                raise HypothesisViolation("H3", r, "v_f >= rho p'")
+        r = _sample_points(self.rho_free_crit, self.rho_free_max)
+        dp = self.p.deriv(r)
+        _raise_first("H3", r, [(self.v_f.deriv(r) + dp <= _GRACE, "v_f + p not increasing"),
+                               (self.v_f(r) >= r * dp - _GRACE, "v_f >= rho p'")])
 
     def _validate_orderings(self) -> None:
         if not (0.0 < self.V_c < self.V_f):
@@ -276,21 +337,35 @@ class ModelLaws:
         return self._p_inv_band(y)
 
     def v_f_inv(self, v: float) -> float:
-        """Inverse of v_f on [0, R_f'] (used by the low-density marker branch)."""
+        """Inverse of v_f on [0, R_f'] (used by the low-density marker
+        branch): the law's closed form when it has one, clamped, else a
+        bisection."""
+        if self._v_f_closed_inv is not None:
+            return min(max(self._v_f_closed_inv(v), 0.0), self.rho_free_crit)
         return invert_decreasing(self.v_f, 0.0, self.rho_free_crit, v)
 
     def rho_f(self, w: float) -> float:
         """Density at which the free flow curve meets rho (w - p(rho)).
 
         Unique in [R_f', R_f''] for w in [W_c, W_max]; the intersection lies on
-        the decreasing side of the congested flow (capacity drop).
+        the decreasing side of the congested flow (capacity drop).  W_c and
+        W_max give R_f' and R_f'' exactly; in between, the closed form of
+        the laws when they have one (clamped), else a bisection.
         """
         if w < self.W_c - STATE_TOL or w > self.W_max + STATE_TOL:
             raise OutOfDomain(f"rho_f({w}) outside [{self.W_c}, {self.W_max}]")
-        f = lambda r: self.v_f(r) + self.p(r)
-        rho = invert_increasing(f, self.rho_free_crit, self.rho_free_max, w)
+        lo, hi = self.rho_free_crit, self.rho_free_max
+        if self._free_line_inv is None:
+            rho = invert_increasing(lambda r: self.v_f(r) + self.p(r), lo, hi, w)
+        elif w <= self.W_c:
+            rho = lo
+        elif w >= self.W_max:
+            rho = hi
+        else:
+            rho = min(max(self._free_line_inv(w), lo), hi)
         # decreasing-slope side of rho [w - p(rho)]:
-        assert w - self.p(rho) - rho * self.p.deriv(rho) < 0.0
+        if not w - self.p(rho) - rho * self.p.deriv(rho) < 0.0:
+            raise HypothesisViolation("H3", rho, "free line on the rising side of rho (w - p)")
         return rho
 
     def free_rho_from_marker(self, w2: float) -> float:
@@ -398,15 +473,20 @@ def _solve_marker_density(v_f, p, w: float, rho_hint_hi: float) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise OutOfDomain(f"v_f + p never reaches {w}")
-    # the last upward crossing: scan from the right, each point evaluated once
-    xs = [lo_edge + (hi - lo_edge) * i / n for i in range(n + 1)]
-    f_b = f(xs[n])
-    for i in range(n - 1, -1, -1):
-        f_a = f(xs[i])
-        if f_a <= w <= f_b:
-            return invert_increasing(f, xs[i], xs[i + 1], w)
-        f_b = f_a
-    raise OutOfDomain(f"no upward crossing of v_f + p = {w}")
+    # the last upward crossing, on one array evaluation of the scan points
+    xs = lo_edge + (hi - lo_edge) * np.arange(n + 1) / n
+    vs, ps = v_f(xs), p(xs)
+    fs = vs + ps
+    # numpy's pow and log may round differently from the scalar ones; the
+    # points that close to w take the scalar value, so the bracket is the
+    # one a scalar scan picks
+    near = np.flatnonzero(np.abs(fs - w) <= 1e-12 * (np.abs(vs) + np.abs(ps)))
+    fs[near] = [f(x) for x in xs[near].tolist()]
+    up = np.flatnonzero((fs[:-1] <= w) & (w <= fs[1:]))
+    if not up.size:
+        raise OutOfDomain(f"no upward crossing of v_f + p = {w}")
+    i = int(up[-1])
+    return invert_increasing(f, float(xs[i]), float(xs[i + 1]), w)
 
 
 def laws_from_config(cfg: dict) -> ModelLaws:

@@ -4,9 +4,11 @@ return the bits of the plain bisection, `_Curves.project` those of its
 segment scan and of its cold bisection over the knots, the closed-form
 curved paths of `_Curves` the b-points of the RK4 integration they replaced,
 `invariants.audit_run` and `functional_violations` the messages of their
-per-row loops, and the history's column readers (`step_deficit_totals`,
+per-row loops, the history's column readers (`step_deficit_totals`,
 `last_passage_time`, `weak_residual`, `entropy_report`,
-`RunResult.diagram_at`) the bits of their record walks."""
+`RunResult.diagram_at`) the bits of their record walks, the array sweeps of
+`ModelLaws` the first violation of their per-sample loops, and
+`step_entropy_deficit_bound` the bits of its per-sample loop."""
 
 import bisect
 import copy
@@ -360,3 +362,62 @@ def diagram_at_per_record(res, t):
     fronts = [DiagramFront(r.position(t), r.speed, r.left, r.right, r.kind) for r in live]
     left = live[0].left if live else res.final.left_state
     return FrontDiagram(t, left, fronts)
+
+
+def sample_points_list(lo, hi, n=2048):
+    """`model._sample_points` as a list of Python floats."""
+    if hi <= lo:
+        return [lo]
+    step = (hi - lo) / (n + 1)
+    pts = [lo + i * step for i in range(1, n + 1)]
+    return [lo] + pts + [hi]
+
+
+def per_sample_laws():
+    """A `ModelLaws` subclass whose hypothesis sweeps are the per-sample
+    loops the array sweeps replaced: one scalar call per condition and
+    sample, stopping at the first failure.  Construction order, R_max and
+    R_c are the package's."""
+    from phasetrack.errors import HypothesisViolation
+    from phasetrack.model import _GRACE, ModelLaws
+
+    class PerSampleLaws(ModelLaws):
+        def _validate_h1(self):
+            vf = self.v_f
+            if vf(self.rho_free_max) <= 0:
+                raise HypothesisViolation("H1", self.rho_free_max, "v_f(R_f'') <= 0")
+            for r in sample_points_list(0.0, self.rho_free_max):
+                if vf.deriv(r) > _GRACE:
+                    raise HypothesisViolation("H1", r, "v_f' > 0")
+                if vf(r) + r * vf.deriv(r) <= _GRACE:
+                    raise HypothesisViolation("H1", r, "v_f + rho v_f' <= 0")
+                if 2.0 * vf.deriv(r) + r * vf.deriv2(r) > _GRACE:
+                    raise HypothesisViolation("H1", r, "2 v_f' + rho v_f'' > 0")
+
+        def _validate_h2(self, lo, hi):
+            p = self.p
+            for r in sample_points_list(lo, hi):
+                if p.deriv(r) <= _GRACE:
+                    raise HypothesisViolation("H2", r, "p' <= 0")
+                if 2.0 * p.deriv(r) + r * p.deriv2(r) <= _GRACE:
+                    raise HypothesisViolation("H2", r, "2 p' + rho p'' <= 0")
+
+        def _validate_h3(self):
+            for r in sample_points_list(self.rho_free_crit, self.rho_free_max):
+                if self.v_f.deriv(r) + self.p.deriv(r) <= _GRACE:
+                    raise HypothesisViolation("H3", r, "v_f + p not increasing")
+                if self.v_f(r) >= r * self.p.deriv(r) - _GRACE:
+                    raise HypothesisViolation("H3", r, "v_f >= rho p'")
+
+    return PerSampleLaws
+
+
+def step_entropy_deficit_bound_per_sample(laws, samples=1025):
+    """`analysis.step_entropy_deficit_bound` as a per-sample loop."""
+    lo = laws.rho_congested_min
+    hi = laws.R_max
+    worst = -math.inf
+    for i in range(samples):
+        r = lo + (hi - lo) * i / (samples - 1)
+        worst = max(worst, 2.0 + r * laws.p.deriv2(r) / laws.p.deriv(r))
+    return worst

@@ -8,6 +8,7 @@ from phasetrack.analysis import entropy_report, rh_residual, step_deficit_totals
 from phasetrack.errors import SamePhase, UnsupportedTestFunction
 from phasetrack.riemann import WaveKind
 
+from references import step_entropy_deficit_bound_per_sample
 from statespace import random_state
 
 
@@ -143,6 +144,14 @@ def test_entropy_step_deficit_bounded(laws, mesh5):
         # grid-aligned reference speeds sit on the conservation identity
         for k in (left.v, right.v):
             assert abs(pt.entropy_production(laws, s, left, right, k)) <= 1e-12
+
+
+def test_step_entropy_deficit_bound_is_bit_identical(laws, flat_laws):
+    # the array sampling keeps the per-sample loop's bits on both shipped laws
+    for lw in (laws, flat_laws):
+        got = pt.step_entropy_deficit_bound(lw)
+        assert type(got) is float
+        assert got.hex() == step_entropy_deficit_bound_per_sample(lw).hex()
 
 
 def test_entropy_report_aggregates(flat_laws, flat_mesh5, rng):

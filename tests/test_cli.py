@@ -233,23 +233,21 @@ def test_ladder_golden_columns(tmp_path):
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# sha256 of the CSVs `phasetrack run` writes on the shipped configs:
-# fronts.csv and functionals.csv as written before the event loop resolved
-# collisions on node ids, profiles.csv and entropy.csv as written before
-# diagram_at and entropy_report read the history's columns.  The flat
+# sha256 of the CSVs `phasetrack run` writes on the shipped configs, as
+# written once the free line was built in closed form.  The flat
 # profiles.csv still carries the continuity breaks of diagram_at's
 # (position, speed) sort; it is pinned against accidental change only
 RUN_OUTPUT_GOLDENS = {
     ("traffic_light.ini",): {
-        "fronts.csv": "7a623891fdbe7b4c5f6aa20675bf05e66d526d95bc58428ead0ff293e24c4f59",
+        "fronts.csv": "ca9bebae08019d0a79bdd4f7f4133a173915c3d25e7d7b26087e39c08ca3564e",
         "functionals.csv": "75ddda36ac88d6294a335ec6cccb391065a939c8f82955fb8bea804ea68c1524",
-        "profiles.csv": "c8784875e6b36857c691f8d7871305c0de4e4008b94cf80cb161e9c51f71d0b1",
-        "entropy.csv": "7fe08edc980017e1ee1cfcf390255717ac825a21a0dcd20b3c989dd1a48c3e78"},
+        "profiles.csv": "899724c423276d22e4e021a73f9b56cb9d84297273059fcd330f00e5b8cecc5f",
+        "entropy.csv": "b84f43c5959d95a95dc1ac2b64dd58ae5b138695272890a808e932748daf7dba"},
     ("flat_free_random.ini", "--seed", "7"): {
-        "fronts.csv": "8b941894d8a7ac28e65114072cde2873fe277a22563755962ab45a0a1438ef45",
-        "functionals.csv": "98838b2d72ad594c44c1a401387ba5a0c6c816be9b0bb17854c09660440991ee",
-        "profiles.csv": "37f7181b99b0a78380df7a01cfe577d4b34ff7839e12d4aa3e4e5d75fa99d0c0",
-        "entropy.csv": "0a543a60f34673a135c67c6549bff704a25c281081a0526762d641ef1ba4ad9d"},
+        "fronts.csv": "f044bedb01bb7eae5648c07c7cf7643556767f6c1071ed3ee749fc52d1cc33fd",
+        "functionals.csv": "aca689275222815a685ba4dbee5913cc15d2e93469a07f4de923d9dc91475347",
+        "profiles.csv": "4f8eba26e559eba2dfe8518532a9918de93a247af0e0a9464512828c3e274c4b",
+        "entropy.csv": "57e6745fcb4f3b2f4390a79eb0a5d39fa5f89e2ea71f22e358ab4698c11054bb"},
 }
 
 

@@ -42,6 +42,19 @@ def test_snap_fixed_point(laws, flat_laws):
             assert moved == [], (n, lw.degenerate_free, len(moved))
 
 
+@pytest.mark.parametrize("family", ["traffic", "flat"])
+def test_node_markers_floor_to_their_own_line(laws, flat_laws, family):
+    # every node of levels 5-9, free-line nodes included, floors to its own
+    # marker index by marker_floor alone, without brackets' comparison of
+    # corners: its recomputed marker w2 lies within _IDX_GUARD of its line
+    lw = laws if family == "traffic" else flat_laws
+    for n in range(5, 10):
+        mesh = pt.GridMesh(lw, n)
+        off = [(iv, iw) for iv, iw in mesh.nodes() if iw != VACUUM_IW and iw != mesh.marker_floor(
+            lw.w2(mesh.state(iv, iw)), 0 if iv == mesh.iv_free else mesh.iw_c)]
+        assert off == [], (n, len(off), off[:5])
+
+
 def test_approximate_datum_keeps_mesh_data(laws, flat_laws):
     # a datum of mesh nodes is already projected: its states all stay
     rng = random.Random(31)

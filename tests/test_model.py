@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import phasetrack as pt
 from phasetrack.errors import HypothesisViolation, OrderingViolation, OutOfDomain
 from phasetrack.model import CustomLaw, _solve_marker_density
 
-from references import plain_invert_increasing
+from references import per_sample_laws, plain_invert_increasing
 from statespace import random_state
 
 
@@ -210,6 +211,16 @@ def _marker_density_full_scan(v_f, p, w, rho_hint_hi):
     return plain_invert_increasing(f, bracket[0], bracket[1], w)
 
 
+def _assert_scan_matches(v_f, p, w, hint):
+    try:
+        ref = _marker_density_full_scan(v_f, p, w, hint)
+    except OutOfDomain:
+        with pytest.raises(OutOfDomain):
+            _solve_marker_density(v_f, p, w, hint)
+        return
+    assert _solve_marker_density(v_f, p, w, hint).hex() == ref.hex(), (p.gamma, w)
+
+
 def test_marker_density_scan_keeps_the_last_crossing():
     rng = random.Random(15)
     # the laws of configs/traffic_light.ini and configs/flat_free_random.ini,
@@ -221,10 +232,108 @@ def test_marker_density_scan_keeps_the_last_crossing():
         # below 0.0494 v_f + p never reaches w; just above it there are two
         # crossings, and the scan must keep the upward one
         for w in [*levels, 0.046, 0.0496] + [rng.uniform(0.045, 0.6) for _ in range(100)]:
-            try:
-                ref = _marker_density_full_scan(v_f, p, w, hint)
-            except OutOfDomain:
-                with pytest.raises(OutOfDomain):
-                    _solve_marker_density(v_f, p, w, hint)
-                continue
-            assert _solve_marker_density(v_f, p, w, hint).hex() == ref.hex(), w
+            _assert_scan_matches(v_f, p, w, hint)
+    # the gamma = 3 and log-law (gamma = 0) pressures, which the scan
+    # evaluates through numpy's pow and log: with the linear speed, v_f + p
+    # has its minimum 0.0457 at rho = 0.129 under gamma = 3, and tends to
+    # -inf at 0 under the log law
+    log_levels = (0.035 + math.log(0.3), 0.0325 + math.log(0.35))
+    for p, ws in ((pt.PowerPressure(3.0), [0.04, 0.0457, 0.046, 0.0496]
+                   + [rng.uniform(0.04, 0.6) for _ in range(30)]),
+                  (pt.PowerPressure(0.0), [*log_levels, -21.0, -30.0]
+                   + [rng.uniform(-4.0, 1.0) for _ in range(30)])):
+        for v_f, hint, levels in shipped:
+            for w in [*levels, *ws]:
+                _assert_scan_matches(v_f, p, w, hint)
+
+
+def _violation(build, *args):
+    with pytest.raises(HypothesisViolation) as exc:
+        build(*args)
+    return exc.value.which, exc.value.rho, exc.value.detail
+
+
+# laws breaking each of the eight sampled conditions, as (v_f, p, R_f',
+# R_f'', V_c); the CustomLaws use math.* callables, which take no arrays
+_LINEAR = pt.LinearFreeSpeed(1.0, 4.0)
+_C = 0.1 * math.sqrt(0.35)      # rho p' of p = -C / sqrt(rho) falls to V_f = 0.05 at 0.35
+_QUADRATIC = pt.PowerPressure(2.0)
+_BROKEN_LAWS = {
+    ("H1", "v_f(R_f'') <= 0"): (pt.LinearFreeSpeed(1.0, 0.5), _QUADRATIC, 0.3, 0.6, 0.1),
+    ("H1", "v_f' > 0"): (CustomLaw(lambda r: 0.75 - 0.25 * r + 0.75 * math.fabs(r - 0.2),
+                                   lambda r: -0.25 + 0.75 * math.copysign(1.0, r - 0.2),
+                                   lambda r: 0.0),
+                         _QUADRATIC, 0.3, 0.4, 0.1),
+    ("H1", "v_f + rho v_f' <= 0"): (pt.LinearFreeSpeed(1.0, 1.0), _QUADRATIC, 0.3, 0.6, 0.1),
+    ("H1", "2 v_f' + rho v_f'' > 0"): (CustomLaw(lambda r: 0.5 + math.exp(-10.0 * r),
+                                                 lambda r: -10.0 * math.exp(-10.0 * r),
+                                                 lambda r: 100.0 * math.exp(-10.0 * r)),
+                                       _QUADRATIC, 0.3, 0.5, 0.1),
+    ("H2", "p' <= 0"): (_LINEAR, CustomLaw(lambda r: 0.5 - math.fabs(r - 0.5),
+                                           lambda r: -math.copysign(1.0, r - 0.5),
+                                           lambda r: 0.0),
+                        0.3, 0.4, 0.1),
+    ("H2", "2 p' + rho p'' <= 0"): (_LINEAR, CustomLaw(
+        lambda r: r - 10.0 * math.pow(max(r - 0.6, 0.0), 3),
+        lambda r: 1.0 - 30.0 * math.pow(max(r - 0.6, 0.0), 2),
+        lambda r: -60.0 * max(r - 0.6, 0.0)), 0.3, 0.4, 0.1),
+    ("H3", "v_f + p not increasing"): (pt.LinearFreeSpeed(1.0, 1.0), _QUADRATIC, 0.3, 0.45, 0.1),
+    ("H3", "v_f >= rho p'"): (pt.LinearFreeSpeed(0.05, math.inf), CustomLaw(
+        lambda r: -_C / math.sqrt(r), lambda r: 0.5 * _C / math.sqrt(r) ** 3,
+        lambda r: -0.75 * _C / math.sqrt(r) ** 5), 0.3, 0.4, 0.01),
+}
+
+
+@pytest.mark.parametrize("broken", list(_BROKEN_LAWS), ids=lambda b: f"{b[0]}: {b[1]}")
+def test_hypothesis_sweeps_fail_as_the_per_sample_loops(broken):
+    # the array sweeps raise at the lowest failing sample, naming the first
+    # condition that fails there, as the per-sample loops did
+    args = _BROKEN_LAWS[broken]
+    got = _violation(pt.validate_laws, *args)
+    assert got == _violation(per_sample_laws(), *args)
+    assert got[0] == broken[0] and got[2] == broken[1]
+
+
+def test_custom_law_maps_its_callables_over_arrays():
+    law = CustomLaw(math.log, lambda r: 1.0 / r, lambda r: -1.0 / (r * r))
+    rs = [0.3 + 0.01 * i for i in range(20)]
+    for method, f in ((law, math.log), (law.deriv, lambda r: 1.0 / r)):
+        got = method(np.array(rs))
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [f(r) for r in rs]
+    assert law(0.3) == math.log(0.3)
+
+
+def test_rho_f_raises_off_the_capacity_drop_side():
+    # with H3's sweep skipped, laws with v_f >= rho p' above rho = 0.35 put
+    # the free line's top on the rising side of rho (w - p): rho_f raises
+    # H3 there (no assert, so also under python -O)
+    class NoH3(pt.ModelLaws):
+        def _validate_h3(self):
+            pass
+
+    lw = NoH3(*_BROKEN_LAWS[("H3", "v_f >= rho p'")])
+    lw.rho_f(lw.W_c)
+    with pytest.raises(HypothesisViolation) as exc:
+        lw.rho_f(lw.W_max)
+    assert (exc.value.which, exc.value.rho) == ("H3", lw.rho_free_max)
+
+
+class _ArrayHighPressure(pt.PowerPressure):
+    """A power law whose array evaluation lies 1e-16 above its scalar one,
+    a rounding difference of a few ulps of v_f + p near 0.05."""
+
+    def __call__(self, rho):
+        value = super().__call__(rho)
+        return value + 1e-16 if isinstance(rho, np.ndarray) else value
+
+
+def test_marker_density_scan_takes_scalar_values_near_w():
+    # w at the scan's lowest point, where the only upward crossing starts:
+    # read high, that point would hide the crossing, so the scan takes the
+    # scalar value of the points that close to w
+    v_f, p, hint = pt.LinearFreeSpeed(0.05, 1.0), _ArrayHighPressure(3.0), 0.5
+    xs = [hint * 1e-9 + (hint - hint * 1e-9) * i / 4096 for i in range(4097)]
+    w = min(v_f(x) + p(x) for x in xs)
+    ref = _marker_density_full_scan(v_f, p, w, hint)
+    assert _solve_marker_density(v_f, p, w, hint).hex() == ref.hex()

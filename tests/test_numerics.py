@@ -2,7 +2,8 @@
 bisection that laws without one keep returns the plain bisection's bits.
 
 `ModelLaws.p_inv` returns the pressure's closed-form inverse when the law
-has one, and the exact construction's fan states and ray projections are
+has one, `ModelLaws.rho_f` and `v_f_inv` the free line's and the free
+speed's, and the exact construction's fan states and ray projections are
 closed forms: each is compared against `mpmath` roots of the equation it
 solves, within a bound derived from its roundings.  Its two curved paths
 are closed forms too: `mpmath` derivatives check them against the ODEs
@@ -118,6 +119,92 @@ def _log_law_markers():
                 ids=["default", "gamma3", "log-law"])
 def exact(request):
     return ExactSolution(pt.TrafficLightConfig(**request.param))
+
+
+# laws whose free line v_f(rho) + p(rho) = w has a closed form: the linear
+# speed with the quadratic pressure (the scenario's, and one with v_ref and
+# rho_max away from 1), and a constant speed with any power law
+FREE_LINE_LAWS = {
+    "traffic": lambda: pt.build_scenario(pt.TrafficLightConfig())[0],
+    "scaled": lambda: pt.validate_laws(pt.LinearFreeSpeed(0.05, 2.0),
+                                       pt.PowerPressure(2.0, v_ref=1.5, rho_max=0.8),
+                                       0.3, 0.35, 0.02),
+    **{f"flat-gamma{g:g}": (lambda g=g: pt.validate_laws(
+        pt.LinearFreeSpeed(0.05, math.inf), pt.PowerPressure(g), 0.3, 0.35, 0.02))
+       for g in (0.0, 2.0, 3.0)},
+}
+
+
+def _mp_free_line(lw):
+    """v_f + p of the laws in exact arithmetic."""
+    v_max, R, p = mp.mpf(lw.v_f.v_max), lw.v_f.R, lw.p
+    gam, v_ref, rho_max = (mp.mpf(c) for c in (p.gamma, p.v_ref, p.rho_max))
+
+    def f(r):
+        v = v_max if math.isinf(R) else v_max * (1 - r / mp.mpf(R))
+        if p.gamma == 0.0:
+            return v + v_ref * mp.log(r / rho_max)
+        return v + (v_ref / gam) * (r / rho_max) ** gam
+    return f
+
+
+@pytest.mark.parametrize("name", list(FREE_LINE_LAWS))
+@mp.workdps(40)
+def test_free_line_closed_form_is_accurate(name):
+    lw = FREE_LINE_LAWS[name]()
+    assert lw.rho_f(lw.W_c) == lw.rho_free_crit
+    assert lw.rho_f(lw.W_max) == lw.rho_free_max
+    # Relative errors, with u = 2^-53.  The quadratic's larger root
+    # (b + sqrt(b^2 + 4 a (w - V))) / 2a adds positive terms only (w > V
+    # here): a carries 2u, b and w - V one rounding each, so b^2 has 3u,
+    # 4 a (w - V) 4u, their sum 5u, its square root 3.5u, b plus it 4.5u
+    # and the quotient by 2a 7.5u: at most 8u.  A constant speed's root
+    # p^-1(w - V) rounds w - V (u |ln rho| <= 1.2u after the inverse) and
+    # then takes at most 4.5u in p's closed inverse (see test_p_inv_is_
+    # accurate; here the exponent's rounding is |ln rho| u <= 1.2u): at
+    # most 6u.  The clamp to [R_f', R_f''] is 1-Lipschitz.
+    bound = 6.0 * U if lw.degenerate_free else 8.0 * U
+    f = _mp_free_line(lw)
+    rng = random.Random(7)
+    for w in [rng.uniform(lw.W_c, lw.W_max) for _ in range(300)]:
+        got = lw.rho_f(w)
+        root = mp.findroot(lambda r: f(r) - mp.mpf(w), mp.mpf(got))
+        ref = _clamp(root, lw.rho_free_crit, lw.rho_free_max)
+        assert abs(got - ref) <= bound * root, (w, got, root)
+    if not lw.degenerate_free:
+        # v_f^-1(v) = R (V - v) / V: V - v is exact for v in [V/2, V], the
+        # quotient and the product round once each: at most 2u
+        v_max, R = mp.mpf(lw.V_max), mp.mpf(lw.v_f.R)
+        vs = [rng.uniform(lw.v_f(lw.rho_free_crit), lw.V_max) for _ in range(300)]
+        for v in vs + [lw.V_max]:
+            root = R * (v_max - mp.mpf(v)) / v_max
+            assert abs(lw.v_f_inv(v) - root) <= 2.0 * U * root, v
+        assert lw.v_f_inv(lw.V_max + 0.01) == 0.0
+        assert lw.v_f_inv(0.5 * lw.v_f(lw.rho_free_crit)) == lw.rho_free_crit
+
+
+def test_free_line_without_closed_form_keeps_the_bisection(laws, flat_laws):
+    # the gamma = 3 and log-law scenario laws, and CustomLaw copies of the
+    # shipped laws, bisect the free line (and the CustomLaw speed its
+    # inverse) with the plain bisection's bits
+    cases = [pt.build_scenario(pt.TrafficLightConfig(**kw))[0]
+             for kw in ({"gamma": 3.0}, _log_law_markers())]
+    for lw in (laws, flat_laws):
+        v_f, p = lw.v_f, lw.p
+        cases.append(pt.validate_laws(CustomLaw(v_f, v_f.deriv, v_f.deriv2),
+                                      CustomLaw(p, p.deriv, p.deriv2),
+                                      lw.rho_free_crit, lw.rho_free_max, lw.V_c))
+    rng = random.Random(9)
+    for lw in cases:
+        f = lambda r: lw.v_f(r) + lw.p(r)
+        lo, hi = lw.rho_free_crit, lw.rho_free_max
+        assert lw.rho_f(lw.W_c) == lo and lw.rho_f(lw.W_max) == hi
+        for w in [rng.uniform(lw.W_c, lw.W_max) for _ in range(200)]:
+            assert bits(lw.rho_f(w)) == bits(plain_invert_increasing(f, lo, hi, w)), w
+        if isinstance(lw.v_f, CustomLaw) and not lw.degenerate_free:
+            for v in [rng.uniform(lw.v_f(lo), lw.V_max) for _ in range(200)]:
+                ref = plain_invert_increasing(lambda x: -lw.v_f(x), 0.0, lo, -v)
+                assert bits(lw.v_f_inv(v)) == bits(ref), v
 
 
 def _mp_root(f, y, start):
