@@ -237,6 +237,7 @@ def _write_outputs(outdir: Path, cfg: RunConfig, res: RunResult, times, xs, meta
 
     _write_metadata(
         outdir, n=cfg.n, t_end=res.t_end, events=res.events,
+        run_stats=res.stats._asdict(),
         constants=dict(V_max=laws.V_max, V_f=laws.V_f, V_c=laws.V_c,
                        W_min=laws.W_min, W_c=laws.W_c, W_max=laws.W_max,
                        R_f_prime=laws.rho_free_crit, R_f_second=laws.rho_free_max,

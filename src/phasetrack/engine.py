@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
 from .grid import GridMesh, Node, VACUUM_IW, solve_approx
-from .invariants import row_violations
+from .invariants import event_order_violations, row_violations
 from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
 
@@ -350,12 +350,13 @@ class FrontHistory(Sequence):
 
 class _F:
     """Live front in the simulation's doubly linked list, between the mesh
-    nodes l and r ((iv, iw) ids)."""
+    nodes l and r ((iv, iw) ids), with its `_front_measures` (tv, temple,
+    pt); born after prev, which the caller links to it."""
 
     __slots__ = ("x0", "t0", "speed", "icpt", "l", "r", "kind",
                  "prev", "next", "tv", "temple", "pt")
 
-    def __init__(self, x0, t0, speed, l, r, kind):
+    def __init__(self, x0, t0, speed, l, r, kind, prev, tv, temple, pt):
         self.x0 = x0
         self.t0 = t0
         self.speed = speed
@@ -364,11 +365,24 @@ class _F:
         self.l = l
         self.r = r
         self.kind = kind
-        self.prev = None
+        self.prev = prev
         self.next = None
+        self.tv = tv
+        self.temple = temple
+        self.pt = pt
 
     def position(self, t: float) -> float:
         return self.x0 + self.speed * (t - self.t0)
+
+
+class RunStats(NamedTuple):
+    """Counters of one run's event loop: heap entries popped stale (their
+    two fronts no longer adjacent), pushes whose collision time was clamped
+    up to the present (see `run`), and the most fronts alive at once."""
+
+    stale_pops: int
+    clamped_pushes: int
+    peak_fronts: int
 
 
 @dataclass
@@ -381,6 +395,7 @@ class RunResult:
     initial: FrontDiagram
     final: FrontDiagram
     events: int
+    stats: RunStats
 
     @property
     def records(self) -> FrontHistory:
@@ -445,22 +460,6 @@ def l1_distance(laws: ModelLaws, profile_a, profile_b, cuts: list[float],
 # the time loop
 
 
-def _splice(before: _F | None, fronts: list[_F], after: _F | None) -> _F | None:
-    """Link fronts, in order, between before and after (either may be None);
-    returns the front that now follows before."""
-    prev = before
-    for f in fronts:
-        f.prev = prev
-        if prev is not None:
-            prev.next = f
-        prev = f
-    if prev is not None:
-        prev.next = after
-    if after is not None:
-        after.prev = prev
-    return fronts[0] if fronts else after
-
-
 def _snapshot(head: _F | None, t: float, states, left: TrafficState) -> FrontDiagram:
     """The live list from head at time t; left is the leftmost state when
     the list is empty."""
@@ -479,19 +478,24 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
 
     Raw (unclassified) fronts of the initial diagram are first resolved into
     mesh Riemann fans at t = 0.  The functional log gets one row at t = 0 and
-    one per interaction; with strict=True each new row is checked against
-    the functional rules of `invariants`, and the first violation raises
-    InvariantViolation.  Inside the loop fronts carry mesh node ids: each
-    collision is resolved by one `solve_approx` call on the node states of
-    its group's outer ids, which finds those nodes again by one probe each,
-    and states are otherwise looked up only for the two snapshots.  Each
-    front that closes, at an event or at t_end, is appended as one row of
-    the run's `FrontHistory`, its states as integer state ids.
+    one per interaction; with strict=True each event's point is checked
+    against the fronts on either side of its group
+    (`invariants.event_order_violations`) and its row against the
+    functional rules, and the first violation raises InvariantViolation.
+    Inside the loop fronts carry mesh node ids: each collision is resolved
+    by one `solve_approx` call on the node states of its group's outer ids,
+    which finds those nodes again by one probe each, and states are
+    otherwise looked up only for the two snapshots.  A new front takes its
+    `_front_measures` and its left neighbour when built, and is linked in
+    then.  Each front that closes, at an event or at t_end, is appended as
+    one row of the run's `FrontHistory`, its states as integer state ids.
 
     Fronts never change once built, so a heap entry stays valid exactly as
-    long as its two fronts are adjacent: dead fronts are unlinked.  Two
-    adjacent fronts a, b collide at (b.icpt - a.icpt) / (a.speed - b.speed)
-    when a is the faster.  A negative or non-finite t_end raises ValueError.
+    long as its two fronts are adjacent: dead fronts are unlinked, and an
+    entry popped later is stale.  Two adjacent fronts a, b collide at
+    (b.icpt - a.icpt) / (a.speed - b.speed) when a is the faster.
+    `RunResult.stats` counts stale pops, clamped pushes and the peak number
+    of live fronts.  A negative or non-finite t_end raises ValueError.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -508,28 +512,10 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap: list[tuple[float, int, _F, _F]] = []
+    clamped = 0
 
-    # initial resolution of the datum jumps
-    tot_tv = tot_temple = 0.0
-    n_waves = n_pts = 0
-    fronts: list[_F] = []
-    for raw in diagram.fronts:
-        for s, a, b, kind in solve(mesh, raw.left, raw.right):
-            f = _F(raw.x, 0.0, s, a, b, kind)
-            f.tv, f.temple, f.pt = measures(mesh, a, b)
-            tot_tv += f.tv
-            tot_temple += f.temple
-            n_waves += 1
-            n_pts += f.pt
-            fronts.append(f)
-    head = _splice(None, fronts, None)
-    initial = _snapshot(head, 0.0, states, diagram.left_state)
-
-    log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
-
-    def push(a: _F | None, b: _F | None, now: float):
-        if a is None or b is None:
-            return
+    def push(a: _F, b: _F, now: float):
+        nonlocal clamped
         dv = a.speed - b.speed
         if dv <= 0.0:
             return
@@ -538,17 +524,42 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         # by the rounding of its intercepts alone: it collides now
         if t < now - TIME_GROUP_TOL * now:
             t = now
+            clamped += 1
         heappush(heap, (t, next(counter), a, b))
 
-    for a, b in zip(fronts, fronts[1:]):
-        push(a, b, 0.0)
+    # initial resolution of the datum jumps, each front linked as it is built
+    tot_tv = tot_temple = 0.0
+    n_waves = n_pts = 0
+    head = f = None
+    for raw in diagram.fronts:
+        for s, a, b, kind in solve(mesh, raw.left, raw.right):
+            tv, temple, pt = measures(mesh, a, b)
+            nf = _F(raw.x, 0.0, s, a, b, kind, f, tv, temple, pt)
+            if f is None:
+                head = nf
+            else:
+                f.next = nf
+            tot_tv += tv
+            tot_temple += temple
+            n_waves += 1
+            n_pts += pt
+            f = nf
+    initial = _snapshot(head, 0.0, states, diagram.left_state)
 
-    events = 0
+    log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
+
+    f = head
+    while f is not None and f.next is not None:
+        push(f, f.next, 0.0)
+        f = f.next
+
+    events = stale = 0
     now = 0.0
     eps_w = mesh.eps_w
     while heap:
         t_star, _, fa, fb = heappop(heap)
         if fa.next is not fb:
+            stale += 1
             continue
         if t_star > t_end:
             break
@@ -599,24 +610,34 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             g.prev = g.next = None
             g = nxt
 
-        new_fronts: list[_F] = []
+        # the fan's fronts, each linked after the one before it as it is built
+        f = before
         for s, a, b, kind in fan:
-            nf = _F(x_star, t_star, s, a, b, kind)
-            nf.tv, nf.temple, nf.pt = measures(mesh, a, b)
-            tot_tv += nf.tv
-            tot_temple += nf.temple
+            tv, temple, pt = measures(mesh, a, b)
+            nf = _F(x_star, t_star, s, a, b, kind, f, tv, temple, pt)
+            if f is None:
+                head = nf
+            else:
+                f.next = nf
+            tot_tv += tv
+            tot_temple += temple
             n_waves += 1
-            n_pts += nf.pt
-            new_fronts.append(nf)
-        joined = _splice(before, new_fronts, after)
-        if before is None:
-            head = joined
-
-        if new_fronts:
-            push(before, new_fronts[0], now)
-            push(new_fronts[-1], after, now)
+            n_pts += pt
+            f = nf
+        # f is now the fan's last front, or before when the fan is empty
+        if f is None:
+            head = after
         else:
-            push(before, after, now)
+            f.next = after
+        if after is not None:
+            after.prev = f
+
+        # the pairs new at the group's two ends: one pair when the fan is
+        # empty
+        if before is not None and before.next is not None:
+            push(before, before.next, now)
+        if f is not before and after is not None:
+            push(f, after, now)
 
         add_t(t_star)
         add_tv(tot_tv)
@@ -628,7 +649,11 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
                      waves=n_waves, phase_transitions=n_pts))
 
         if strict:
-            bad = row_violations(log, len(log.ts) - 1, eps_w)
+            i = len(log.ts) - 1
+            x_before = before.position(t_star) if before is not None else -math.inf
+            x_after = after.position(t_star) if after is not None else math.inf
+            bad = event_order_violations(i, t_star, x_star, x_before, x_after)
+            bad += row_violations(log, i, eps_w)
             if bad:
                 raise InvariantViolation(bad[0])
 
@@ -644,7 +669,8 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         nxt = f.next
         f.prev = f.next = None
         f = nxt
-    return RunResult(laws, mesh, t_end, history, log, initial, final, events)
+    stats = RunStats(stale, clamped, max(log.waves))
+    return RunResult(laws, mesh, t_end, history, log, initial, final, events, stats)
 
 
 # ---------------------------------------------------------------------------

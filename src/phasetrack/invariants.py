@@ -8,7 +8,8 @@ also satisfy the mass jump condition, and the momentum one wherever the
 marker is conserved across it.  A snapshot must be a profile: its fronts
 in order of position, each starting from the state the one before it ends
 in.  `run(strict=True)` checks the functional rules at each event's log
-row; `audit_run` checks all of them after a run.
+row, and front order at each event's point; `audit_run` checks all of
+them after a run.
 """
 
 from __future__ import annotations
@@ -104,6 +105,21 @@ def snapshot_violations(diagram: FrontDiagram) -> list[str]:
             bad.append(f"front order broken by {x_prev - f.x} at front {i} "
                        f"(x={f.x}) at t={t}")
         state, x_prev = f.right, f.x
+    return bad
+
+
+def event_order_violations(event: int, t: float, x: float, x_before: float,
+                           x_after: float) -> list[str]:
+    """Breaks of front order at an event, named by its log row: its point
+    (t, x) must lie between x_before and x_after, the positions at t of the
+    fronts on either side of its group, with the slack of
+    `snapshot_violations`."""
+    bad: list[str] = []
+    for side, x_other, overlap, scale in (("before", x_before, x_before - x, x),
+                                          ("after", x_after, x - x_after, x_after)):
+        if overlap > ORDER_TOL * (1.0 + abs(scale)):
+            bad.append(f"front order broken by {overlap} at event {event} "
+                       f"(t={t}, x={x}): the front {side} it is at {x_other}")
     return bad
 
 

@@ -23,6 +23,27 @@ def inflate_event_tv(monkeypatch, n_initial):
     return calls
 
 
+def displace_front(monkeypatch, k, dx):
+    """Make the k-th front built, counting from 0 with those of the t = 0
+    resolution, lie dx to the right of its line: its position moves by dx,
+    while the collision times read from its line's intercept do not.
+    Returns the list of fronts built so far: clear it before each further
+    run."""
+    built = []
+
+    class Displaced(engine._F):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            if len(built) == k:
+                self.x0 += dx
+            built.append(1)
+
+    monkeypatch.setattr(engine, "_F", Displaced)
+    return built
+
+
 @contextlib.contextmanager
 def _row_fault(history, i, speed, right):
     """Row i of a history with the given speed and right state id written

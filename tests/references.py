@@ -8,11 +8,15 @@ per-row loops, the history's column readers (`step_deficit_totals`,
 `last_passage_time`, `weak_residual`, `entropy_report`,
 `RunResult.diagram_at`) the bits of their record walks, the array sweeps of
 `ModelLaws` the first violation of their per-sample loops, and
-`step_entropy_deficit_bound` the bits of its per-sample loop."""
+`step_entropy_deficit_bound` the bits of its per-sample loop, and
+`grid.node_fan` the jumps of its path-building form."""
 
 import bisect
 import copy
 import math
+
+from phasetrack.grid import GridMesh, Node
+from phasetrack.riemann import WaveKind, sigma
 
 
 def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
@@ -421,3 +425,87 @@ def step_entropy_deficit_bound_per_sample(laws, samples=1025):
         r = lo + (hi - lo) * i / (samples - 1)
         worst = max(worst, 2.0 + r * laws.p.deriv2(r) / laws.p.deriv(r))
     return worst
+
+
+# grid.node_fan before its congested-congested case emitted its jumps
+# directly: every case builds its path of nodes first
+
+
+def _congested_steps(a: Node, b: Node) -> list[tuple[Node, WaveKind]]:
+    """Rarefaction steps from node a up the velocity nodes to b (same marker)."""
+    iw = a[1]
+    return [((iv, iw), WaveKind.RAREFACTION_STEP) for iv in range(a[0] + 1, b[0] + 1)]
+
+
+def _free_steps(iv_free: int, a: Node, b: Node, kind: WaveKind) -> list[tuple[Node, WaveKind]]:
+    """Steps from free node a down the marker nodes to free node b.
+
+    Decreasing density <=> decreasing marker index on the free line.
+    Keeping every jump at one marker quantum (also for the contacts of a
+    constant free speed) is what lets the wave potential only ever see
+    single-quantum drops arriving at a phase boundary."""
+    steps = [((iv_free, iw), kind) for iw in range(a[1] - 1, max(b[1], 0), -1)]
+    steps.append((b, kind))
+    return steps
+
+
+def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, WaveKind]]:
+    """Mesh-valued Riemann solver on node ids: the fan between nodes l and r
+    as (speed, left node, right node, kind) jumps, left to right.
+
+    Rarefactions become chains of jumps between consecutive nodes along the
+    corresponding wave curve, each jump travelling at its own
+    mass-conserving speed."""
+    iv_free = mesh.iv_free
+    ivl, iwl = l
+    ivr, iwr = r
+    # the fan as a path of nodes from l: (next node, kind of the jump to it)
+    steps: list[tuple[Node, WaveKind]] = []
+    free_shock = mesh.free_shock
+    lf, rf = ivl == iv_free, ivr == iv_free
+
+    if ivl == ivr and iwl == iwr:
+        pass
+    elif lf and rf:
+        if iwl < iwr:
+            steps.append((r, free_shock))
+        else:
+            steps = _free_steps(iv_free, l, r, mesh.free_wave)
+    elif not lf and not rf:
+        m = (ivr, iwl)
+        if ivr < ivl:
+            steps.append((m, WaveKind.SHOCK))
+        elif ivr > ivl:
+            steps = _congested_steps(l, m)
+        if iwl != iwr:
+            steps.append((r, WaveKind.CONTACT))
+    elif lf:
+        # free -> congested: one phase transition, then a possibly-null contact
+        if mesh.states[l].rho == 0.0:
+            steps.append((r, WaveKind.PHASE_TRANSITION))
+        else:
+            iw_m = max(mesh.iw_c, iwl)
+            steps.append(((ivr, iw_m), WaveKind.PHASE_TRANSITION))
+            if iw_m != iwr:
+                steps.append((r, WaveKind.CONTACT))
+    else:
+        # congested -> free: possibly-null 1-wave up to the congested
+        # ceiling, one phase transition, then a possibly-null free wave
+        m1 = (mesh.iv_vc, iwl)
+        if ivl < mesh.iv_vc:
+            steps = _congested_steps(l, m1)
+        m2 = (iv_free, iwl)
+        steps.append((m2, WaveKind.PHASE_TRANSITION))
+        if iwl < iwr:
+            steps.append((r, free_shock))
+        elif iwl > iwr:
+            steps += _free_steps(iv_free, m2, r, mesh.free_wave)
+
+    states = mesh.states
+    fan: list[tuple[float, Node, Node, WaveKind]] = []
+    a, u_a = l, states[l]
+    for b, kind in steps:
+        u_b = states[b]
+        fan.append((sigma(u_a, u_b), a, b, kind))
+        a, u_a = b, u_b
+    return fan

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import heapq
 import json
 import os
 import subprocess
@@ -274,6 +275,62 @@ def test_flat_config_moved_far_from_zero_keeps_its_events(tmp_path, seed, events
     out = tmp_path / "out"
     assert main(["run", str(cfgf), "--seed", str(seed), "--out", str(out)]) == 0
     assert json.loads((out / "metadata.json").read_text())["events"] == events
+
+
+# (config, datum window or None for the shipped one, extra arguments): the
+# shipped configs, and the flat one moved to [8182, 8202], where the
+# rounding of far intercepts clamps pushes
+STATS_RUNS = {
+    "traffic_light": ("traffic_light.ini", None, ()),
+    "flat": ("flat_free_random.ini", None, ("--seed", "7")),
+    "flat_moved": ("flat_free_random.ini", (8182, 8202), ("--seed", "7")),
+}
+
+
+@pytest.mark.parametrize("case", list(STATS_RUNS))
+def test_run_stats_in_metadata_match_a_recount(tmp_path, monkeypatch, case):
+    name, window, extra = STATS_RUNS[case]
+    text = (CONFIGS / name).read_text()
+    if window is not None:
+        text = text.replace("\nx_lo = -10\n", f"\nx_lo = {window[0]}\n").replace(
+            "\nx_hi = 10\n", f"\nx_hi = {window[1]}\n")
+        assert f"x_lo = {window[0]}\n" in text and f"x_hi = {window[1]}\n" in text
+    cfgf = tmp_path / name
+    cfgf.write_text(text)
+    # every heap entry is recounted as heapq moves it: `run` binds heapq's
+    # two functions when it starts.  An entry is stale when popped if its
+    # two fronts are no longer adjacent, and a push is clamped if its time
+    # is not the collision time of its two fronts' lines
+    popped, clamped = [], []
+    pop, push = heapq.heappop, heapq.heappush
+
+    def counting_pop(heap):
+        entry = pop(heap)
+        t, _, a, b = entry
+        popped.append((t, a.next is not b))
+        return entry
+
+    def counting_push(heap, entry):
+        t, _, a, b = entry
+        clamped.append(t != (b.icpt - a.icpt) / (a.speed - b.speed))
+        push(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), *extra, "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    stats = meta["run_stats"]
+    assert set(stats) == {"stale_pops", "clamped_pushes", "peak_fronts"}
+    stale = sum(s for _, s in popped)
+    assert stats["stale_pops"] == stale
+    # every pop is stale, an event, or the one past t_end that ends the loop
+    ended = int(bool(popped) and not popped[-1][1] and popped[-1][0] > meta["t_end"])
+    assert len(popped) == stale + meta["events"] + ended
+    assert stats["clamped_pushes"] == sum(clamped)
+    assert stats["clamped_pushes"] > 0 if case == "flat_moved" else stats["clamped_pushes"] == 0
+    header, rows = read_csv(out / "functionals.csv")
+    assert stats["peak_fronts"] == max(int(r[header.index("waves")]) for r in rows)
 
 
 def test_ladder_builds_construction_once(tmp_path, monkeypatch):

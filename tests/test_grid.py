@@ -4,10 +4,11 @@ import pytest
 
 import phasetrack as pt
 from phasetrack.errors import NotOnMesh
-from phasetrack.grid import VACUUM_IW
+from phasetrack.grid import VACUUM_IW, node_fan
 from phasetrack.invariants import jump_residuals
 from phasetrack.riemann import WaveKind
 
+import references
 from statespace import random_state
 
 
@@ -165,6 +166,38 @@ def test_shock_matches_exact(laws, mesh5):
     exact = pt.solve_coupled(laws, ul, ur)
     assert [kind for *_, kind in approx] == [w.kind for w in exact] == [WaveKind.SHOCK]
     assert approx[0][0] == pytest.approx(exact.waves[0].speed, abs=1e-14)
+
+
+def _fan_bits(fan):
+    """A fan's jumps with each speed as its exact bits."""
+    return [(s.hex(), a, b, kind) for s, a, b, kind in fan]
+
+
+@pytest.mark.parametrize("family", ["traffic", "flat"])
+def test_node_fan_matches_its_path_building_form_on_every_pair(laws, flat_laws, family):
+    # the congested-congested case emits its jumps as it walks and comes
+    # first; every fan keeps the jumps, and the speed bits, of the form
+    # that built every path of nodes first
+    mesh = pt.GridMesh(laws if family == "traffic" else flat_laws, 4)
+    nodes = list(mesh.nodes())
+    for l in nodes:
+        for r in nodes:
+            assert _fan_bits(node_fan(mesh, l, r)) == \
+                _fan_bits(references.node_fan(mesh, l, r)), (l, r)
+
+
+def test_node_fan_matches_its_path_building_form_on_seeded_pairs(laws):
+    mesh = pt.GridMesh(laws, 6)
+    nodes = list(mesh.nodes())
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(20_000):
+        l, r = rng.choice(nodes), rng.choice(nodes)
+        fan = node_fan(mesh, l, r)
+        assert _fan_bits(fan) == _fan_bits(references.node_fan(mesh, l, r)), (l, r)
+        kinds.update(kind for *_, kind in fan)
+    assert kinds == {WaveKind.SHOCK, WaveKind.CONTACT, WaveKind.RAREFACTION_STEP,
+                     WaveKind.PHASE_TRANSITION}
 
 
 def test_all_outputs_on_mesh_M3(laws, mesh5, rng):

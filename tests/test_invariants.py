@@ -1,13 +1,14 @@
 import random
+import re
 
 import pytest
 
 import phasetrack as pt
 from phasetrack.errors import InvariantViolation
-from phasetrack.invariants import audit_run, functional_violations
+from phasetrack.invariants import ORDER_TOL, audit_run, functional_violations
 from phasetrack.riemann import WaveKind
 
-from faults import inflate_event_tv, mass_fault, momentum_fault
+from faults import displace_front, inflate_event_tv, mass_fault, momentum_fault
 from references import functional_violations_per_row
 
 EPS_W = 0.01
@@ -148,3 +149,30 @@ def test_strict_run_raises_the_audits_first_message(laws, mesh5, monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         pt.run(diagram0, 100.0, mesh5, strict=True)
     assert str(exc.value) == bad[0]
+
+
+ORDER_MESSAGE = re.compile(r"front order broken by (\S+) at event (\d+) \(t=(\S+), x=(\S+)\): "
+                           r"the front (before|after) it is at (\S+)")
+
+
+@pytest.mark.parametrize("built, dx", [(0, 0.1), (5, 0.1), (20, 1e-3)])
+def test_strict_run_reports_a_displaced_front_at_its_event(laws, mesh5, monkeypatch, built, dx):
+    # one front born at an event lies dx off its line: the audit after the
+    # run cannot see it, since it has closed before t_end, but each event
+    # of a strict run checks that its point lies between its neighbours
+    datum = pt.random_mesh_datum(mesh5, random.Random(11), max_jumps=15)
+    diagram0 = pt.approximate_datum(datum, mesh5)
+    n_initial = pt.run(diagram0, 0.0, mesh5).log.waves[0]
+    fronts = displace_front(monkeypatch, n_initial + built, dx)
+    res = pt.run(diagram0, 100.0, mesh5)
+    assert audit_run(res) == []
+    fronts.clear()
+    with pytest.raises(InvariantViolation) as exc:
+        pt.run(diagram0, 100.0, mesh5, strict=True)
+    overlap, event, t, x, side, x_other = ORDER_MESSAGE.fullmatch(str(exc.value)).groups()
+    overlap, event, t, x, x_other = float(overlap), int(event), float(t), float(x), float(x_other)
+    # the event is named by its functional-log row, which the run without
+    # strict wrote at the same time
+    assert 1 <= event < len(res.log.ts) and t == res.log.ts[event]
+    assert overlap == (x_other - x if side == "before" else x - x_other)
+    assert ORDER_TOL * (1.0 + abs(x)) < overlap <= dx
