@@ -133,17 +133,22 @@ class RunConfig:
         self.x_points = int(r.get("x_points", 400))
         self.x_lo = float(r["x_lo"]) if "x_lo" in r else None
         self.x_hi = float(r["x_hi"]) if "x_hi" in r else None
-        self.entropy_enabled = str(r.get("entropy", "on")).lower() not in ("off", "false", "0")
+        entropy = r.get("entropy", "on").lower()
+        if entropy not in cp.BOOLEAN_STATES:
+            raise ValueError(f"[run] entropy must be one of {', '.join(cp.BOOLEAN_STATES)}, "
+                             f"got {entropy!r}")
+        self.entropy_enabled = cp.BOOLEAN_STATES[entropy]
         self.k_grid = _floats(r["k_grid"]) if "k_grid" in r else None
         if self.k_grid is not None and not all(0.0 <= k <= self.laws.V_f for k in self.k_grid):
             raise ValueError(f"k_grid speeds must lie in [0, V_f = {self.laws.V_f}], "
                              f"got {self.k_grid}")
-        self.seed = seed
+        # the seed of a random datum: 0 unless given
+        self.seed = seed or 0
 
     def resolve_datum(self, mesh: GridMesh):
         if self.datum is not None:
             return self.datum
-        rng = random.Random(self.seed or 0)
+        rng = random.Random(self.seed)
         return random_mesh_datum(mesh, rng, max_jumps=self._random["jumps"],
                                  x_span=(self._random["x_lo"], self._random["x_hi"]))
 
@@ -262,6 +267,9 @@ def cmd_run(args) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     meta = _scenario_meta(cfg.scenario_cfg) if cfg.scenario_cfg is not None else {}
+    if cfg.datum is None:
+        # a random datum is repeated by running again with its seed
+        meta["seed"] = cfg.seed
     _write_outputs(Path(args.out), cfg, res, times, xs, meta)
     bad = audit_run(res)
     if bad:

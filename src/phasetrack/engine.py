@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
-from .grid import GridMesh, Node, VACUUM_IW, solve_approx
+from .grid import GridMesh, VACUUM_IW, solve_approx
 from .invariants import event_order_violations, row_violations
 from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
@@ -162,18 +162,19 @@ class FrontDiagram:
 # functionals
 
 
-def _front_measures(mesh: GridMesh, l: Node, r: Node) -> tuple[float, float, int]:
+def _front_measures(mesh: GridMesh, l: int, r: int) -> tuple[float, float, int]:
     """(tv, temple, is_phase_transition) contributions of the front between
-    nodes l and r."""
-    ivl, iwl = l
-    ivr, iwr = r
-    v_values, w_at = mesh.v_values, mesh.w_at
+    the nodes of state ids l and r."""
+    stride = mesh.id_stride
+    ivl, ivr = l // stride, r // stride
+    v_values, w_col = mesh.v_values, mesh.w_col
     dw1 = abs(v_values[ivl] - v_values[ivr])
-    dw2 = abs(w_at[iwl] - w_at[iwr])
+    dw2 = abs(w_col[l % stride] - w_col[r % stride])
     tv = dw1 + dw2
     # the marker drop of a slow contact is counted twice once it exceeds a
-    # full quantum: that is the wave-split budget of the functional
-    delta = (ivl == ivr and ivl <= mesh.iv_vc and (iwl - iwr) >= 2)
+    # full quantum: that is the wave-split budget of the functional (on
+    # one velocity line, l - r is the drop in marker index)
+    delta = (ivl == ivr and ivl <= mesh.iv_vc and (l - r) >= 2)
     temple = tv + (dw2 if delta else 0.0)
     return tv, temple, 1 if (ivl == mesh.iv_free) != (ivr == mesh.iv_free) else 0
 
@@ -236,34 +237,18 @@ class FrontRecord(NamedTuple):
 CHUNK_ROWS = 1024     # rows per numpy pass over a history's columns
 
 
-class _StateTable(dict):
-    """State id (`GridMesh.state_id`) -> the mesh's TrafficState, each
-    looked up on first use."""
-
-    __slots__ = ("mesh",)
-
-    def __init__(self, mesh: GridMesh):
-        super().__init__()
-        self.mesh = mesh
-
-    def __missing__(self, sid: int) -> TrafficState:
-        u = self.mesh.states[self.mesh.node_of(sid)]
-        self[sid] = u
-        return u
-
-
 class FrontHistory(Sequence):
     """A run's closed front segments as a column store, one row each.
 
     Times, start positions and speeds are array('d') columns, the states on
-    either side array('q') columns of mesh state ids (see `_StateTable`),
+    either side array('q') columns of mesh state ids (`GridMesh.states`),
     and kinds a list.  `run` appends a row as each front closes.  Read as a
     sequence, the history is read-only: each row is built into a
     `FrontRecord`, with the mesh's own state objects, when it is read, and
     none is kept.  Its readers in the package read columns (`sides`, `chunks`).
     """
 
-    __slots__ = ("t0", "t1", "x0", "speed", "left", "right", "kind", "states")
+    __slots__ = ("t0", "t1", "x0", "speed", "left", "right", "kind", "mesh")
 
     def __init__(self, mesh: GridMesh):
         self.t0 = array("d")
@@ -273,7 +258,7 @@ class FrontHistory(Sequence):
         self.left = array("q")
         self.right = array("q")
         self.kind: list[WaveKind | None] = []
-        self.states = _StateTable(mesh)
+        self.mesh = mesh
 
     def __len__(self) -> int:
         return len(self.t0)
@@ -293,21 +278,18 @@ class FrontHistory(Sequence):
     def closer(self):
         """The function close(f, t1) that appends live front f, closed at
         t1, as a row."""
-        stride = self.states.mesh.id_stride
         add_t0, add_t1 = self.t0.append, self.t1.append
         add_x0, add_speed = self.x0.append, self.speed.append
         add_left, add_right = self.left.append, self.right.append
         add_kind = self.kind.append
 
         def close(f: _F, t1: float) -> None:
-            l, r = f.l, f.r
             add_t0(f.t0)
             add_t1(t1)
             add_x0(f.x0)
             add_speed(f.speed)
-            # GridMesh.state_id, inlined
-            add_left(l[0] * stride + l[1] + 1)
-            add_right(r[0] * stride + r[1] + 1)
+            add_left(f.l)
+            add_right(f.r)
             add_kind(f.kind)
         return close
 
@@ -320,7 +302,7 @@ class FrontHistory(Sequence):
         if rows is not None:
             cols = [map(col.__getitem__, rows) for col in cols]
         t0, t1, x0, speed, left, right, kind = cols
-        st = self.states.__getitem__
+        st = self.mesh.states.__getitem__
         return map(tuple.__new__, itertools.repeat(FrontRecord),
                    zip(t0, t1, x0, speed, map(st, left), map(st, right), kind))
 
@@ -341,7 +323,7 @@ class FrontHistory(Sequence):
         """The history's one column reader: (first row, the named columns,
         then each side's (rho, v, congested, marker_W) arrays, by
         `GridMesh.node_values`) over the chunks of `chunks`."""
-        node_values = self.states.mesh.node_values
+        node_values = self.mesh.node_values
         for start, (left, right, *cols) in self.chunks("left", "right", *names):
             m = len(left)
             values = node_values(np.concatenate((left, right)))
@@ -350,7 +332,7 @@ class FrontHistory(Sequence):
 
 class _F:
     """Live front in the simulation's doubly linked list, between the mesh
-    nodes l and r ((iv, iw) ids), with its `_front_measures` (tv, temple,
+    nodes of state ids l and r, with its `_front_measures` (tv, temple,
     pt); born after prev, which the caller links to it."""
 
     __slots__ = ("x0", "t0", "speed", "icpt", "l", "r", "kind",
@@ -417,7 +399,7 @@ class RunResult:
                         (pick + start).tolist(), left[pick].tolist(), right[pick].tolist())
         # by (position, speed), ties in row order: the row ids are distinct
         live.sort()
-        st, kind = h.states, h.kind
+        st, kind = h.mesh.states, h.kind
         fronts = [DiagramFront(x, s, st[l], st[r], kind[i]) for x, s, i, l, r in live]
         return FrontDiagram(t, fronts[0].left if fronts else self.final.left_state, fronts)
 
@@ -482,13 +464,14 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     against the fronts on either side of its group
     (`invariants.event_order_violations`) and its row against the
     functional rules, and the first violation raises InvariantViolation.
-    Inside the loop fronts carry mesh node ids: each collision is resolved
-    by one `solve_approx` call on the node states of its group's outer ids,
-    which finds those nodes again by one probe each, and states are
-    otherwise looked up only for the two snapshots.  A new front takes its
-    `_front_measures` and its left neighbour when built, and is linked in
-    then.  Each front that closes, at an event or at t_end, is appended as
-    one row of the run's `FrontHistory`, its states as integer state ids.
+    Fronts carry mesh state ids, unchanged from the fan that builds them to
+    the history row that closes them.  Each collision is resolved by one
+    `solve_approx` call on the node states of its group's outer ids: the
+    one state-level Riemann solve that callers and profilers see, it finds
+    the ids again by a (rho, v) probe each.  States are otherwise looked up
+    only for the two snapshots.  A new front takes its `_front_measures`
+    and its left neighbour when built, and is linked in then.  Each front
+    closing, at an event or at t_end, is appended as one `FrontHistory` row.
 
     Fronts never change once built, so a heap entry stays valid exactly as
     long as its two fronts are adjacent: dead fronts are unlinked, and an

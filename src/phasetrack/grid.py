@@ -1,15 +1,18 @@
 """Dyadic state mesh and the approximate Riemann solver with discretized
 rarefactions.
 
-Nodes are addressed by integer indices (iv, iw) into cached coordinate
-arrays, so states snapped to the mesh compare exactly and repeated solves
-never re-run root finders.
+A node, on velocity line iv and marker line iw, is one integer inside the
+package, its state id iv * id_stride + iw + 1: a velocity step moves it by
+id_stride, a marker step by 1.  Each node's state is built once per mesh,
+so states snapped to the mesh compare exactly and repeated solves never
+re-run root finders; (iv, iw) is formed only where geometry needs it.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from array import array
 
 import numpy as np
 
@@ -20,11 +23,11 @@ from .riemann import WaveKind, sigma
 _IDX_GUARD = 1e-9      # index-space slack when flooring coordinates
 VACUUM_IW = -1         # synthetic marker index for vacuum under constant v_f
 
-Node = tuple[int, int]  # node id (iv, iw)
+Node = tuple[int, int]  # a node's line indices (iv, iw)
 
 
 class _NodeStates(dict):
-    """Node id -> TrafficState of one mesh, each state built on first
+    """State id -> TrafficState of one mesh, each state built on first
     lookup.  The mesh is held weakly, so the two form no reference cycle."""
 
     __slots__ = ("_mesh",)
@@ -33,8 +36,8 @@ class _NodeStates(dict):
         super().__init__()
         self._mesh = weakref.ref(mesh)
 
-    def __missing__(self, node: Node) -> TrafficState:
-        return self._mesh()._build_state(node)
+    def __missing__(self, sid: int) -> TrafficState:
+        return self._mesh()._build_state(sid)
 
 
 class GridMesh:
@@ -80,20 +83,26 @@ class GridMesh:
         if laws.W_max - self.w_values[-1] > 1e-9 * self.eps_w:
             self.w_values.append(laws.W_max)
         self.v_values = [i * self.eps_v for i in range(two_n + 1)] + [laws.V_f]
-        # marker value by any marker index: VACUUM_IW (-1) reads the last entry
-        self.w_at = self.w_values + [laws.W_c]
+        # marker value by a state id's column, id % id_stride = iw + 1:
+        # column 0, VACUUM_IW's, reads W_c
+        self.w_col = [laws.W_c] + self.w_values
         self.iv_free = two_n + 1
         self.iv_vc = two_n
 
-        # node id -> state, built on first lookup; _rev inverts it
-        self.states = _NodeStates(self)
-        self._rev: dict[tuple[float, float], Node] = {}
-        # a node as one integer, its state id: iv * id_stride + iw + 1
+        # a node as one integer, its state id: iv * id_stride + iw + 1, so
+        # that marker index VACUUM_IW (-1) has an id too
         self.id_stride = len(self.w_values) + 1
-        # the node values read so far (node_values), and each state id's
-        # place among them (-1: not read), allocated on first use
-        self._values = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0))
-        self._value_at: np.ndarray | None = None
+        # state id -> state, built on first lookup; _rev inverts it
+        self.states = _NodeStates(self)
+        self._rev: dict[tuple[float, float], int] = {}
+        # each built node's (rho, v, congested, marker_W), appended as its
+        # state is built, and its place among them by state id, plus 1 (0:
+        # not built).  Columns indexed by state id would be simpler, but a
+        # rarefaction along a marker line touches one page of each per
+        # velocity line: they raised the peak RSS of a level 5..9 ladder
+        # from 34 to 42 MB
+        self._values = (array("d"), array("d"), array("b"), array("d"))
+        self._slot = np.zeros((self.iv_free + 1) * self.id_stride, dtype=np.int32)
 
     # -- node access ---------------------------------------------------------
 
@@ -106,7 +115,11 @@ class GridMesh:
         return len(self.w_values)
 
     def state(self, iv: int, iw: int) -> TrafficState:
-        return self.states[iv, iw]
+        # iw is checked before the id is formed: off [VACUUM_IW, num_w) it
+        # would alias a node of the next or the previous velocity line
+        if not VACUUM_IW <= iw < len(self.w_values):
+            raise NotOnMesh(f"no node at (iv={iv}, iw={iw})")
+        return self.states[iv * self.id_stride + iw + 1]
 
     def state_id(self, node: Node) -> int:
         return node[0] * self.id_stride + node[1] + 1
@@ -117,44 +130,43 @@ class GridMesh:
 
     def node_values(self, ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """(rho, v, congested, marker_W) of the nodes with the given state
-        ids, as arrays.  Each node's values are read from its state once per
-        mesh and kept with those of the other nodes read."""
-        if self._value_at is None:
-            self._value_at = np.full((self.iv_free + 1) * self.id_stride, -1, dtype=np.int32)
-        at = self._value_at[ids]
-        fresh = ids[at < 0]
-        if fresh.size:
-            new = sorted(set(fresh.tolist()))
-            us = [self.states[self.node_of(sid)] for sid in new]
-            marker_W = self.laws.marker_W
-            read = ([u.rho for u in us], [u.v for u in us],
-                    [u.phase is Phase.CONGESTED for u in us], [marker_W(u) for u in us])
-            n = len(self._values[0])
-            self._values = tuple(np.concatenate((col, np.array(r, dtype=col.dtype)))
-                                 for col, r in zip(self._values, read))
-            self._value_at[new] = np.arange(n, n + len(new))
-            at = self._value_at[ids]
-        return tuple(col[at] for col in self._values)
+        ids, as arrays of the values each node's state wrote when it was
+        built; a node not built yet is built first."""
+        at = self._slot[ids]
+        if not at.all():
+            for sid in ids[at == 0].tolist():
+                self.states[sid]
+            at = self._slot[ids]
+        at -= 1
+        rho, v, congested, marker = self._values
+        return (np.frombuffer(rho)[at], np.frombuffer(v)[at],
+                np.frombuffer(congested, dtype=bool)[at], np.frombuffer(marker)[at])
 
-    def _build_state(self, key: Node) -> TrafficState:
-        iv, iw = key
+    def _build_state(self, sid: int) -> TrafficState:
+        iv, iw = self.node_of(sid)
         laws = self.laws
         if iv == self.iv_free:
-            if iw == VACUUM_IW and laws.degenerate_free:
-                u = laws.vacuum()
-            elif 0 <= iw < len(self.w_values):
+            if iw != VACUUM_IW:
                 rho = laws.free_rho_from_marker(self.w_values[iw])
                 u = TrafficState(rho, laws.v_free(rho), Phase.FREE)
+            elif laws.degenerate_free:
+                u = laws.vacuum()
             else:
                 raise NotOnMesh(f"no free node at (iv={iv}, iw={iw})")
         else:
-            if not (0 <= iv <= self.iv_vc and self._iw_c <= iw < len(self.w_values)):
+            if not (0 <= iv <= self.iv_vc and self._iw_c <= iw):
                 raise NotOnMesh(f"no congested node at (iv={iv}, iw={iw})")
             v = self.v_values[iv]
             rho = laws.p_inv(self.w_values[iw] - v)
             u = TrafficState(rho, v, Phase.CONGESTED)
-        self.states[key] = u
-        self._rev[(u.rho, u.v)] = key
+        self.states[sid] = u
+        self._rev[(u.rho, u.v)] = sid
+        rho_col, v_col, congested_col, marker_col = self._values
+        self._slot[sid] = len(rho_col) + 1
+        rho_col.append(u.rho)
+        v_col.append(u.v)
+        congested_col.append(u.phase is Phase.CONGESTED)
+        marker_col.append(laws.marker_W(u))
         return u
 
     def nodes(self):
@@ -195,7 +207,7 @@ class GridMesh:
             # compare the corners by value: _rev holds only the nodes built so far
             for iv in ivb:
                 for iw in iwb:
-                    if self.states[iv, iw] == u:
+                    if self.state(iv, iw) == u:
                         return (iv, iv), (iw, iw)
         return ivb, iwb
 
@@ -217,13 +229,13 @@ class GridMesh:
         return self.state(iv, iw)
 
     def index_of(self, u: TrafficState) -> Node:
-        key = self._rev.get((u.rho, u.v))
-        if key is not None:
-            return key
+        sid = self._rev.get((u.rho, u.v))
+        if sid is not None:
+            return self.node_of(sid)
         # tolerate externally built copies of node states: the node lies at
         # or one step above the floor in each coordinate
         snapped = self.snap(u)
-        iv, iw = self._rev[(snapped.rho, snapped.v)]
+        iv, iw = self.node_of(self._rev[(snapped.rho, snapped.v)])
         up_v, up_w = iv < self.iv_vc, iw + 1 < len(self.w_values)
         cand = [(iv + dv, iw + dw) for dv in (0, 1) for dw in (0, 1)
                 if (up_v or not dv) and (up_w or not dw)]
@@ -237,89 +249,87 @@ class GridMesh:
         raise NotOnMesh(f"{u} is not a mesh node")
 
 
-def _congested_steps(a: Node, b: Node) -> list[tuple[Node, WaveKind]]:
-    """Rarefaction steps from node a up the velocity nodes to b (same marker)."""
-    iw = a[1]
-    return [((iv, iw), WaveKind.RAREFACTION_STEP) for iv in range(a[0] + 1, b[0] + 1)]
-
-
-def _free_steps(iv_free: int, a: Node, b: Node, kind: WaveKind) -> list[tuple[Node, WaveKind]]:
-    """Steps from free node a down the marker nodes to free node b.
+def _free_steps(mesh: GridMesh, a: int, b: int, kind: WaveKind) -> list[tuple[int, WaveKind]]:
+    """Steps from free node a down the marker nodes to free node b (ids).
 
     Decreasing density <=> decreasing marker index on the free line.
     Keeping every jump at one marker quantum (also for the contacts of a
     constant free speed) is what lets the wave potential only ever see
     single-quantum drops arriving at a phase boundary."""
-    steps = [((iv_free, iw), kind) for iw in range(a[1] - 1, max(b[1], 0), -1)]
+    bottom = mesh.iv_free * mesh.id_stride + 1     # the free node of marker 0
+    steps = [(sid, kind) for sid in range(a - 1, max(b, bottom), -1)]
     steps.append((b, kind))
     return steps
 
 
-def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, WaveKind]]:
-    """Mesh-valued Riemann solver on node ids: the fan between nodes l and r
-    as (speed, left node, right node, kind) jumps, left to right.
+def node_fan(mesh: GridMesh, l: int, r: int) -> list[tuple[float, int, int, WaveKind]]:
+    """Mesh-valued Riemann solver on state ids: the fan between nodes l and
+    r as (speed, left id, right id, kind) jumps, left to right.
 
     Rarefactions become chains of jumps between consecutive nodes along the
     corresponding wave curve, each jump travelling at its own
     mass-conserving speed.  The congested-congested case, most fans of a
     run, is tested first and emits its jumps as it walks; the other cases
     build their path of nodes first."""
-    iv_free = mesh.iv_free
-    ivl, iwl = l
-    ivr, iwr = r
+    stride, iv_free = mesh.id_stride, mesh.iv_free
+    ivl, ivr = l // stride, r // stride
     states = mesh.states
     lf, rf = ivl == iv_free, ivr == iv_free
 
     if not lf and not rf:
-        # a 1-wave along marker iwl (one shock, or rarefaction steps up the
-        # velocity nodes), then a contact along the velocity line of r
-        fan: list[tuple[float, Node, Node, WaveKind]] = []
+        # a 1-wave along the marker line of l (one shock, or rarefaction
+        # steps up the velocity nodes), then a contact along the velocity
+        # line of r
+        fan: list[tuple[float, int, int, WaveKind]] = []
         a, u_a = l, states[l]
         if ivr < ivl:
-            b = (ivr, iwl)
+            b = l - (ivl - ivr) * stride
             u_b = states[b]
             fan.append((sigma(u_a, u_b), a, b, mesh.shock))
             a, u_a = b, u_b
         elif ivr > ivl:
             step = mesh.rarefaction_step
-            for iv in range(ivl + 1, ivr + 1):
-                b = (iv, iwl)
+            for b in range(l + stride, l + (ivr - ivl) * stride + 1, stride):
                 u_b = states[b]
                 fan.append((sigma(u_a, u_b), a, b, step))
                 a, u_a = b, u_b
-        if iwl != iwr:
+        if a != r:
             fan.append((sigma(u_a, states[r]), a, r, mesh.contact))
         return fan
 
     # the fan as a path of nodes from l: (next node, kind of the jump to it)
-    steps: list[tuple[Node, WaveKind]] = []
+    steps: list[tuple[int, WaveKind]] = []
     free_shock = mesh.free_shock
     if lf and rf:
-        if iwl < iwr:
+        # up the free line one shock, down it one step per marker line
+        if l < r:
             steps.append((r, free_shock))
-        elif iwl > iwr:
-            steps = _free_steps(iv_free, l, r, mesh.free_wave)
+        elif l > r:
+            steps = _free_steps(mesh, l, r, mesh.free_wave)
     elif lf:
         # free -> congested: one phase transition, then a possibly-null contact
         if states[l].rho == 0.0:
             steps.append((r, WaveKind.PHASE_TRANSITION))
         else:
-            iw_m = max(mesh.iw_c, iwl)
-            steps.append(((ivr, iw_m), WaveKind.PHASE_TRANSITION))
-            if iw_m != iwr:
+            # on the velocity line of r, at the marker of l or the lowest
+            # congested one
+            iwl = l - iv_free * stride - 1
+            m = ivr * stride + max(mesh.iw_c, iwl) + 1
+            steps.append((m, WaveKind.PHASE_TRANSITION))
+            if m != r:
                 steps.append((r, WaveKind.CONTACT))
     else:
         # congested -> free: possibly-null 1-wave up to the congested
         # ceiling, one phase transition, then a possibly-null free wave
-        m1 = (mesh.iv_vc, iwl)
-        if ivl < mesh.iv_vc:
-            steps = _congested_steps(l, m1)
-        m2 = (iv_free, iwl)
+        m1 = l + (mesh.iv_vc - ivl) * stride
+        steps = [(b, WaveKind.RAREFACTION_STEP) for b in range(l + stride, m1 + 1, stride)]
+        # the free line is the velocity line above the ceiling
+        m2 = m1 + stride
         steps.append((m2, WaveKind.PHASE_TRANSITION))
-        if iwl < iwr:
+        if m2 < r:
             steps.append((r, free_shock))
-        elif iwl > iwr:
-            steps += _free_steps(iv_free, m2, r, mesh.free_wave)
+        elif m2 > r:
+            steps += _free_steps(mesh, m2, r, mesh.free_wave)
 
     fan = []
     a, u_a = l, states[l]
@@ -331,12 +341,12 @@ def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, 
 
 
 def solve_approx(mesh: GridMesh, u_l: TrafficState,
-                 u_r: TrafficState) -> list[tuple[float, Node, Node, WaveKind]]:
+                 u_r: TrafficState) -> list[tuple[float, int, int, WaveKind]]:
     """State-level adapter of node_fan: the mesh Riemann fan between the
-    nodes of u_l and u_r, as node jumps.  A node state built by the mesh is
-    found by one probe of its (rho, v), index_of's fast path; any other
-    state goes through index_of."""
+    nodes of u_l and u_r.  A node state built by the mesh is found by one
+    probe of its (rho, v), index_of's fast path (no node has id 0, so only
+    a missed probe is false); any other state goes through index_of."""
     rev = mesh._rev
-    l = rev.get((u_l.rho, u_l.v)) or mesh.index_of(u_l)
-    r = rev.get((u_r.rho, u_r.v)) or mesh.index_of(u_r)
+    l = rev.get((u_l.rho, u_l.v)) or mesh.state_id(mesh.index_of(u_l))
+    r = rev.get((u_r.rho, u_r.v)) or mesh.state_id(mesh.index_of(u_r))
     return node_fan(mesh, l, r)

@@ -70,7 +70,8 @@ def momentum_fault(res, i):
     density, and the mass-conserving speed from its left node: mass
     balances across the front, momentum does not."""
     mesh, h = res.mesh, res.history
-    iv, iw = mesh.node_of(h.right[i])
-    node = (iv - 1 if iv > 0 else iv + 1, iw)
-    return _row_fault(h, i, sigma(h.states[h.left[i]], mesh.states[node]),
-                      mesh.state_id(node))
+    right = h.right[i]
+    iv, _ = mesh.node_of(right)
+    # a velocity step along a marker line is one id_stride of state id
+    moved = right - mesh.id_stride if iv > 0 else right + mesh.id_stride
+    return _row_fault(h, i, sigma(mesh.states[h.left[i]], mesh.states[moved]), moved)

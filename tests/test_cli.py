@@ -466,8 +466,11 @@ FLAT_INI = (CONFIGS / "flat_free_random.ini").read_text()
      "got x_lo = 5.0, x_hi = -5.0, x_points = 400\n"),
     (FLAT_INI, "[run]\n", "[run]\nx_points = 1\n", "profiles need a finite x_lo < x_hi "
      "and x_points >= 2", ", x_points = 1\n"),
+    # an entropy switch that is neither on nor off, not a silent "on"
+    (FLAT_INI, "[run]\n", "[run]\nentropy = maybe\n", "[run] entropy must be one of ",
+     "got 'maybe'\n"),
 ], ids=["snapshots-outside-t_end", "snapshot-after-the-default-t_end",
-        "descending-window", "one-x-point"])
+        "descending-window", "one-x-point", "entropy-not-a-boolean"])
 def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, new,
                                                     message, tail):
     assert text.count(old) == 1
@@ -524,16 +527,38 @@ def test_constant_datum_without_breaks_profiles_around_0(tmp_path):
 
 def test_entropy_off_writes_the_same_outputs_without_entropy_csv(tmp_path):
     outs = {}
-    for mode in ("on", "off"):
+    for mode in ("on", "off", "no"):
         cfgf = tmp_path / f"{mode}.ini"
         cfgf.write_text(RANDOM_INI.replace("[run]\n", f"[run]\nentropy = {mode}\n"))
         outs[mode] = tmp_path / mode
         assert main(["run", str(cfgf), "--out", str(outs[mode]), "--seed", "7"]) == 0
     assert (outs["on"] / "entropy.csv").exists()
-    assert not (outs["off"] / "entropy.csv").exists()
-    for name in ("fronts.csv", "functionals.csv", "profiles.csv"):
-        assert (outs["off"] / name).read_bytes() == (outs["on"] / name).read_bytes(), name
+    for mode in ("off", "no"):
+        assert not (outs[mode] / "entropy.csv").exists(), mode
+        for name in ("fronts.csv", "functionals.csv", "profiles.csv"):
+            assert (outs[mode] / name).read_bytes() == (outs["on"] / name).read_bytes(), \
+                (mode, name)
     assert len(read_csv(outs["on"] / "fronts.csv")[1]) > 0
+
+
+def test_random_datum_seed_is_recorded_and_repeats_the_run(tmp_path):
+    # the seed actually used, 0 without --seed, goes to metadata.json, and
+    # running again with it writes the same fronts
+    cfgf = tmp_path / "r.ini"
+    cfgf.write_text(RANDOM_INI)
+    for args, seed in (([], 0), (["--seed", "7"], 7)):
+        first, again = tmp_path / f"first{seed}", tmp_path / f"again{seed}"
+        assert main(["run", str(cfgf), "--out", str(first), *args]) == 0
+        recorded = json.loads((first / "metadata.json").read_text())["seed"]
+        assert recorded == seed
+        assert main(["run", str(cfgf), "--out", str(again), "--seed", str(recorded)]) == 0
+        assert (again / "fronts.csv").read_bytes() == (first / "fronts.csv").read_bytes()
+    assert (tmp_path / "first0" / "fronts.csv").read_bytes() != \
+        (tmp_path / "first7" / "fronts.csv").read_bytes()
+    # an inline or scenario datum has no seed
+    cfgf.write_text(CONSTANT_INI)
+    assert main(["run", str(cfgf), "--out", str(tmp_path / "c"), "--seed", "7"]) == 0
+    assert "seed" not in json.loads((tmp_path / "c" / "metadata.json").read_text())
 
 
 def _inflate_event_fronts(monkeypatch, cfgf, n):

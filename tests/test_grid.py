@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import phasetrack as pt
@@ -19,7 +20,9 @@ def test_quanta(laws, mesh5):
     assert mesh5.v_values[mesh5.iv_vc] == laws.V_c
     assert mesh5.v_values[mesh5.iv_free] == laws.V_f
     # the top marker is adjoined as a node even off the lattice
-    assert mesh5.w_at[mesh5.num_w - 1] == laws.W_max
+    assert mesh5.w_col[mesh5.num_w] == mesh5.w_values[-1] == laws.W_max
+    # column 0 of a state id, VACUUM_IW's, reads W_c
+    assert mesh5.w_col[0] == laws.W_c
 
 
 def test_nodes_in_domain(laws, mesh5):
@@ -173,28 +176,50 @@ def _fan_bits(fan):
     return [(s.hex(), a, b, kind) for s, a, b, kind in fan]
 
 
+class _NodeKeyed:
+    """A mesh as `references.node_fan` reads it: its states keyed by
+    (iv, iw), every other attribute the mesh's own."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.states = {node: mesh.state(*node) for node in mesh.nodes()}
+
+    def __getattr__(self, name):
+        return getattr(self.mesh, name)
+
+
+def _reference_fan(keyed, l, r):
+    """`references.node_fan` between the nodes of state ids l and r, its
+    jumps' nodes as state ids."""
+    mesh = keyed.mesh
+    fan = references.node_fan(keyed, mesh.node_of(l), mesh.node_of(r))
+    return [(s, mesh.state_id(a), mesh.state_id(b), kind) for s, a, b, kind in fan]
+
+
 @pytest.mark.parametrize("family", ["traffic", "flat"])
 def test_node_fan_matches_its_path_building_form_on_every_pair(laws, flat_laws, family):
     # the congested-congested case emits its jumps as it walks and comes
     # first; every fan keeps the jumps, and the speed bits, of the form
-    # that built every path of nodes first
+    # that built every path of (iv, iw) nodes first
     mesh = pt.GridMesh(laws if family == "traffic" else flat_laws, 4)
-    nodes = list(mesh.nodes())
-    for l in nodes:
-        for r in nodes:
+    keyed = _NodeKeyed(mesh)
+    ids = [mesh.state_id(node) for node in mesh.nodes()]
+    for l in ids:
+        for r in ids:
             assert _fan_bits(node_fan(mesh, l, r)) == \
-                _fan_bits(references.node_fan(mesh, l, r)), (l, r)
+                _fan_bits(_reference_fan(keyed, l, r)), (l, r)
 
 
 def test_node_fan_matches_its_path_building_form_on_seeded_pairs(laws):
     mesh = pt.GridMesh(laws, 6)
-    nodes = list(mesh.nodes())
+    keyed = _NodeKeyed(mesh)
+    ids = [mesh.state_id(node) for node in mesh.nodes()]
     rng = random.Random(20)
     kinds = set()
     for _ in range(20_000):
-        l, r = rng.choice(nodes), rng.choice(nodes)
+        l, r = rng.choice(ids), rng.choice(ids)
         fan = node_fan(mesh, l, r)
-        assert _fan_bits(fan) == _fan_bits(references.node_fan(mesh, l, r)), (l, r)
+        assert _fan_bits(fan) == _fan_bits(_reference_fan(keyed, l, r)), (l, r)
         kinds.update(kind for *_, kind in fan)
     assert kinds == {WaveKind.SHOCK, WaveKind.CONTACT, WaveKind.RAREFACTION_STEP,
                      WaveKind.PHASE_TRANSITION}
@@ -209,8 +234,10 @@ def test_all_outputs_on_mesh_M3(laws, mesh5, rng):
         speeds = [s for s, *_ in fan]
         assert all(s2 >= s1 - 1e-11 for s1, s2 in zip(speeds, speeds[1:]))
         for s, l, r, _ in fan:
-            ul, ur = mesh5.state(*l), mesh5.state(*r)
-            assert mesh5.index_of(ul) == l and mesh5.index_of(ur) == r
+            ul, ur = mesh5.states[l], mesh5.states[r]
+            assert ul is mesh5.state(*mesh5.node_of(l)) and ur is mesh5.state(*mesh5.node_of(r))
+            assert mesh5.state_id(mesh5.index_of(ul)) == l
+            assert mesh5.state_id(mesh5.index_of(ur)) == r
             # mass on every jump, momentum on congested-congested ones
             if ul.phase is pt.Phase.CONGESTED and ur.phase is pt.Phase.CONGESTED:
                 mass, mom = jump_residuals(s, ul, ur, laws.w2(ul), laws.w2(ur))
@@ -224,11 +251,20 @@ def test_mesh_states_built_on_lookup_and_freed_with_the_mesh(laws):
 
     mesh = pt.GridMesh(laws, 4)
     node = (3, mesh.iw_c + 2)
-    assert node not in mesh.states
-    u = mesh.states[node]
+    sid = mesh.state_id(node)
+    assert sid not in mesh.states
+    u = mesh.states[sid]
     assert u is mesh.state(*node) and mesh.index_of(u) == node
     with pytest.raises(NotOnMesh):
-        mesh.states[(3, mesh.iw_c - 1)]
+        mesh.states[mesh.state_id((3, mesh.iw_c - 1))]
+    # node_values builds a node it has not seen first, as a lookup does
+    other = mesh.state_id((4, mesh.iw_c + 2))
+    assert other not in mesh.states
+    rho, v, congested, marker = mesh.node_values(np.array([other, sid]))
+    w = mesh.states[other]
+    assert rho.tolist() == [w.rho, u.rho] and v.tolist() == [w.v, u.v]
+    assert congested.tolist() == [True, True]
+    assert marker.tolist() == [laws.marker_W(w), laws.marker_W(u)]
     # the state table holds its mesh weakly: reference counting frees both
     ref = weakref.ref(mesh)
     del mesh
@@ -246,6 +282,10 @@ def test_state_rejects_free_ids_off_the_line(laws, flat_mesh5):
             mesh.state(mesh.iv_free, iw)
     assert mesh.index_of(node) == (mesh.iv_free, top)
     assert flat_mesh5.state(flat_mesh5.iv_free, VACUUM_IW).is_vacuum
+    # past the end of the ceiling's marker line, whose id would be the
+    # vacuum node's of the line above
+    with pytest.raises(NotOnMesh):
+        flat_mesh5.state(flat_mesh5.iv_vc, flat_mesh5.num_w)
 
 
 def test_free_chain_step_strengths(laws, mesh5):

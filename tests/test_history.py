@@ -66,7 +66,7 @@ def test_index_slice_and_iteration_agree(mesh5, flat_mesh5):
         assert view[n - 5:n + 5] == listed[n - 5:]
         assert all(type(r) is pt.FrontRecord for r in listed)
         # states come back as the mesh's own objects
-        assert all(r.left is mesh.states[mesh.index_of(r.left)] for r in listed)
+        assert all(r.left is mesh.state(*mesh.index_of(r.left)) for r in listed)
 
 
 def test_reading_past_the_end_raises(mesh5):
@@ -90,7 +90,11 @@ def test_state_ids_are_mesh_node_ids(mesh5, flat_mesh5):
         h = _random_run(mesh, 11).history
         ids = set(h.left) | set(h.right)
         assert min(ids) >= 0
-        assert all(h.states[sid] is mesh.states[mesh.node_of(sid)] for sid in ids)
+        assert all(mesh.state_id(mesh.node_of(sid)) == sid for sid in ids)
+        # each row's states are the mesh's node states of its ids
+        assert all(rec.left is mesh.state(*mesh.node_of(l)) and
+                   rec.right is mesh.state(*mesh.node_of(r))
+                   for rec, l, r in zip(h, h.left, h.right))
         nodes[mesh] = {mesh.node_of(sid) for sid in ids}
     # the constant-free-speed run reaches the vacuum node, whose marker
     # index is negative

@@ -70,7 +70,7 @@ def test_coords_round_trip(laws, mesh5):
     for iv, iw in mesh5.nodes():
         c = laws.to_coords(mesh5.state(iv, iw))
         assert c.w1 == pytest.approx(mesh5.v_values[iv], abs=1e-12), (iv, iw)
-        assert c.w2 == pytest.approx(mesh5.w_at[iw], abs=1e-10), (iv, iw)
+        assert c.w2 == pytest.approx(mesh5.w_values[iw], abs=1e-10), (iv, iw)
 
 
 def test_rho_f_boundaries(laws):
