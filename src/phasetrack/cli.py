@@ -142,7 +142,9 @@ class RunConfig:
         if self.k_grid is not None and not all(0.0 <= k <= self.laws.V_f for k in self.k_grid):
             raise ValueError(f"k_grid speeds must lie in [0, V_f = {self.laws.V_f}], "
                              f"got {self.k_grid}")
-        # the seed of a random datum: 0 unless given
+        # the seed of a random datum: 0 unless given; no other datum takes one
+        if seed is not None and self.datum is not None:
+            raise ValueError("--seed applies only to a [datum] of kind = random")
         self.seed = seed or 0
 
     def resolve_datum(self, mesh: GridMesh):

@@ -162,23 +162,6 @@ class FrontDiagram:
 # functionals
 
 
-def _front_measures(mesh: GridMesh, l: int, r: int) -> tuple[float, float, int]:
-    """(tv, temple, is_phase_transition) contributions of the front between
-    the nodes of state ids l and r."""
-    stride = mesh.id_stride
-    ivl, ivr = l // stride, r // stride
-    v_values, w_col = mesh.v_values, mesh.w_col
-    dw1 = abs(v_values[ivl] - v_values[ivr])
-    dw2 = abs(w_col[l % stride] - w_col[r % stride])
-    tv = dw1 + dw2
-    # the marker drop of a slow contact is counted twice once it exceeds a
-    # full quantum: that is the wave-split budget of the functional (on
-    # one velocity line, l - r is the drop in marker index)
-    delta = (ivl == ivr and ivl <= mesh.iv_vc and (l - r) >= 2)
-    temple = tv + (dw2 if delta else 0.0)
-    return tv, temple, 1 if (ivl == mesh.iv_free) != (ivr == mesh.iv_free) else 0
-
-
 class FunctionalLog:
     """Per-event history of the tracked functionals, one row per event, as
     columns: times and the two functionals array('d'), the wave and
@@ -275,24 +258,6 @@ class FrontHistory(Sequence):
     def __iter__(self):
         return self.records()
 
-    def closer(self):
-        """The function close(f, t1) that appends live front f, closed at
-        t1, as a row."""
-        add_t0, add_t1 = self.t0.append, self.t1.append
-        add_x0, add_speed = self.x0.append, self.speed.append
-        add_left, add_right = self.left.append, self.right.append
-        add_kind = self.kind.append
-
-        def close(f: _F, t1: float) -> None:
-            add_t0(f.t0)
-            add_t1(t1)
-            add_x0(f.x0)
-            add_speed(f.speed)
-            add_left(f.l)
-            add_right(f.r)
-            add_kind(f.kind)
-        return close
-
     def records(self, rows=None):
         """Iterator of the records of the given rows, of every row by
         default, each built when it is reached.  tuple.__new__ builds the
@@ -332,8 +297,8 @@ class FrontHistory(Sequence):
 
 class _F:
     """Live front in the simulation's doubly linked list, between the mesh
-    nodes of state ids l and r, with its `_front_measures` (tv, temple,
-    pt); born after prev, which the caller links to it."""
+    nodes of state ids l and r, with its jump's (tv, temple, pt), linked
+    after prev when built; `run` reads this class as a global per build."""
 
     __slots__ = ("x0", "t0", "speed", "icpt", "l", "r", "kind",
                  "prev", "next", "tv", "temple", "pt")
@@ -349,6 +314,8 @@ class _F:
         self.kind = kind
         self.prev = prev
         self.next = None
+        if prev is not None:
+            prev.next = self
         self.tv = tv
         self.temple = temple
         self.pt = pt
@@ -469,9 +436,9 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     `solve_approx` call on the node states of its group's outer ids: the
     one state-level Riemann solve that callers and profilers see, it finds
     the ids again by a (rho, v) probe each.  States are otherwise looked up
-    only for the two snapshots.  A new front takes its `_front_measures`
-    and its left neighbour when built, and is linked in then.  Each front
-    closing, at an event or at t_end, is appended as one `FrontHistory` row.
+    only for the two snapshots.  A new front takes its jump's functional
+    terms and its left neighbour when built, and is linked in then.  Each
+    front closing is appended as one row by the history's column appends.
 
     Fronts never change once built, so a heap entry stays valid exactly as
     long as its two fronts are adjacent: dead fronts are unlinked, and an
@@ -485,13 +452,15 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     laws = mesh.laws
     states = mesh.states
     history = FrontHistory(mesh)
-    close = history.closer()
+    add_t0, add_t1, add_x0, add_speed, add_left, add_right, add_kind = (
+        history.t0.append, history.t1.append, history.x0.append, history.speed.append,
+        history.left.append, history.right.append, history.kind.append)
     log = FunctionalLog()
     add_t, add_tv, add_temple, add_waves, add_pts = (
         log.ts.append, log.tv.append, log.temple.append, log.waves.append,
         log.phase_transitions.append)
     # looked up once per run, so a patched module attribute is honoured
-    measures, solve = _front_measures, solve_approx
+    solve = solve_approx
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap: list[tuple[float, int, _F, _F]] = []
@@ -510,18 +479,18 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             clamped += 1
         heappush(heap, (t, next(counter), a, b))
 
-    # initial resolution of the datum jumps, each front linked as it is built
+    # initial resolution of the datum jumps, each front linked as it is
+    # built and queued with the one before it
     tot_tv = tot_temple = 0.0
     n_waves = n_pts = 0
     head = f = None
     for raw in diagram.fronts:
-        for s, a, b, kind in solve(mesh, raw.left, raw.right):
-            tv, temple, pt = measures(mesh, a, b)
+        for s, a, b, kind, tv, temple, pt in solve(mesh, raw.left, raw.right):
             nf = _F(raw.x, 0.0, s, a, b, kind, f, tv, temple, pt)
             if f is None:
                 head = nf
             else:
-                f.next = nf
+                push(f, nf, 0.0)
             tot_tv += tv
             tot_temple += temple
             n_waves += 1
@@ -530,11 +499,6 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     initial = _snapshot(head, 0.0, states, diagram.left_state)
 
     log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
-
-    f = head
-    while f is not None and f.next is not None:
-        push(f, f.next, 0.0)
-        f = f.next
 
     events = stale = 0
     now = 0.0
@@ -583,7 +547,13 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         before, after = first.prev, last.next
         g = first
         while g is not after:
-            close(g, t_star)
+            add_t0(g.t0)
+            add_t1(t_star)
+            add_x0(g.x0)
+            add_speed(g.speed)
+            add_left(g.l)
+            add_right(g.r)
+            add_kind(g.kind)
             tot_tv -= g.tv
             tot_temple -= g.temple
             n_waves -= 1
@@ -595,13 +565,10 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
 
         # the fan's fronts, each linked after the one before it as it is built
         f = before
-        for s, a, b, kind in fan:
-            tv, temple, pt = measures(mesh, a, b)
+        for s, a, b, kind, tv, temple, pt in fan:
             nf = _F(x_star, t_star, s, a, b, kind, f, tv, temple, pt)
             if f is None:
                 head = nf
-            else:
-                f.next = nf
             tot_tv += tv
             tot_temple += temple
             n_waves += 1
@@ -648,7 +615,13 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     final = _snapshot(head, t_end, states, initial.left_state)
     f = head
     while f is not None:
-        close(f, t_end)
+        add_t0(f.t0)
+        add_t1(t_end)
+        add_x0(f.x0)
+        add_speed(f.speed)
+        add_left(f.l)
+        add_right(f.r)
+        add_kind(f.kind)
         nxt = f.next
         f.prev = f.next = None
         f = nxt

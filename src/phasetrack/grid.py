@@ -170,7 +170,7 @@ class GridMesh:
         return u
 
     def nodes(self):
-        """All node ids (congested box plus the free line)."""
+        """(iv, iw) of every node: the congested box, then the free line."""
         for iw in range(self._iw_c, len(self.w_values)):
             for iv in range(self.iv_vc + 1):
                 yield (iv, iw)
@@ -262,15 +262,33 @@ def _free_steps(mesh: GridMesh, a: int, b: int, kind: WaveKind) -> list[tuple[in
     return steps
 
 
-def node_fan(mesh: GridMesh, l: int, r: int) -> list[tuple[float, int, int, WaveKind]]:
+def _front_measures(mesh: GridMesh, l: int, r: int) -> tuple[float, float, int]:
+    """(tv, temple, is_phase_transition) contributions of the front between
+    the nodes of state ids l and r."""
+    stride = mesh.id_stride
+    ivl, ivr = l // stride, r // stride
+    dw2 = abs(mesh.w_col[l % stride] - mesh.w_col[r % stride])
+    tv = abs(mesh.v_values[ivl] - mesh.v_values[ivr]) + dw2
+    # the marker drop of a slow contact is counted twice once it exceeds a
+    # full quantum: that is the wave-split budget of the functional (on
+    # one velocity line, l - r is the drop in marker index)
+    delta = (ivl == ivr and ivl <= mesh.iv_vc and (l - r) >= 2)
+    return tv, tv + (dw2 if delta else 0.0), int((ivl == mesh.iv_free) != (ivr == mesh.iv_free))
+
+
+Jump = tuple[float, int, int, WaveKind, float, float, int]
+
+
+def node_fan(mesh: GridMesh, l: int, r: int) -> list[Jump]:
     """Mesh-valued Riemann solver on state ids: the fan between nodes l and
-    r as (speed, left id, right id, kind) jumps, left to right.
+    r as (speed, left id, right id, kind, tv, temple, pt) jumps, left to
+    right, each with its `_front_measures` terms.
 
     Rarefactions become chains of jumps between consecutive nodes along the
     corresponding wave curve, each jump travelling at its own
     mass-conserving speed.  The congested-congested case, most fans of a
-    run, is tested first and emits its jumps as it walks; the other cases
-    build their path of nodes first."""
+    run, comes first and emits its jumps as it walks, speeds and terms from
+    the node floats; the other cases build their path of nodes first."""
     stride, iv_free = mesh.id_stride, mesh.iv_free
     ivl, ivr = l // stride, r // stride
     states = mesh.states
@@ -279,22 +297,31 @@ def node_fan(mesh: GridMesh, l: int, r: int) -> list[tuple[float, int, int, Wave
     if not lf and not rf:
         # a 1-wave along the marker line of l (one shock, or rarefaction
         # steps up the velocity nodes), then a contact along the velocity
-        # line of r
-        fan: list[tuple[float, int, int, WaveKind]] = []
-        a, u_a = l, states[l]
+        # line of r.  Speeds are sigma's, from the node floats: its general
+        # case across a velocity step, its equal-velocity case (the line's
+        # v) across the contact.  The terms are _front_measures' with its
+        # zero parts dropped, since x + 0.0 is x for x >= 0
+        fan: list[Jump] = []
+        v_values = mesh.v_values
+        a, rho_a, v_a = l, states[l].rho, v_values[ivl]
         if ivr < ivl:
             b = l - (ivl - ivr) * stride
-            u_b = states[b]
-            fan.append((sigma(u_a, u_b), a, b, mesh.shock))
-            a, u_a = b, u_b
+            rho_b, v_b = states[b].rho, v_values[ivr]
+            dv = v_a - v_b
+            fan.append(((rho_b * v_b - rho_a * v_a) / (rho_b - rho_a), a, b, mesh.shock,
+                        dv, dv, 0))
+            a = b
         elif ivr > ivl:
-            step = mesh.rarefaction_step
-            for b in range(l + stride, l + (ivr - ivl) * stride + 1, stride):
-                u_b = states[b]
-                fan.append((sigma(u_a, u_b), a, b, step))
-                a, u_a = b, u_b
+            for v_b in v_values[ivl + 1:ivr + 1]:
+                b = a + stride
+                rho_b = states[b].rho
+                dv = v_b - v_a
+                fan.append(((rho_b * v_b - rho_a * v_a) / (rho_b - rho_a), a, b,
+                            mesh.rarefaction_step, dv, dv, 0))
+                a, rho_a, v_a = b, rho_b, v_b
         if a != r:
-            fan.append((sigma(u_a, states[r]), a, r, mesh.contact))
+            dw = abs(mesh.w_col[a % stride] - mesh.w_col[r % stride])
+            fan.append((v_values[ivr], a, r, mesh.contact, dw, dw + dw if a - r >= 2 else dw, 0))
         return fan
 
     # the fan as a path of nodes from l: (next node, kind of the jump to it)
@@ -335,17 +362,17 @@ def node_fan(mesh: GridMesh, l: int, r: int) -> list[tuple[float, int, int, Wave
     a, u_a = l, states[l]
     for b, kind in steps:
         u_b = states[b]
-        fan.append((sigma(u_a, u_b), a, b, kind))
+        fan.append((sigma(u_a, u_b), a, b, kind, *_front_measures(mesh, a, b)))
         a, u_a = b, u_b
     return fan
 
 
-def solve_approx(mesh: GridMesh, u_l: TrafficState,
-                 u_r: TrafficState) -> list[tuple[float, int, int, WaveKind]]:
-    """State-level adapter of node_fan: the mesh Riemann fan between the
-    nodes of u_l and u_r.  A node state built by the mesh is found by one
-    probe of its (rho, v), index_of's fast path (no node has id 0, so only
-    a missed probe is false); any other state goes through index_of."""
+def solve_approx(mesh: GridMesh, u_l: TrafficState, u_r: TrafficState) -> list[Jump]:
+    """State-level adapter of node_fan: the mesh Riemann fan, as node_fan's
+    jumps, between the nodes of u_l and u_r.  A node state built by the
+    mesh is found by one probe of its (rho, v), index_of's fast path (no
+    node has id 0, so only a missed probe is false); any other state goes
+    through index_of."""
     rev = mesh._rev
     l = rev.get((u_l.rho, u_l.v)) or mesh.state_id(mesh.index_of(u_l))
     r = rev.get((u_r.rho, u_r.v)) or mesh.state_id(mesh.index_of(u_r))

@@ -10,16 +10,19 @@ from phasetrack.riemann import sigma
 def inflate_event_tv(monkeypatch, n_initial):
     """Make fronts born at events carry one unit of TV too many; the first
     n_initial fronts built, those of the t = 0 resolution, stay exact.
-    Returns the list of calls so far: clear it before each further run."""
-    original = engine._front_measures
+    Every jump of the engine's Riemann solves is counted as one front.
+    Returns the list of jumps so far: clear it before each further run."""
+    original = engine.solve_approx
     calls = []
 
-    def inflated(mesh, l, r):
-        tv, temple, boundary = original(mesh, l, r)
-        calls.append(1)
-        return (tv + 1.0 if len(calls) > n_initial else tv), temple, boundary
+    def inflated(mesh, u_l, u_r):
+        fan = []
+        for s, a, b, kind, tv, temple, pt in original(mesh, u_l, u_r):
+            calls.append(1)
+            fan.append((s, a, b, kind, tv + 1.0 if len(calls) > n_initial else tv, temple, pt))
+        return fan
 
-    monkeypatch.setattr(engine, "_front_measures", inflated)
+    monkeypatch.setattr(engine, "solve_approx", inflated)
     return calls
 
 

@@ -8,8 +8,9 @@ per-row loops, the history's column readers (`step_deficit_totals`,
 `last_passage_time`, `weak_residual`, `entropy_report`,
 `RunResult.diagram_at`) the bits of their record walks, the array sweeps of
 `ModelLaws` the first violation of their per-sample loops, and
-`step_entropy_deficit_bound` the bits of its per-sample loop, and
-`grid.node_fan` the jumps of its path-building form."""
+`step_entropy_deficit_bound` the bits of its per-sample loop,
+`grid.node_fan` the jumps of its path-building form, and the functional
+terms of each `grid.node_fan` jump those of `front_measures`."""
 
 import bisect
 import copy
@@ -425,6 +426,23 @@ def step_entropy_deficit_bound_per_sample(laws, samples=1025):
         r = lo + (hi - lo) * i / (samples - 1)
         worst = max(worst, 2.0 + r * laws.p.deriv2(r) / laws.p.deriv(r))
     return worst
+
+
+def front_measures(mesh: GridMesh, l: int, r: int) -> tuple[float, float, int]:
+    """(tv, temple, is_phase_transition) contributions of the front between
+    the nodes of state ids l and r: the engine's per-front computation
+    before each jump of grid.node_fan carried its own."""
+    stride = mesh.id_stride
+    ivl, ivr = l // stride, r // stride
+    v_values, w_col = mesh.v_values, mesh.w_col
+    dw1 = abs(v_values[ivl] - v_values[ivr])
+    dw2 = abs(w_col[l % stride] - w_col[r % stride])
+    tv = dw1 + dw2
+    # the marker drop of a slow contact is counted twice once it exceeds a
+    # full quantum (on one velocity line, l - r is the drop in marker index)
+    delta = (ivl == ivr and ivl <= mesh.iv_vc and (l - r) >= 2)
+    temple = tv + (dw2 if delta else 0.0)
+    return tv, temple, 1 if (ivl == mesh.iv_free) != (ivr == mesh.iv_free) else 0
 
 
 # grid.node_fan before its congested-congested case emitted its jumps

@@ -135,7 +135,7 @@ def test_entropy_step_deficit_bounded(laws, mesh5):
     ur = mesh5.state(mesh5.iv_vc, mesh5.num_w - 1)
     fan = pt.solve_approx(mesh5, ul, ur)
     C = pt.step_entropy_deficit_bound(laws)
-    for s, a, b, kind in fan:
+    for s, a, b, kind, *_ in fan:
         assert kind == WaveKind.RAREFACTION_STEP
         left, right = mesh5.states[a], mesh5.states[b]
         ks = [left.v + (right.v - left.v) * q for q in (0.25, 0.5, 0.75)]

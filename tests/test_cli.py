@@ -455,6 +455,7 @@ def test_k_grid_outside_zero_to_v_f_exit_2(tmp_path, capsys, text, k_grid):
 
 
 FLAT_INI = (CONFIGS / "flat_free_random.ini").read_text()
+TRAFFIC_LIGHT_INI = (CONFIGS / "traffic_light.ini").read_text()
 
 
 @pytest.mark.parametrize("text, old, new, message, tail", [
@@ -477,10 +478,28 @@ def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, 
     cfgf = tmp_path / "p.ini"
     cfgf.write_text(text.replace(old, new))
     out = tmp_path / "out"
-    assert main(["run", str(cfgf), "--seed", "7", "--out", str(out)]) == 2
+    # a scenario's datum is not random, so it takes no seed
+    seed = [] if text is SCENARIO_INI else ["--seed", "7"]
+    assert main(["run", str(cfgf), *seed, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {message}") and err.endswith(tail), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [CONSTANT_INI, SCENARIO_INI, TRAFFIC_LIGHT_INI],
+                         ids=["inline", "scenario", "traffic_light.ini"])
+def test_seed_without_a_random_datum_exit_2(tmp_path, capsys, text):
+    # --seed draws a random datum; on any other datum it would change
+    # nothing, so it is a configuration error, not an ignored flag
+    cfgf = tmp_path / "d.ini"
+    cfgf.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: --seed applies only to a [datum] of kind = random\n"
+    assert not out.exists()
+    assert main(["run", str(cfgf), "--out", str(out)]) == 0
+    assert "seed" not in json.loads((out / "metadata.json").read_text())
 
 
 @pytest.mark.parametrize("text, old, new, section, key", [
@@ -555,10 +574,6 @@ def test_random_datum_seed_is_recorded_and_repeats_the_run(tmp_path):
         assert (again / "fronts.csv").read_bytes() == (first / "fronts.csv").read_bytes()
     assert (tmp_path / "first0" / "fronts.csv").read_bytes() != \
         (tmp_path / "first7" / "fronts.csv").read_bytes()
-    # an inline or scenario datum has no seed
-    cfgf.write_text(CONSTANT_INI)
-    assert main(["run", str(cfgf), "--out", str(tmp_path / "c"), "--seed", "7"]) == 0
-    assert "seed" not in json.loads((tmp_path / "c" / "metadata.json").read_text())
 
 
 def _inflate_event_fronts(monkeypatch, cfgf, n):

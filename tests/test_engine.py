@@ -179,7 +179,7 @@ def test_interaction_two_transitions_become_shock(laws, mesh5):
     u_m = mesh5.state(mesh5.iv_vc, mesh5.iw_c)      # (p^-1(W_c - V_c), V_c)
     u_r = mesh5.state(mesh5.iv_free, mesh5.iw_c)    # (R_f', v_f(R_f'))
     fan = pt.solve_approx(mesh5, u_l, u_r)
-    assert [kind for *_, kind in fan] == [WaveKind.SHOCK]
+    assert [kind for _, _, _, kind, *_ in fan] == [WaveKind.SHOCK]
     d = pt.PiecewiseConstantDatum((-1.0, 0.0), (u_l, u_m, u_r))
     res = pt.run(pt.approximate_datum(d, mesh5), 100.0, mesh5, strict=True)
     assert res.log.phase_transitions[0] == 2
@@ -195,7 +195,7 @@ def test_interaction_congested_shock_swallows_free_island(laws, mesh5):
     u_m = mesh5.state(mesh5.iv_free, iw)
     u_r = mesh5.state(mesh5.iv_vc - 8, iw)
     fan = pt.solve_approx(mesh5, u_l, u_r)
-    assert [kind for *_, kind in fan] == [WaveKind.SHOCK]
+    assert [kind for _, _, _, kind, *_ in fan] == [WaveKind.SHOCK]
     assert mesh5.states[fan[0][1]].phase is pt.Phase.CONGESTED
 
 
@@ -268,7 +268,7 @@ def test_riemann_datum_matches_fan(laws, mesh5, rng):
             # the fan right-continuously: the right state of every jump at
             # or left of xi
             u_fan = a
-            for s, _, r, _ in fan:
+            for s, _, r, *_ in fan:
                 if s <= xi:
                     u_fan = mesh5.states[r]
             assert laws.states_equal(u_run, u_fan, tol=1e-9), (a, b, xi)

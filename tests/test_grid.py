@@ -155,11 +155,11 @@ def test_congested_two_step_chain(laws, mesh5):
     ul = mesh5.state(4, iw)
     ur = mesh5.state(6, iw)
     fan = pt.solve_approx(mesh5, ul, ur)
-    assert [kind for *_, kind in fan] == [WaveKind.RAREFACTION_STEP] * 2
+    assert [kind for _, _, _, kind, *_ in fan] == [WaveKind.RAREFACTION_STEP] * 2
     (s1, *_), (s2, *_) = fan
     assert s1 < s2  # chord slopes increase along the concave flux
     states = mesh5.states
-    assert all(abs(states[b].v - states[a].v - mesh5.eps_v) < 1e-15 for _, a, b, _ in fan)
+    assert all(abs(states[b].v - states[a].v - mesh5.eps_v) < 1e-15 for _, a, b, *_ in fan)
 
 
 def test_shock_matches_exact(laws, mesh5):
@@ -167,13 +167,14 @@ def test_shock_matches_exact(laws, mesh5):
     ur = mesh5.state(2, mesh5.iw_c + 4)
     approx = pt.solve_approx(mesh5, ul, ur)
     exact = pt.solve_coupled(laws, ul, ur)
-    assert [kind for *_, kind in approx] == [w.kind for w in exact] == [WaveKind.SHOCK]
+    assert [kind for _, _, _, kind, *_ in approx] == [w.kind for w in exact] == [WaveKind.SHOCK]
     assert approx[0][0] == pytest.approx(exact.waves[0].speed, abs=1e-14)
 
 
 def _fan_bits(fan):
-    """A fan's jumps with each speed as its exact bits."""
-    return [(s.hex(), a, b, kind) for s, a, b, kind in fan]
+    """A fan's jumps with each speed as its exact bits: their first four
+    fields, all that `references.node_fan` gives."""
+    return [(s.hex(), a, b, kind) for s, a, b, kind, *_ in fan]
 
 
 class _NodeKeyed:
@@ -220,9 +221,42 @@ def test_node_fan_matches_its_path_building_form_on_seeded_pairs(laws):
         l, r = rng.choice(ids), rng.choice(ids)
         fan = node_fan(mesh, l, r)
         assert _fan_bits(fan) == _fan_bits(_reference_fan(keyed, l, r)), (l, r)
-        kinds.update(kind for *_, kind in fan)
+        kinds.update(kind for _, _, _, kind, *_ in fan)
     assert kinds == {WaveKind.SHOCK, WaveKind.CONTACT, WaveKind.RAREFACTION_STEP,
                      WaveKind.PHASE_TRANSITION}
+
+
+def _check_jump_terms(mesh, l, r):
+    """Assert that each jump of node_fan(mesh, l, r) carries the bits of
+    `references.front_measures` on its two nodes; return how many of the
+    jumps have a temple above their tv."""
+    surplus = 0
+    for _, a, b, _, tv, temple, boundary in node_fan(mesh, l, r):
+        ref_tv, ref_temple, ref_boundary = references.front_measures(mesh, a, b)
+        assert (tv.hex(), temple.hex(), boundary, type(boundary)) == \
+            (ref_tv.hex(), ref_temple.hex(), ref_boundary, int), (l, r, a, b)
+        surplus += temple != tv
+    return surplus
+
+
+@pytest.mark.parametrize("family", ["traffic", "flat"])
+def test_jump_terms_are_front_measures_bits_on_every_pair(laws, flat_laws, family):
+    # the congested case writes (tv, temple, pt) from the node floats, the
+    # other cases call grid's _front_measures: either way the bits are those
+    # the engine once computed per front from its two nodes
+    mesh = pt.GridMesh(laws if family == "traffic" else flat_laws, 4)
+    ids = [mesh.state_id(node) for node in mesh.nodes()]
+    assert sum(_check_jump_terms(mesh, l, r) for l in ids for r in ids) > 0
+
+
+def test_jump_terms_are_front_measures_bits_on_seeded_pairs(laws):
+    mesh = pt.GridMesh(laws, 6)
+    ids = [mesh.state_id(node) for node in mesh.nodes()]
+    rng = random.Random(20)
+    surplus = 0
+    for _ in range(20_000):
+        surplus += _check_jump_terms(mesh, rng.choice(ids), rng.choice(ids))
+    assert surplus > 0
 
 
 def test_all_outputs_on_mesh_M3(laws, mesh5, rng):
@@ -233,7 +267,7 @@ def test_all_outputs_on_mesh_M3(laws, mesh5, rng):
         fan = pt.solve_approx(mesh5, a, b)
         speeds = [s for s, *_ in fan]
         assert all(s2 >= s1 - 1e-11 for s1, s2 in zip(speeds, speeds[1:]))
-        for s, l, r, _ in fan:
+        for s, l, r, *_ in fan:
             ul, ur = mesh5.states[l], mesh5.states[r]
             assert ul is mesh5.state(*mesh5.node_of(l)) and ur is mesh5.state(*mesh5.node_of(r))
             assert mesh5.state_id(mesh5.index_of(ul)) == l
@@ -292,9 +326,9 @@ def test_free_chain_step_strengths(laws, mesh5):
     ul = mesh5.state(mesh5.iv_free, mesh5.num_w - 1)   # top marker node
     ur = mesh5.state(mesh5.iv_free, 0)                 # vacuum
     fan = pt.solve_approx(mesh5, ul, ur)
-    assert all(kind == WaveKind.RAREFACTION_STEP for *_, kind in fan)
+    assert all(kind == WaveKind.RAREFACTION_STEP for _, _, _, kind, *_ in fan)
     states = mesh5.states
-    drops = [laws.w2(states[a]) - laws.w2(states[b]) for _, a, b, _ in fan]
+    drops = [laws.w2(states[a]) - laws.w2(states[b]) for _, a, b, *_ in fan]
     # every step is one quantum except the one leaving the adjoined node
     assert sum(abs(d - mesh5.eps_w) > 1e-10 for d in drops) == 1
     assert all(0 < d <= mesh5.eps_w + 1e-10 for d in drops)
@@ -308,8 +342,8 @@ def test_degenerate_mesh_vacuum(flat_laws, flat_mesh5):
     # quantum; all fronts are contacts of the degenerate free field
     top = mesh.state(mesh.iv_free, mesh.num_w - 1)
     fan = pt.solve_approx(mesh, top, vac)
-    assert all(kind == WaveKind.CONTACT for *_, kind in fan)
+    assert all(kind == WaveKind.CONTACT for _, _, _, kind, *_ in fan)
     assert all(s == flat_laws.V_f for s, *_ in fan)
     states = mesh.states
-    drops = [flat_laws.w2(states[a]) - flat_laws.w2(states[b]) for _, a, b, _ in fan]
+    drops = [flat_laws.w2(states[a]) - flat_laws.w2(states[b]) for _, a, b, *_ in fan]
     assert all(d <= mesh.eps_w + 1e-10 for d in drops)
