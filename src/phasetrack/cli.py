@@ -116,6 +116,13 @@ class RunConfig:
                 self._random = dict(jumps=d.getint("jumps", 12),
                                     x_lo=d.getfloat("x_lo", -10.0),
                                     x_hi=d.getfloat("x_hi", 10.0))
+                # the datum draws between 3 and `jumps` breakpoints in (x_lo, x_hi)
+                if self._random["jumps"] < 3:
+                    raise ValueError(f"[datum] jumps must be at least 3, "
+                                     f"got {self._random['jumps']}")
+                if not -math.inf < self._random["x_lo"] < self._random["x_hi"] < math.inf:
+                    raise ValueError(f"[datum] needs a finite x_lo < x_hi, got x_lo = "
+                                     f"{self._random['x_lo']}, x_hi = {self._random['x_hi']}")
                 self.datum = None
             else:
                 raise ValueError(f"unknown datum kind {kind!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotOnMesh, ValueOutsideOmega
 from .model import ModelLaws, Phase, TrafficState
-from .riemann import WaveKind, sigma
+from .riemann import WaveKind
 
 _IDX_GUARD = 1e-9      # index-space slack when flooring coordinates
 VACUUM_IW = -1         # synthetic marker index for vacuum under constant v_f
@@ -71,12 +71,12 @@ class GridMesh:
             self._iw_c = two_n
             self.free_shock, self.free_wave = WaveKind.SHOCK, WaveKind.RAREFACTION_STEP
         self.eps_w = span / two_n
-        # node_fan's congested-congested branch, most fans of a run, reads
-        # its jump kinds from the mesh: on Python 3.11 a WaveKind member read
-        # costs 0.16 us against 0.01 us for an instance attribute, and those
-        # reads were about 5% of engine.run on level-6 traffic-light data
+        # node_fan reads its jump kinds from the mesh: on Python 3.11 a
+        # WaveKind member read costs 0.16 us against 0.01 us for an instance
+        # attribute, and those reads were about 5% of engine.run on level-6
+        # traffic-light data
         self.shock, self.rarefaction_step = WaveKind.SHOCK, WaveKind.RAREFACTION_STEP
-        self.contact = WaveKind.CONTACT
+        self.contact, self.phase_transition = WaveKind.CONTACT, WaveKind.PHASE_TRANSITION
 
         m = int(math.floor((laws.W_max - w_base) / self.eps_w + _IDX_GUARD))
         self.w_values = [w_base + i * self.eps_w for i in range(m + 1)]
@@ -249,121 +249,92 @@ class GridMesh:
         raise NotOnMesh(f"{u} is not a mesh node")
 
 
-def _free_steps(mesh: GridMesh, a: int, b: int, kind: WaveKind) -> list[tuple[int, WaveKind]]:
-    """Steps from free node a down the marker nodes to free node b (ids).
-
-    Decreasing density <=> decreasing marker index on the free line.
-    Keeping every jump at one marker quantum (also for the contacts of a
-    constant free speed) is what lets the wave potential only ever see
-    single-quantum drops arriving at a phase boundary."""
-    bottom = mesh.iv_free * mesh.id_stride + 1     # the free node of marker 0
-    steps = [(sid, kind) for sid in range(a - 1, max(b, bottom), -1)]
-    steps.append((b, kind))
-    return steps
-
-
-def _front_measures(mesh: GridMesh, l: int, r: int) -> tuple[float, float, int]:
-    """(tv, temple, is_phase_transition) contributions of the front between
-    the nodes of state ids l and r."""
-    stride = mesh.id_stride
-    ivl, ivr = l // stride, r // stride
-    dw2 = abs(mesh.w_col[l % stride] - mesh.w_col[r % stride])
-    tv = abs(mesh.v_values[ivl] - mesh.v_values[ivr]) + dw2
-    # the marker drop of a slow contact is counted twice once it exceeds a
-    # full quantum: that is the wave-split budget of the functional (on
-    # one velocity line, l - r is the drop in marker index)
-    delta = (ivl == ivr and ivl <= mesh.iv_vc and (l - r) >= 2)
-    return tv, tv + (dw2 if delta else 0.0), int((ivl == mesh.iv_free) != (ivr == mesh.iv_free))
-
-
 Jump = tuple[float, int, int, WaveKind, float, float, int]
 
 
 def node_fan(mesh: GridMesh, l: int, r: int) -> list[Jump]:
     """Mesh-valued Riemann solver on state ids: the fan between nodes l and
     r as (speed, left id, right id, kind, tv, temple, pt) jumps, left to
-    right, each with its `_front_measures` terms.
+    right, emitted in one walk from the node floats.  Rarefactions become
+    chains of jumps between consecutive nodes of their wave curve.
 
-    Rarefactions become chains of jumps between consecutive nodes along the
-    corresponding wave curve, each jump travelling at its own
-    mass-conserving speed.  The congested-congested case, most fans of a
-    run, comes first and emits its jumps as it walks, speeds and terms from
-    the node floats; the other cases build their path of nodes first."""
+    Each jump travels at riemann.sigma's speed, its cases in sigma's order
+    and written only where they can occur: a vacuum left side gives the
+    right side's v, a vacuum right side or equal velocities the left
+    side's v, anything else sigma's general formula.  Its terms are
+    tv = |dv| + |dw| on v_values (V_f on the free line) and w_col, with
+    temple = tv but for a congested contact dropping two marker lines or
+    more, which adds |dw| again (the wave-split budget of the functional),
+    and pt = 1 across a phase boundary; zero parts are dropped, since
+    x + 0.0 is x for x >= 0."""
     stride, iv_free = mesh.id_stride, mesh.iv_free
     ivl, ivr = l // stride, r // stride
-    states = mesh.states
-    lf, rf = ivl == iv_free, ivr == iv_free
-
-    if not lf and not rf:
-        # a 1-wave along the marker line of l (one shock, or rarefaction
-        # steps up the velocity nodes), then a contact along the velocity
-        # line of r.  Speeds are sigma's, from the node floats: its general
-        # case across a velocity step, its equal-velocity case (the line's
-        # v) across the contact.  The terms are _front_measures' with its
-        # zero parts dropped, since x + 0.0 is x for x >= 0
-        fan: list[Jump] = []
-        v_values = mesh.v_values
-        a, rho_a, v_a = l, states[l].rho, v_values[ivl]
-        if ivr < ivl:
-            b = l - (ivl - ivr) * stride
-            rho_b, v_b = states[b].rho, v_values[ivr]
-            dv = v_a - v_b
-            fan.append(((rho_b * v_b - rho_a * v_a) / (rho_b - rho_a), a, b, mesh.shock,
-                        dv, dv, 0))
+    states, v_values, w_col = mesh.states, mesh.v_values, mesh.w_col
+    fan: list[Jump] = []
+    a = l
+    if ivl != iv_free:
+        # the 1-wave along the marker line of l, one shock or rarefaction
+        # steps, to the velocity line of r or, r free, up to the ceiling
+        iv_b = ivr if ivr != iv_free else mesh.iv_vc
+        if iv_b < ivl:
+            ivs, kind = (iv_b,), mesh.shock
+        else:
+            ivs, kind = range(ivl + 1, iv_b + 1), mesh.rarefaction_step
+        col = l % stride
+        rho_a, v_a = states[l].rho, v_values[ivl]
+        for iv in ivs:
+            b = iv * stride + col
+            rho_b, v_b = states[b].rho, v_values[iv]
+            dv = abs(v_b - v_a)
+            fan.append(((rho_b * v_b - rho_a * v_a) / (rho_b - rho_a), a, b, kind, dv, dv, 0))
+            a, rho_a, v_a = b, rho_b, v_b
+        if ivr == iv_free:
+            # the phase transition to the free node of the same marker, on
+            # the velocity line above the ceiling
+            b = a + stride
+            u_b = states[b]
+            dv = abs(v_values[iv_free] - v_a)
+            fan.append(((u_b.rho * u_b.v - rho_a * v_a) / (u_b.rho - rho_a), a, b,
+                        mesh.phase_transition, dv, dv, 1))
             a = b
-        elif ivr > ivl:
-            for v_b in v_values[ivl + 1:ivr + 1]:
-                b = a + stride
-                rho_b = states[b].rho
-                dv = v_b - v_a
-                fan.append(((rho_b * v_b - rho_a * v_a) / (rho_b - rho_a), a, b,
-                            mesh.rarefaction_step, dv, dv, 0))
-                a, rho_a, v_a = b, rho_b, v_b
-        if a != r:
-            dw = abs(mesh.w_col[a % stride] - mesh.w_col[r % stride])
-            fan.append((v_values[ivr], a, r, mesh.contact, dw, dw + dw if a - r >= 2 else dw, 0))
+    elif ivr != iv_free:
+        # one phase transition: straight to r out of vacuum, else to the
+        # velocity line of r at the marker of l or the lowest congested one
+        u_l = states[l]
+        a = r if u_l.rho == 0.0 else ivr * stride + max(mesh.iw_c, l % stride - 1) + 1
+        rho_a, v_a = states[a].rho, v_values[ivr]
+        speed = v_a if u_l.rho == 0.0 else (rho_a * v_a - u_l.rho * u_l.v) / (rho_a - u_l.rho)
+        tv = abs(v_values[iv_free] - v_a) + abs(w_col[l % stride] - w_col[a % stride])
+        fan.append((speed, l, a, mesh.phase_transition, tv, tv, 1))
+    if a == r:
+        return fan
+    if ivr != iv_free:
+        # the contact along the velocity line of r
+        dw = abs(w_col[a % stride] - w_col[r % stride])
+        fan.append((v_values[ivr], a, r, mesh.contact, dw, dw + dw if a - r >= 2 else dw, 0))
         return fan
 
-    # the fan as a path of nodes from l: (next node, kind of the jump to it)
-    steps: list[tuple[int, WaveKind]] = []
-    free_shock = mesh.free_shock
-    if lf and rf:
-        # up the free line one shock, down it one step per marker line
-        if l < r:
-            steps.append((r, free_shock))
-        elif l > r:
-            steps = _free_steps(mesh, l, r, mesh.free_wave)
-    elif lf:
-        # free -> congested: one phase transition, then a possibly-null contact
-        if states[l].rho == 0.0:
-            steps.append((r, WaveKind.PHASE_TRANSITION))
-        else:
-            # on the velocity line of r, at the marker of l or the lowest
-            # congested one
-            iwl = l - iv_free * stride - 1
-            m = ivr * stride + max(mesh.iw_c, iwl) + 1
-            steps.append((m, WaveKind.PHASE_TRANSITION))
-            if m != r:
-                steps.append((r, WaveKind.CONTACT))
+    # the free wave: one shock up the free line, or one jump per marker line
+    # down it, so that every drop reaching a phase boundary is one marker
+    # quantum; a drop into vacuum (VACUUM_IW) goes straight from marker 1
+    if a < r:
+        path, kind = [r], mesh.free_shock
     else:
-        # congested -> free: possibly-null 1-wave up to the congested
-        # ceiling, one phase transition, then a possibly-null free wave
-        m1 = l + (mesh.iv_vc - ivl) * stride
-        steps = [(b, WaveKind.RAREFACTION_STEP) for b in range(l + stride, m1 + 1, stride)]
-        # the free line is the velocity line above the ceiling
-        m2 = m1 + stride
-        steps.append((m2, WaveKind.PHASE_TRANSITION))
-        if m2 < r:
-            steps.append((r, free_shock))
-        elif m2 > r:
-            steps += _free_steps(mesh, m2, r, mesh.free_wave)
-
-    fan = []
-    a, u_a = l, states[l]
-    for b, kind in steps:
+        path, kind = [*range(a - 1, max(r, iv_free * stride + 1), -1), r], mesh.free_wave
+    u_a = states[a]
+    rho_a, v_a, w_a = u_a.rho, u_a.v, w_col[a % stride]
+    for b in path:
         u_b = states[b]
-        fan.append((sigma(u_a, u_b), a, b, kind, *_front_measures(mesh, a, b)))
-        a, u_a = b, u_b
+        rho_b, v_b, w_b = u_b.rho, u_b.v, w_col[b % stride]
+        if rho_a == 0.0:
+            speed = v_b
+        elif rho_b == 0.0 or v_a == v_b:
+            speed = v_a
+        else:
+            speed = (rho_b * v_b - rho_a * v_a) / (rho_b - rho_a)
+        dw = abs(w_a - w_b)
+        fan.append((speed, a, b, kind, dw, dw, 0))
+        a, rho_a, v_a, w_a = b, rho_b, v_b, w_b
     return fan
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .model import ModelLaws, Phase, TrafficState
 
 if TYPE_CHECKING:
-    from .engine import FrontDiagram, FrontRecord, FunctionalLog, RunResult
+    from .engine import FrontDiagram, FunctionalLog, RunResult
 
 MONO_TOL = 1e-10
 ORDER_TOL = 1e-9     # relative slack on front positions; rounding leaves ~1e-15
@@ -136,37 +136,27 @@ def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
     return jump_residuals(speed, left, right)
 
 
-def jump_violation(laws: ModelLaws, rec: FrontRecord) -> str | None:
-    """The message of a record that violates a jump condition, else None."""
-    mass, mom = rh_residual(laws, rec.speed, rec.left, rec.right)
-    if abs(mass) > MONO_TOL:
-        return f"mass jump condition violated ({mass}) on a front born t={rec.t0}"
-    if mom is not None and abs(mom) > MONO_TOL:
-        return f"momentum jump condition violated ({mom}) on a front born t={rec.t0}"
-    return None
-
-
-def _suspect_rows(res: RunResult):
-    """Rows, in order, whose jump residuals break MONO_TOL.
-
-    `column_residuals` over the history's columns (`FrontHistory.sides`), so
-    a row is flagged exactly when `jump_violation` reports it."""
-    for start, (speed,), left, right in res.history.sides("speed"):
-        mass, mom = column_residuals(speed, left, right)
-        conserves = True if res.laws.degenerate_free else left[2] & right[2]
-        bad = (np.abs(mass) > MONO_TOL) | (conserves & (np.abs(mom) > MONO_TOL))
-        yield from (np.flatnonzero(bad) + start).tolist()
-
-
 def audit_run(res: RunResult) -> list[str]:
     """Post-hoc invariant checks; returns the violations found: those of the
     functional rules, of the initial and final snapshots, then the first
-    jump-condition failure, if any."""
+    jump-condition failure, if any.
+
+    The jump conditions are checked by `column_residuals` over the history's
+    columns (`FrontHistory.sides`), with the marker conserved across a row
+    as `rh_residual` has it; the first flagged row is worded from the values
+    that flagged it."""
     bad = functional_violations(res.log, res.mesh.eps_w)
     bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
-    for i in _suspect_rows(res):
-        msg = jump_violation(res.laws, res.history[i])
-        if msg is not None:
-            bad.append(msg)
+    for _, (speed, t0), left, right in res.history.sides("speed", "t0"):
+        mass, mom = column_residuals(speed, left, right)
+        conserves = True if res.laws.degenerate_free else left[2] & right[2]
+        mass_bad = np.abs(mass) > MONO_TOL
+        rows = np.flatnonzero(mass_bad | (conserves & (np.abs(mom) > MONO_TOL)))
+        if len(rows):
+            i = rows[0]
+            # Python floats: numpy 2 reprs a scalar as np.float64(...)
+            name, value = ("mass", mass[i]) if mass_bad[i] else ("momentum", mom[i])
+            bad.append(f"{name} jump condition violated ({value.tolist()}) on a front "
+                       f"born t={t0[i].tolist()}")
             break
     return bad

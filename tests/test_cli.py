@@ -470,8 +470,15 @@ TRAFFIC_LIGHT_INI = (CONFIGS / "traffic_light.ini").read_text()
     # an entropy switch that is neither on nor off, not a silent "on"
     (FLAT_INI, "[run]\n", "[run]\nentropy = maybe\n", "[run] entropy must be one of ",
      "got 'maybe'\n"),
+    # a random datum draws at least 3 breakpoints, strictly inside (x_lo, x_hi)
+    (FLAT_INI, "jumps = 20\n", "jumps = 2\n", "[datum] jumps must be at least 3", "got 2\n"),
+    (FLAT_INI, "x_lo = -10\nx_hi = 10\n", "x_lo = 10\nx_hi = -10\n",
+     "[datum] needs a finite x_lo < x_hi", "got x_lo = 10.0, x_hi = -10.0\n"),
+    (FLAT_INI, "x_lo = -10\nx_hi = 10\n", "x_lo = 4\nx_hi = 4\n",
+     "[datum] needs a finite x_lo < x_hi", "got x_lo = 4.0, x_hi = 4.0\n"),
 ], ids=["snapshots-outside-t_end", "snapshot-after-the-default-t_end",
-        "descending-window", "one-x-point", "entropy-not-a-boolean"])
+        "descending-window", "one-x-point", "entropy-not-a-boolean",
+        "datum-jumps-below-3", "datum-descending-span", "datum-empty-span"])
 def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, new,
                                                     message, tail):
     assert text.count(old) == 1
