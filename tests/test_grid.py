@@ -197,50 +197,89 @@ def _reference_fan(keyed, l, r):
     return [(s, mesh.state_id(a), mesh.state_id(b), kind) for s, a, b, kind in fan]
 
 
-def _checked_fan(mesh, keyed, l, r):
-    """node_fan(mesh, l, r), asserted to keep the jumps and speed bits of
-    `references.node_fan` and, on each jump, the (tv, temple, pt) bits of
-    `references.front_measures` on its two nodes."""
-    fan = node_fan(mesh, l, r)
-    assert _fan_bits(fan) == _fan_bits(_reference_fan(keyed, l, r)), (l, r)
-    for _, a, b, _, tv, temple, boundary in fan:
-        ref_tv, ref_temple, ref_boundary = references.front_measures(mesh, a, b)
-        assert (tv.hex(), temple.hex(), boundary, type(boundary)) == \
-            (ref_tv.hex(), ref_temple.hex(), ref_boundary, int), (l, r, a, b)
-    return fan
+def _walk(mesh, pairs):
+    """The mesh and node_fan(mesh, l, r) on each (l, r) of pairs."""
+    return mesh, [(l, r, node_fan(mesh, l, r)) for l, r in pairs]
 
 
-def _surplus(fan):
-    """How many of a fan's jumps have a temple above their tv."""
-    return sum(temple != tv for *_, tv, temple, _ in fan)
+@pytest.fixture(scope="module")
+def walks(laws, flat_laws):
+    """The fans that the node_fan and jump-term tests check, so that each
+    pair set is walked once: walks(name) builds the set's mesh and calls
+    node_fan on its pairs the first time a test asks for it.  "traffic"
+    and "flat" are every node pair at level 4, "seeded" the same 20,000
+    seeded pairs at level 6 of the traffic-light laws."""
+
+    def every_pair(mesh):
+        ids = [mesh.state_id(node) for node in mesh.nodes()]
+        return _walk(mesh, [(l, r) for l in ids for r in ids])
+
+    def seeded(mesh):
+        ids = [mesh.state_id(node) for node in mesh.nodes()]
+        rng = random.Random(20)
+        return _walk(mesh, [(rng.choice(ids), rng.choice(ids)) for _ in range(20_000)])
+
+    sets = {"traffic": lambda: every_pair(pt.GridMesh(laws, 4)),
+            "flat": lambda: every_pair(pt.GridMesh(flat_laws, 4)),
+            "seeded": lambda: seeded(pt.GridMesh(laws, 6))}
+    built = {}
+
+    def walk(name):
+        if name not in built:
+            built[name] = sets[name]()
+        return built[name]
+
+    return walk
+
+
+def _check_fan_bits(mesh, fans):
+    """Assert that each fan keeps the jumps and speed bits of
+    `references.node_fan`."""
+    keyed = _NodeKeyed(mesh)
+    for l, r, fan in fans:
+        assert _fan_bits(fan) == _fan_bits(_reference_fan(keyed, l, r)), (l, r)
+
+
+def _check_jump_terms(mesh, fans):
+    """Assert that each jump of each fan carries the bits of
+    `references.front_measures` on its two nodes; return how many of the
+    jumps have a temple above their tv."""
+    surplus = 0
+    for l, r, fan in fans:
+        for _, a, b, _, tv, temple, boundary in fan:
+            ref_tv, ref_temple, ref_boundary = references.front_measures(mesh, a, b)
+            assert (tv.hex(), temple.hex(), boundary, type(boundary)) == \
+                (ref_tv.hex(), ref_temple.hex(), ref_boundary, int), (l, r, a, b)
+            surplus += temple != tv
+    return surplus
 
 
 @pytest.mark.parametrize("family", ["traffic", "flat"])
-def test_node_fan_matches_its_path_building_form_on_every_pair(laws, flat_laws, family):
-    # node_fan emits its jumps, with their terms, in one walk from the node
-    # floats; every fan keeps the jumps, the speed bits and the term bits of
-    # the form that built every path of (iv, iw) nodes first and called
-    # sigma, then the engine's per-front terms, on each jump
-    mesh = pt.GridMesh(laws if family == "traffic" else flat_laws, 4)
-    keyed = _NodeKeyed(mesh)
-    ids = [mesh.state_id(node) for node in mesh.nodes()]
-    assert sum(_surplus(_checked_fan(mesh, keyed, l, r)) for l in ids for r in ids) > 0
+def test_node_fan_matches_its_path_building_form_on_every_pair(walks, family):
+    # node_fan emits its jumps in one walk from the node floats; every fan
+    # keeps the jumps, and the speed bits, of the form that built every
+    # path of (iv, iw) nodes first and called sigma on each jump
+    _check_fan_bits(*walks(family))
 
 
-def test_node_fan_matches_its_path_building_form_on_seeded_pairs(laws):
-    mesh = pt.GridMesh(laws, 6)
-    keyed = _NodeKeyed(mesh)
-    ids = [mesh.state_id(node) for node in mesh.nodes()]
-    rng = random.Random(20)
-    kinds = set()
-    surplus = 0
-    for _ in range(20_000):
-        fan = _checked_fan(mesh, keyed, rng.choice(ids), rng.choice(ids))
-        kinds.update(kind for _, _, _, kind, *_ in fan)
-        surplus += _surplus(fan)
+def test_node_fan_matches_its_path_building_form_on_seeded_pairs(walks):
+    mesh, fans = walks("seeded")
+    _check_fan_bits(mesh, fans)
+    kinds = {kind for _, _, fan in fans for _, _, _, kind, *_ in fan}
     assert kinds == {WaveKind.SHOCK, WaveKind.CONTACT, WaveKind.RAREFACTION_STEP,
                      WaveKind.PHASE_TRANSITION}
-    assert surplus > 0
+
+
+@pytest.mark.parametrize("family", ["traffic", "flat"])
+def test_jump_terms_are_front_measures_bits_on_every_pair(walks, family):
+    # node_fan writes every jump's (tv, temple, pt) from the node floats:
+    # the bits are those the engine once computed per front from its two
+    # nodes
+    assert _check_jump_terms(*walks(family)) > 0
+
+
+def test_jump_terms_are_front_measures_bits_on_seeded_pairs(walks):
+    assert _check_jump_terms(*walks("seeded")) > 0
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
