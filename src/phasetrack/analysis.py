@@ -118,8 +118,6 @@ class EntropyReport:
     # one (t0, t1, x0, kind, k, upsilon) row per history row and k, in order
     records: list[tuple] = field(default_factory=list)
     min_sharp: float = math.inf          # min production over non-fan-step fronts
-    negative_step_total: float = 0.0     # lifetime-weighted deficit of fan steps
-    negative_step_total_unweighted: float = 0.0
 
 
 def _step_deficit(laws: ModelLaws, speed: float, left: tuple, right: tuple) -> float:
@@ -153,7 +151,7 @@ def step_deficit_totals(run: RunResult) -> tuple[float, float]:
 
 def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> EntropyReport:
     """`entropy_production` of every history row at every k (by default
-    `entropy_k_grid`), in its float operations, and the fan-step deficits."""
+    `entropy_k_grid`), in its float operations, and its least sharp value."""
     laws = run.laws
     if k_grid is None:
         k_grid = entropy_k_grid(laws, run.mesh.eps_v)
@@ -171,7 +169,6 @@ def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> Entropy
                 add((a, b, x, label, k, u))
                 if kd is not step:
                     rep.min_sharp = min(rep.min_sharp, u)
-    rep.negative_step_total, rep.negative_step_total_unweighted = step_deficit_totals(run)
     return rep
 
 
@@ -216,7 +213,9 @@ class BumpTestFunction:
 
 def weak_residual(run: RunResult, phi: BumpTestFunction,
                   nodes_per_segment: int = 32) -> tuple[float, float]:
-    """Green-Gauss line-integral residuals of the two balance laws.
+    """Green-Gauss line-integral residuals of the mass law and of its
+    marker-weighted companion, a balance law only across fronts where
+    `momentum_conserved` holds (others add their momentum residuals).
 
     The area integral of rho (phi_t + v phi_x) (and its marker-weighted
     companion) over the run equals the sum over fronts of the jump deficit

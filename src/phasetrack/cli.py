@@ -65,6 +65,19 @@ def _floats(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
+def _read(section: configparser.SectionProxy, key: str, parse=float, *default):
+    """parse(section[key]), or the default if given and the key is absent;
+    a missing or unparsable value is a ValueError naming [section] key."""
+    if key not in section:
+        if default:
+            return default[0]
+        raise ValueError(f"missing [{section.name}] key {key!r}")
+    try:
+        return parse(section[key])
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
+
+
 def _check_keys(cp: configparser.ConfigParser) -> None:
     """ValueError naming the first key of [scenario], [model], [datum] or
     [run] that no config reads, so a misspelt option cannot silently do
@@ -89,6 +102,7 @@ class RunConfig:
 
     def __init__(self, path: Path, seed: int | None = None):
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cp.add_section("run")       # every [run] key has a default
         read = cp.read(path)
         if not read:
             raise ValueError(f"cannot read config {path}")
@@ -98,24 +112,27 @@ class RunConfig:
             s = cp["scenario"]
             n_min, n_max = TrafficLightConfig.n_levels
             self.scenario_cfg = TrafficLightConfig(
-                n_levels=(s.getint("n_min", n_min), s.getint("n_max", n_max)),
-                **{f.name: s.getfloat(f.name) for f in dataclasses.fields(TrafficLightConfig)
+                n_levels=(_read(s, "n_min", int, n_min), _read(s, "n_max", int, n_max)),
+                **{f.name: _read(s, f.name) for f in dataclasses.fields(TrafficLightConfig)
                    if f.type == "float" and f.name in s})
             self.laws, self.datum = build_scenario(self.scenario_cfg)
         elif cp.has_section("model"):
-            self.laws = laws_from_config({k.lower(): v for k, v in cp["model"].items()})
+            m = cp["model"]
+            self.laws = laws_from_config(
+                {k: v if k == "family" else _read(m, k) for k, v in m.items()})
             if not cp.has_section("datum"):
                 raise ValueError("config needs a [datum] section")
             d = cp["datum"]
             kind = d.get("kind", "inline").strip().lower()
             if kind == "inline":
-                breaks = _floats(d["breaks"])
-                states = [_parse_state(self.laws, s) for s in d["states"].split("|")]
+                breaks = _read(d, "breaks", _floats)
+                states = _read(d, "states", lambda t: [_parse_state(self.laws, u)
+                                                       for u in t.split("|")])
                 self.datum = PiecewiseConstantDatum(tuple(breaks), tuple(states))
             elif kind == "random":
-                self._random = dict(jumps=d.getint("jumps", 12),
-                                    x_lo=d.getfloat("x_lo", -10.0),
-                                    x_hi=d.getfloat("x_hi", 10.0))
+                self._random = dict(jumps=_read(d, "jumps", int, 12),
+                                    x_lo=_read(d, "x_lo", float, -10.0),
+                                    x_hi=_read(d, "x_hi", float, 10.0))
                 # the datum draws between 3 and `jumps` breakpoints in (x_lo, x_hi)
                 if self._random["jumps"] < 3:
                     raise ValueError(f"[datum] jumps must be at least 3, "
@@ -129,23 +146,23 @@ class RunConfig:
         else:
             raise ValueError("config needs a [scenario] or [model] section")
 
-        r = cp["run"] if cp.has_section("run") else {}
-        self.n = int(r.get("n", 6))
+        r = cp["run"]
+        self.n = _read(r, "n", int, 6)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        self.t_end = float(r["t_end"]) if "t_end" in r else None   # 0 is a valid end
+        self.t_end = _read(r, "t_end", float, None)   # 0 is a valid end
         if self.t_end is not None and not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        self.snapshots = _floats(r.get("snapshots", "")) if r.get("snapshots") else []
-        self.x_points = int(r.get("x_points", 400))
-        self.x_lo = float(r["x_lo"]) if "x_lo" in r else None
-        self.x_hi = float(r["x_hi"]) if "x_hi" in r else None
+        self.snapshots = _read(r, "snapshots", _floats, [])
+        self.x_points = _read(r, "x_points", int, 400)
+        self.x_lo = _read(r, "x_lo", float, None)
+        self.x_hi = _read(r, "x_hi", float, None)
         entropy = r.get("entropy", "on").lower()
         if entropy not in cp.BOOLEAN_STATES:
             raise ValueError(f"[run] entropy must be one of {', '.join(cp.BOOLEAN_STATES)}, "
                              f"got {entropy!r}")
         self.entropy_enabled = cp.BOOLEAN_STATES[entropy]
-        self.k_grid = _floats(r["k_grid"]) if "k_grid" in r else None
+        self.k_grid = _read(r, "k_grid", _floats, None)
         if self.k_grid is not None and not all(0.0 <= k <= self.laws.V_f for k in self.k_grid):
             raise ValueError(f"k_grid speeds must lie in [0, V_f = {self.laws.V_f}], "
                              f"got {self.k_grid}")
@@ -353,12 +370,7 @@ def cmd_ladder(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "ladder.csv",
-               ["n", "sim_t_last", "closed_form_t_d1", "abs_error",
-                "l1_error", "negative_entropy", "events", "violations"],
-               [(r["n"], r["sim_t_last"], r["closed_form_t_d1"], r["abs_error"],
-                 r["l1_error"], r["negative_entropy"], r["events"], r["violations"])
-                for r in rows])
+    _write_csv(outdir / "ladder.csv", list(rows[0]), [r.values() for r in rows])
     _write_metadata(outdir, t_end=t_end, structural_ok=table.structural_ok,
                     exact_last_passage=table.t_last, **_scenario_meta(sc))
     if any(r["violations"] for r in rows):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EventOverflow, InvariantViolation, ValueOutsideOmega
+from .errors import EventOverflow, InvariantViolation
 from .grid import GridMesh, VACUUM_IW, solve_approx
 from .invariants import event_order_violations, row_violations
 from .model import ModelLaws, TrafficState
@@ -96,12 +96,8 @@ def approximate_datum(datum: PiecewiseConstantDatum, mesh: GridMesh) -> "FrontDi
     The projection threads each coordinate through its bracketing mesh
     lines with a minimal-variation tracker, so the coordinate variation of
     the projected datum never exceeds that of the input while every value
-    stays within one quantum of the original.
+    stays within one quantum of the original (brackets rejects off-domain values).
     """
-    laws = mesh.laws
-    for u in datum.states:
-        if not laws.contains(u, tol=1e-9):
-            raise ValueOutsideOmega(f"datum value {u} not in the model domain")
     pairs = [mesh.brackets(u) for u in datum.states]
     ivs = _taut_track([p[0] for p in pairs])
     iws = _taut_track([p[1] for p in pairs])

@@ -62,9 +62,5 @@ class NotReached(PhasetrackError):
     pass
 
 
-class StructuralAssumptionViolated(PhasetrackError):
-    pass
-
-
 class UnsupportedTestFunction(PhasetrackError):
     pass

@@ -22,6 +22,11 @@ from .riemann import WaveKind
 
 _IDX_GUARD = 1e-9      # index-space slack when flooring coordinates
 VACUUM_IW = -1         # synthetic marker index for vacuum under constant v_f
+# node_fan's jump kinds as module globals: a WaveKind member read costs
+# 125 ns against 17.5 ns for a global (timeit, Python 3.11.7), and those
+# reads were about 5% of engine.run on level-6 traffic-light data
+SHOCK, RAREFACTION_STEP = WaveKind.SHOCK, WaveKind.RAREFACTION_STEP
+CONTACT, PHASE_TRANSITION = WaveKind.CONTACT, WaveKind.PHASE_TRANSITION
 
 Node = tuple[int, int]  # a node's line indices (iv, iw)
 
@@ -62,21 +67,15 @@ class GridMesh:
             # so the quantum is taken from the congested marker span instead
             w_base = laws.W_c
             span = laws.W_max - laws.W_c
-            self._iw_c = 0
+            self.iw_c = 0
             # and every free wave, up or down the free line, is a contact
-            self.free_shock = self.free_wave = WaveKind.CONTACT
+            self.free_shock = self.free_wave = CONTACT
         else:
             w_base = laws.W_min
             span = laws.W_c - laws.W_min
-            self._iw_c = two_n
-            self.free_shock, self.free_wave = WaveKind.SHOCK, WaveKind.RAREFACTION_STEP
+            self.iw_c = two_n
+            self.free_shock, self.free_wave = SHOCK, RAREFACTION_STEP
         self.eps_w = span / two_n
-        # node_fan reads its jump kinds from the mesh: on Python 3.11 a
-        # WaveKind member read costs 0.16 us against 0.01 us for an instance
-        # attribute, and those reads were about 5% of engine.run on level-6
-        # traffic-light data
-        self.shock, self.rarefaction_step = WaveKind.SHOCK, WaveKind.RAREFACTION_STEP
-        self.contact, self.phase_transition = WaveKind.CONTACT, WaveKind.PHASE_TRANSITION
 
         m = int(math.floor((laws.W_max - w_base) / self.eps_w + _IDX_GUARD))
         self.w_values = [w_base + i * self.eps_w for i in range(m + 1)]
@@ -105,10 +104,6 @@ class GridMesh:
         self._slot = np.zeros((self.iv_free + 1) * self.id_stride, dtype=np.int32)
 
     # -- node access ---------------------------------------------------------
-
-    @property
-    def iw_c(self) -> int:
-        return self._iw_c
 
     @property
     def num_w(self) -> int:
@@ -154,7 +149,7 @@ class GridMesh:
             else:
                 raise NotOnMesh(f"no free node at (iv={iv}, iw={iw})")
         else:
-            if not (0 <= iv <= self.iv_vc and self._iw_c <= iw):
+            if not (0 <= iv <= self.iv_vc and self.iw_c <= iw):
                 raise NotOnMesh(f"no congested node at (iv={iv}, iw={iw})")
             v = self.v_values[iv]
             rho = laws.p_inv(self.w_values[iw] - v)
@@ -171,7 +166,7 @@ class GridMesh:
 
     def nodes(self):
         """(iv, iw) of every node: the congested box, then the free line."""
-        for iw in range(self._iw_c, len(self.w_values)):
+        for iw in range(self.iw_c, len(self.w_values)):
             for iv in range(self.iv_vc + 1):
                 yield (iv, iw)
         for iw in range(len(self.w_values)):
@@ -187,8 +182,11 @@ class GridMesh:
         marker is clamped into the congested band, and under a constant free
         speed a sub-critical free density, indistinguishable from vacuum in
         coordinates, brackets to the vacuum node.  A state equal to a mesh
-        node brackets to that node alone, however its marker rounds."""
+        node brackets to that node alone, however its marker rounds; one
+        outside the model domain (1e-9 slack) raises ValueOutsideOmega."""
         laws = self.laws
+        if not laws.contains(u, tol=1e-9):
+            raise ValueOutsideOmega(f"{u} not in the model domain")
         if u.phase is Phase.FREE:
             ivb = (self.iv_free, self.iv_free)
             if laws.degenerate_free and u.rho < laws.rho_free_crit - 1e-12:
@@ -197,7 +195,7 @@ class GridMesh:
         else:
             lo = min(max(int(math.floor(u.v / self.eps_v + _IDX_GUARD)), 0), self.iv_vc)
             ivb = (lo, lo if self.v_values[lo] >= u.v - 1e-12 else min(lo + 1, self.iv_vc))
-            iw_min = self._iw_c
+            iw_min = self.iw_c
         w2 = laws.w2(u)
         w = self.w_values
         last = len(w) - 1
@@ -223,29 +221,16 @@ class GridMesh:
     def snap(self, u: TrafficState) -> TrafficState:
         """The low corner of the state's brackets: componentwise floor of the
         coordinates to mesh lines, clamped into the admissible box."""
-        if not self.laws.contains(u, tol=1e-9):
-            raise ValueOutsideOmega(f"{u} not in the model domain")
         (iv, _), (iw, _) = self.brackets(u)
         return self.state(iv, iw)
 
     def index_of(self, u: TrafficState) -> Node:
-        sid = self._rev.get((u.rho, u.v))
-        if sid is not None:
-            return self.node_of(sid)
-        # tolerate externally built copies of node states: the node lies at
-        # or one step above the floor in each coordinate
-        snapped = self.snap(u)
-        iv, iw = self.node_of(self._rev[(snapped.rho, snapped.v)])
-        up_v, up_w = iv < self.iv_vc, iw + 1 < len(self.w_values)
-        cand = [(iv + dv, iw + dw) for dv in (0, 1) for dw in (0, 1)
-                if (up_v or not dv) and (up_w or not dw)]
-        for iv2, iw2 in cand:
-            try:
-                node = self.state(iv2, iw2)
-            except NotOnMesh:
-                continue
-            if self.laws.states_equal(node, u, tol=1e-9):
-                return (iv2, iw2)
+        """The corner of the state's brackets that equals it within 1e-9."""
+        ivb, iwb = self.brackets(u)
+        for iv in ivb:
+            for iw in iwb:
+                if self.laws.states_equal(self.state(iv, iw), u, tol=1e-9):
+                    return iv, iw
         raise NotOnMesh(f"{u} is not a mesh node")
 
 
@@ -277,9 +262,9 @@ def node_fan(mesh: GridMesh, l: int, r: int) -> list[Jump]:
         # steps, to the velocity line of r or, r free, up to the ceiling
         iv_b = ivr if ivr != iv_free else mesh.iv_vc
         if iv_b < ivl:
-            ivs, kind = (iv_b,), mesh.shock
+            ivs, kind = (iv_b,), SHOCK
         else:
-            ivs, kind = range(ivl + 1, iv_b + 1), mesh.rarefaction_step
+            ivs, kind = range(ivl + 1, iv_b + 1), RAREFACTION_STEP
         col = l % stride
         rho_a, v_a = states[l].rho, v_values[ivl]
         for iv in ivs:
@@ -295,7 +280,7 @@ def node_fan(mesh: GridMesh, l: int, r: int) -> list[Jump]:
             u_b = states[b]
             dv = abs(v_values[iv_free] - v_a)
             fan.append(((u_b.rho * u_b.v - rho_a * v_a) / (u_b.rho - rho_a), a, b,
-                        mesh.phase_transition, dv, dv, 1))
+                        PHASE_TRANSITION, dv, dv, 1))
             a = b
     elif ivr != iv_free:
         # one phase transition: straight to r out of vacuum, else to the
@@ -305,13 +290,13 @@ def node_fan(mesh: GridMesh, l: int, r: int) -> list[Jump]:
         rho_a, v_a = states[a].rho, v_values[ivr]
         speed = v_a if u_l.rho == 0.0 else (rho_a * v_a - u_l.rho * u_l.v) / (rho_a - u_l.rho)
         tv = abs(v_values[iv_free] - v_a) + abs(w_col[l % stride] - w_col[a % stride])
-        fan.append((speed, l, a, mesh.phase_transition, tv, tv, 1))
+        fan.append((speed, l, a, PHASE_TRANSITION, tv, tv, 1))
     if a == r:
         return fan
     if ivr != iv_free:
         # the contact along the velocity line of r
         dw = abs(w_col[a % stride] - w_col[r % stride])
-        fan.append((v_values[ivr], a, r, mesh.contact, dw, dw + dw if a - r >= 2 else dw, 0))
+        fan.append((v_values[ivr], a, r, CONTACT, dw, dw + dw if a - r >= 2 else dw, 0))
         return fan
 
     # the free wave: one shock up the free line, or one jump per marker line
@@ -341,9 +326,9 @@ def node_fan(mesh: GridMesh, l: int, r: int) -> list[Jump]:
 def solve_approx(mesh: GridMesh, u_l: TrafficState, u_r: TrafficState) -> list[Jump]:
     """State-level adapter of node_fan: the mesh Riemann fan, as node_fan's
     jumps, between the nodes of u_l and u_r.  A node state built by the
-    mesh is found by one probe of its (rho, v), index_of's fast path (no
-    node has id 0, so only a missed probe is false); any other state goes
-    through index_of."""
+    mesh is found by one probe of its (rho, v) in _rev (no node has id 0,
+    so only a missed probe is false); any other state goes through
+    index_of."""
     rev = mesh._rev
     l = rev.get((u_l.rho, u_l.v)) or mesh.state_id(mesh.index_of(u_l))
     r = rev.get((u_r.rho, u_r.v)) or mesh.state_id(mesh.index_of(u_r))

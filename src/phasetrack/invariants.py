@@ -51,12 +51,11 @@ def column_residuals(speed, left, right):
             speed * (yr - yl) - (yr * vr - yl * vl))
 
 
-def momentum_conserved(laws: ModelLaws, left: TrafficState, right: TrafficState) -> bool:
-    """Whether the momentum jump condition holds across a jump: between two
-    congested states, or across every front when the free speed is
-    constant."""
-    return (left.phase is Phase.CONGESTED and right.phase is Phase.CONGESTED) \
-        or laws.degenerate_free
+def momentum_conserved(laws: ModelLaws, left_congested, right_congested):
+    """Whether the momentum jump condition holds across jumps with these
+    sides' congested flags (bools or arrays): between two congested states,
+    or across every front when the free speed is constant."""
+    return True if laws.degenerate_free else left_congested & right_congested
 
 
 def row_violations(log: FunctionalLog, i: int, eps_w: float) -> list[str]:
@@ -125,13 +124,9 @@ def event_order_violations(event: int, t: float, x: float, x_before: float,
 
 def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
                 right: TrafficState) -> tuple[float, float | None]:
-    """(mass residual, momentum residual or None).
-
-    The momentum residual uses the conserved marker rho * max(w2, W_c); it is
-    meaningful across every front only when the free speed is constant,
-    otherwise only between two congested states.
-    """
-    if momentum_conserved(laws, left, right):
+    """(mass residual, momentum residual on the conserved marker
+    rho * max(w2, W_c) where `momentum_conserved` holds, else None)."""
+    if momentum_conserved(laws, left.phase is Phase.CONGESTED, right.phase is Phase.CONGESTED):
         return jump_residuals(speed, left, right, laws.marker_W(left), laws.marker_W(right))
     return jump_residuals(speed, left, right)
 
@@ -143,13 +138,13 @@ def audit_run(res: RunResult) -> list[str]:
 
     The jump conditions are checked by `column_residuals` over the history's
     columns (`FrontHistory.sides`), with the marker conserved across a row
-    as `rh_residual` has it; the first flagged row is worded from the values
-    that flagged it."""
+    where `momentum_conserved` says so; the first flagged row is worded
+    from the values that flagged it."""
     bad = functional_violations(res.log, res.mesh.eps_w)
     bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
     for _, (speed, t0), left, right in res.history.sides("speed", "t0"):
         mass, mom = column_residuals(speed, left, right)
-        conserves = True if res.laws.degenerate_free else left[2] & right[2]
+        conserves = momentum_conserved(res.laws, left[2], right[2])
         mass_bad = np.abs(mass) > MONO_TOL
         rows = np.flatnonzero(mass_bad | (conserves & (np.abs(mom) > MONO_TOL)))
         if len(rows):

@@ -498,6 +498,8 @@ def laws_from_config(cfg: dict) -> ModelLaws:
     family = str(cfg.get("family", "linear")).lower()
     if family != "linear":
         raise ValueError(f"unknown speed family {family!r}; plug custom laws in via the API")
+    if "v_max" not in cfg or "v_c" not in cfg:
+        raise ValueError("[model] needs V_max and V_c")
     R = float(cfg.get("r", cfg.get("R", math.inf)))
     v_f = LinearFreeSpeed(float(cfg["v_max"]), R)
     p = PowerPressure(float(cfg.get("gamma", 2.0)),

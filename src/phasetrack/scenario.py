@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import PiecewiseConstantDatum, RunResult
-from .errors import NotReached, OutOfWindow, StructuralAssumptionViolated
+from .errors import NotReached, OutOfWindow
 from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
                     TrafficState, validate_laws, _solve_marker_density)
 from .numerics import interp_polyline
@@ -244,8 +244,7 @@ class _Curves:
         return interp_polyline(self._pt1_ts, self._pt1_xs, t)
 
 
-def closed_form_table(cfg: TrafficLightConfig, strict: bool = False,
-                      laws: ModelLaws | None = None,
+def closed_form_table(cfg: TrafficLightConfig, laws: ModelLaws | None = None,
                       _curves: _Curves | None = None) -> ExactEventTable:
     """Interaction points and passage times of the exact construction.
 
@@ -295,10 +294,6 @@ def closed_form_table(cfg: TrafficLightConfig, strict: bool = False,
     else:
         t_last = t_d1
         merge = None
-    if strict and meets:
-        raise StructuralAssumptionViolated(
-            f"trailing shocks meet at (t={t_m}, x={x_m}) upstream of the light")
-
     return ExactEventTable(
         a2=(cur.t_a2, cfg.x2), b2=(cur.t_b2, cur.x_b2), c2=(t_c2, x_c2),
         a1=(cur.t_a1, cfg.x1), b1=(cur.t_b1, cur.x_b1), c1=(t_c1, x_c1),

@@ -177,9 +177,11 @@ def rk4_curves(cur):
 def audit_run_per_record(res):
     """`invariants.audit_run` as it was before it read the history's
     columns: one Python pass over the records, one marker evaluation per
-    state object.  The body is kept unchanged."""
+    state object.  The body is kept unchanged but for `momentum_conserved`'s
+    arguments, now the two sides' congested flags."""
     from phasetrack.invariants import (MONO_TOL, functional_violations, jump_residuals,
                                        momentum_conserved, snapshot_violations)
+    from phasetrack.model import Phase
 
     bad = functional_violations(res.log, res.mesh.eps_w)
     bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
@@ -195,7 +197,8 @@ def audit_run_per_record(res):
 
     for rec in res.records:
         left, right = rec.left, rec.right
-        if momentum_conserved(laws, left, right):
+        if momentum_conserved(laws, left.phase is Phase.CONGESTED,
+                              right.phase is Phase.CONGESTED):
             mass, mom = jump_residuals(rec.speed, left, right, marker(left), marker(right))
         else:
             mass, mom = jump_residuals(rec.speed, left, right)
@@ -349,8 +352,6 @@ def entropy_report_per_record(run, k_grid=None):
                                 rec.kind.value if rec.kind else "initial", k, u))
             if not is_step:
                 rep.min_sharp = min(rep.min_sharp, u)
-    rep.negative_step_total, rep.negative_step_total_unweighted = \
-        step_deficit_totals_per_record(run)
     return rep
 
 

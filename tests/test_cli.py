@@ -476,9 +476,14 @@ TRAFFIC_LIGHT_INI = (CONFIGS / "traffic_light.ini").read_text()
      "[datum] needs a finite x_lo < x_hi", "got x_lo = 10.0, x_hi = -10.0\n"),
     (FLAT_INI, "x_lo = -10\nx_hi = 10\n", "x_lo = 4\nx_hi = 4\n",
      "[datum] needs a finite x_lo < x_hi", "got x_lo = 4.0, x_hi = 4.0\n"),
+    # a key the config needs is named when it is missing
+    (RANDOM_INI, "V_c = 0.02\n", "", "[model] needs V_max and V_c", "\n"),
+    (RANDOM_INI, "v_max = 0.05\n", "", "[model] needs V_max and V_c", "\n"),
+    (CONSTANT_INI, "breaks = 0.0\n", "", "missing [datum] key 'breaks'", "\n"),
 ], ids=["snapshots-outside-t_end", "snapshot-after-the-default-t_end",
         "descending-window", "one-x-point", "entropy-not-a-boolean",
-        "datum-jumps-below-3", "datum-descending-span", "datum-empty-span"])
+        "datum-jumps-below-3", "datum-descending-span", "datum-empty-span",
+        "model-without-V_c", "model-without-v_max", "datum-without-breaks"])
 def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, new,
                                                     message, tail):
     assert text.count(old) == 1
@@ -526,6 +531,49 @@ def test_unknown_config_key_exit_2(tmp_path, capsys, text, old, new, section, ke
     assert main([command, str(cfgf), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: unknown [{section}] key {key!r}\n"
     assert not out.exists()
+
+
+def _with_value(text, section, key, value):
+    """text with `key = value` in [section], in place of the key's line if
+    the section has one (keys match case-insensitively, as configparser's)."""
+    lines = text.splitlines(keepends=True)
+    start = lines.index(f"[{section}]\n") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    at = [i for i in range(start, end) if lines[i].partition("=")[0].strip().lower() == key]
+    if at:
+        lines[at[0]] = f"{key} = {value}\n"
+    else:
+        lines.insert(start, f"{key} = {value}\n")
+    return "".join(lines)
+
+
+NUMBER_KEYS = [
+    *((SCENARIO_INI, "scenario", key) for key in
+      ("n_min", "n_max", "gamma", "v_max", "w_max", "w_c", "v_c", "x1", "x2")),
+    *((RANDOM_INI, "model", key) for key in
+      ("v_max", "r", "gamma", "v_ref", "rho_max", "r_f_prime", "w_c", "r_f_second",
+       "w_max", "v_c")),
+    *((RANDOM_INI, "datum", key) for key in ("jumps", "x_lo", "x_hi")),
+    (CONSTANT_INI, "datum", "breaks"),
+    (CONSTANT_INI, "datum", "states"),
+    *((RANDOM_INI, "run", key) for key in
+      ("n", "t_end", "snapshots", "x_points", "x_lo", "x_hi", "k_grid")),
+]
+
+
+@pytest.mark.parametrize("text, section, key", NUMBER_KEYS,
+                         ids=[f"{section}-{key}" for _, section, key in NUMBER_KEYS])
+def test_unparsable_number_names_its_key_exit_2(tmp_path, capsys, text, section, key):
+    # a value that is no number names the key it was given for; a scenario
+    # config is read the same way by both commands
+    cfgf = tmp_path / "n.ini"
+    cfgf.write_text(_with_value(text, section, key, "abc"))
+    for command in ("run", "ladder") if section == "scenario" else ("run",):
+        out = tmp_path / command
+        assert main([command, str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: [{section}] {key} = 'abc': "), err
+        assert not out.exists()
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phasetrack as pt
-from phasetrack.errors import NotOnMesh
+from phasetrack.errors import NotOnMesh, ValueOutsideOmega
 from phasetrack.grid import VACUUM_IW, node_fan
 from phasetrack.invariants import jump_residuals
 from phasetrack.riemann import WaveKind
@@ -125,6 +125,22 @@ def test_index_of_accepts_a_near_copy_above_both_floors(mesh5):
     u = pt.TrafficState(n.rho, n.v - 1e-10, pt.Phase.CONGESTED)
     assert mesh5.index_of(mesh5.snap(u)) == (23, 38)
     assert mesh5.index_of(u) == (24, 39)
+
+
+def test_index_of_tells_a_state_off_the_mesh_from_one_off_the_domain(laws, mesh5):
+    # halfway between two velocity lines on a marker line: in the domain,
+    # but on no node
+    v = 0.5 * (mesh5.v_values[10] + mesh5.v_values[11])
+    between = pt.TrafficState(laws.p_inv(mesh5.w_values[40] - v), v, pt.Phase.CONGESTED)
+    assert laws.contains(between, tol=0.0)
+    with pytest.raises(NotOnMesh):
+        mesh5.index_of(between)
+    # a congested state faster than V_c, and a free one off the free line
+    for outside in (pt.TrafficState(between.rho, 1.5 * laws.V_c, pt.Phase.CONGESTED),
+                    pt.TrafficState(0.5 * laws.rho_free_max, 0.5 * laws.V_c, pt.Phase.FREE)):
+        assert not laws.contains(outside, tol=1e-9)
+        with pytest.raises(ValueOutsideOmega):
+            mesh5.index_of(outside)
 
 
 def test_node_separation_M2(laws):
