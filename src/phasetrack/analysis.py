@@ -162,7 +162,7 @@ def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> Entropy
         sides = [zip(*(c.tolist() for c in side)) for side in ((rl, vl, wl), (rr, vr, wr))]
         for a, b, x, s, kd, left, right in zip(t0.tolist(), t1.tolist(), x0.tolist(),
                                                speed.tolist(), kind, *sides):
-            label = kd.value if kd else "initial"
+            label = kd.value
             for k in k_grid:
                 (el, ql), (er, qr) = _pair(laws, *left, k), _pair(laws, *right, k)
                 u = s * (er - el) - (qr - ql)

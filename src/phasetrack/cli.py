@@ -55,7 +55,7 @@ def _parse_state(laws: ModelLaws, text: str) -> TrafficState:
     if kind == "free":
         rho = float(rest)
         return TrafficState(rho, laws.v_free(rho), Phase.FREE)
-    if kind in ("congested", "cong"):
+    if kind == "congested":
         rho_s, v_s = rest.split(",")
         return TrafficState(float(rho_s), float(v_s), Phase.CONGESTED)
     raise ValueError(f"cannot parse state {text!r}")
@@ -65,40 +65,11 @@ def _floats(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
-def _read(section: configparser.SectionProxy, key: str, parse=float, *default):
-    """parse(section[key]), or the default if given and the key is absent;
-    a missing or unparsable value is a ValueError naming [section] key."""
-    if key not in section:
-        if default:
-            return default[0]
-        raise ValueError(f"missing [{section.name}] key {key!r}")
-    try:
-        return parse(section[key])
-    except ValueError as exc:
-        raise ValueError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
-
-
-def _check_keys(cp: configparser.ConfigParser) -> None:
-    """ValueError naming the first key of [scenario], [model], [datum] or
-    [run] that no config reads, so a misspelt option cannot silently do
-    nothing.  configparser has lowercased the keys; [model] takes those of
-    `laws_from_config`."""
-    known = dict(
-        scenario={f.name for f in dataclasses.fields(TrafficLightConfig)
-                  if f.type == "float"} | {"n_min", "n_max"},
-        model={"family", "v_max", "r", "gamma", "v_ref", "rho_max",
-               "r_f_prime", "w_c", "r_f_second", "w_max", "v_c"},
-        datum={"kind", "breaks", "states", "jumps", "x_lo", "x_hi"},
-        run={"n", "t_end", "snapshots", "x_points", "x_lo", "x_hi", "entropy", "k_grid"})
-    for section, keys in known.items():
-        if cp.has_section(section):
-            for key in cp[section]:
-                if key not in keys:
-                    raise ValueError(f"unknown [{section}] key {key!r}")
-
-
 class RunConfig:
-    """Resolved configuration for a single run."""
+    """Resolved configuration for a single run.
+
+    The reads below are the config format: every key is read through
+    `_read`, and a key of the file that no read took is an error."""
 
     def __init__(self, path: Path, seed: int | None = None):
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -106,33 +77,31 @@ class RunConfig:
         read = cp.read(path)
         if not read:
             raise ValueError(f"cannot read config {path}")
-        _check_keys(cp)
+        self._taken: set[tuple[str, str]] = set()
         self.scenario_cfg: TrafficLightConfig | None = None
         if cp.has_section("scenario"):
             s = cp["scenario"]
-            n_min, n_max = TrafficLightConfig.n_levels
             self.scenario_cfg = TrafficLightConfig(
-                n_levels=(_read(s, "n_min", int, n_min), _read(s, "n_max", int, n_max)),
-                **{f.name: _read(s, f.name) for f in dataclasses.fields(TrafficLightConfig)
-                   if f.type == "float" and f.name in s})
+                **{f.name: self._read(s, f.name) for f in dataclasses.fields(TrafficLightConfig)
+                   if f.name in s})
             self.laws, self.datum = build_scenario(self.scenario_cfg)
         elif cp.has_section("model"):
             m = cp["model"]
             self.laws = laws_from_config(
-                {k: v if k == "family" else _read(m, k) for k, v in m.items()})
+                {k: self._read(m, k, str if k == "family" else float) for k in m})
             if not cp.has_section("datum"):
                 raise ValueError("config needs a [datum] section")
             d = cp["datum"]
-            kind = d.get("kind", "inline").strip().lower()
+            kind = self._read(d, "kind", str, "inline").strip().lower()
             if kind == "inline":
-                breaks = _read(d, "breaks", _floats)
-                states = _read(d, "states", lambda t: [_parse_state(self.laws, u)
-                                                       for u in t.split("|")])
+                breaks = self._read(d, "breaks", _floats)
+                states = self._read(d, "states", lambda t: [_parse_state(self.laws, u)
+                                                            for u in t.split("|")])
                 self.datum = PiecewiseConstantDatum(tuple(breaks), tuple(states))
             elif kind == "random":
-                self._random = dict(jumps=_read(d, "jumps", int, 12),
-                                    x_lo=_read(d, "x_lo", float, -10.0),
-                                    x_hi=_read(d, "x_hi", float, 10.0))
+                self._random = dict(jumps=self._read(d, "jumps", int, 12),
+                                    x_lo=self._read(d, "x_lo", float, -10.0),
+                                    x_hi=self._read(d, "x_hi", float, 10.0))
                 # the datum draws between 3 and `jumps` breakpoints in (x_lo, x_hi)
                 if self._random["jumps"] < 3:
                     raise ValueError(f"[datum] jumps must be at least 3, "
@@ -147,29 +116,48 @@ class RunConfig:
             raise ValueError("config needs a [scenario] or [model] section")
 
         r = cp["run"]
-        self.n = _read(r, "n", int, 6)
+        self.n = self._read(r, "n", int, 6)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        self.t_end = _read(r, "t_end", float, None)   # 0 is a valid end
+        self.t_end = self._read(r, "t_end", float, None)   # 0 is a valid end
         if self.t_end is not None and not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        self.snapshots = _read(r, "snapshots", _floats, [])
-        self.x_points = _read(r, "x_points", int, 400)
-        self.x_lo = _read(r, "x_lo", float, None)
-        self.x_hi = _read(r, "x_hi", float, None)
-        entropy = r.get("entropy", "on").lower()
+        self.snapshots = self._read(r, "snapshots", _floats, [])
+        self.x_points = self._read(r, "x_points", int, 400)
+        self.x_lo = self._read(r, "x_lo", float, None)
+        self.x_hi = self._read(r, "x_hi", float, None)
+        entropy = self._read(r, "entropy", str, "on").lower()
         if entropy not in cp.BOOLEAN_STATES:
             raise ValueError(f"[run] entropy must be one of {', '.join(cp.BOOLEAN_STATES)}, "
                              f"got {entropy!r}")
         self.entropy_enabled = cp.BOOLEAN_STATES[entropy]
-        self.k_grid = _read(r, "k_grid", _floats, None)
+        self.k_grid = self._read(r, "k_grid", _floats, None)
         if self.k_grid is not None and not all(0.0 <= k <= self.laws.V_f for k in self.k_grid):
             raise ValueError(f"k_grid speeds must lie in [0, V_f = {self.laws.V_f}], "
                              f"got {self.k_grid}")
+        # a key this config's shape does not read would silently do nothing
+        for name in cp.sections():
+            for key in cp[name]:
+                if (name, key) not in self._taken:
+                    raise ValueError(f"unknown [{name}] key {key!r}")
         # the seed of a random datum: 0 unless given; no other datum takes one
         if seed is not None and self.datum is not None:
             raise ValueError("--seed applies only to a [datum] of kind = random")
         self.seed = seed or 0
+
+    def _read(self, section: configparser.SectionProxy, key: str, parse=float, *default):
+        """parse(section[key]), or the default if given and the key is absent;
+        a missing or unparsable value is a ValueError naming [section] key.
+        Either way the key is taken: `__init__` rejects the keys no read took."""
+        self._taken.add((section.name, key))
+        if key not in section:
+            if default:
+                return default[0]
+            raise ValueError(f"missing [{section.name}] key {key!r}")
+        try:
+            return parse(section[key])
+        except ValueError as exc:
+            raise ValueError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
 
     def resolve_datum(self, mesh: GridMesh):
         if self.datum is not None:
@@ -216,17 +204,6 @@ def _write_metadata(outdir: Path, **fields) -> None:
     (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def _scenario_meta(sc: TrafficLightConfig) -> dict:
-    """The scenario block of metadata.json."""
-    return dict(
-        scenario=dict(gamma=sc.gamma, v_max=sc.v_max, w_max=sc.w_max,
-                      w_c=sc.w_c, v_c=sc.v_c, x1=sc.x1, x2=sc.x2),
-        marker_band=dict(
-            w_c=sc.w_c, w_max=sc.w_max,
-            note="w_max must exceed w_c; configs supplying the reverse "
-                 "ordering are rejected by validation"))
-
-
 def _front_rows(res: RunResult):
     """The rows of fronts.csv, read from the history's columns."""
     phase = {False: Phase.FREE.value, True: Phase.CONGESTED.value}.__getitem__
@@ -234,7 +211,7 @@ def _front_rows(res: RunResult):
             res.history.sides("t0", "t1", "x0", "speed", "kind"):
         x1 = x0 + speed * (t1 - t0)
         yield from zip(t0.tolist(), t1.tolist(), x0.tolist(), x1.tolist(), speed.tolist(),
-                       [k.value if k else "initial" for k in kind],
+                       [k.value for k in kind],
                        rl.tolist(), vl.tolist(), map(phase, cl.tolist()),
                        rr.tolist(), vr.tolist(), map(phase, cr.tolist()))
 
@@ -292,7 +269,8 @@ def cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    meta = _scenario_meta(cfg.scenario_cfg) if cfg.scenario_cfg is not None else {}
+    meta = {} if cfg.scenario_cfg is None else \
+        dict(scenario=dataclasses.asdict(cfg.scenario_cfg))
     if cfg.datum is None:
         # a random datum is repeated by running again with its seed
         meta["seed"] = cfg.seed
@@ -338,10 +316,8 @@ def cmd_ladder(args) -> int:
         cfg = RunConfig(Path(args.config))
         if cfg.scenario_cfg is None:
             raise ValueError("ladder requires a [scenario] config")
-        n_min = args.n_min if args.n_min is not None else cfg.scenario_cfg.n_levels[0]
-        n_max = args.n_max if args.n_max is not None else cfg.scenario_cfg.n_levels[1]
-        if n_min > n_max or n_min < 1:
-            raise ValueError(f"bad level range {n_min}..{n_max}")
+        if args.n_min > args.n_max or args.n_min < 1:
+            raise ValueError(f"bad level range {args.n_min}..{args.n_max}")
         # build the construction once, on the config's laws and datum, and
         # hand the same object to every level (pickled to --jobs workers)
         exact = ExactSolution(cfg.scenario_cfg, (cfg.laws, cfg.datum))
@@ -351,7 +327,7 @@ def cmd_ladder(args) -> int:
 
     sc, table = exact.cfg, exact.table
     t_end = _default_t_end(cfg, table.t_last)
-    payloads = [(exact, n, t_end, args.strict) for n in range(n_min, n_max + 1)]
+    payloads = [(exact, n, t_end, args.strict) for n in range(args.n_min, args.n_max + 1)]
     try:
         if args.jobs > 1:
             # imported here: the pool machinery costs a fresh process about
@@ -372,7 +348,7 @@ def cmd_ladder(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "ladder.csv", list(rows[0]), [r.values() for r in rows])
     _write_metadata(outdir, t_end=t_end, structural_ok=table.structural_ok,
-                    exact_last_passage=table.t_last, **_scenario_meta(sc))
+                    exact_last_passage=table.t_last, scenario=dataclasses.asdict(sc))
     if any(r["violations"] for r in rows):
         print("invariant violation: see per-level audits", file=sys.stderr)
         return 3
@@ -394,8 +370,8 @@ def main(argv=None) -> int:
 
     p_lad = sub.add_parser("ladder", help="scenario refinement ladder")
     p_lad.add_argument("config")
-    p_lad.add_argument("--n-min", type=int, default=None)
-    p_lad.add_argument("--n-max", type=int, default=None)
+    p_lad.add_argument("--n-min", type=int, default=5)
+    p_lad.add_argument("--n-max", type=int, default=9)
     p_lad.add_argument("--jobs", type=int, default=1)
     p_lad.add_argument("--out", default="phasetrack-out")
     p_lad.add_argument("--strict", action="store_true",

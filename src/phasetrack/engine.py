@@ -200,7 +200,7 @@ class FrontRecord(NamedTuple):
     speed: float
     left: TrafficState
     right: TrafficState
-    kind: WaveKind | None
+    kind: WaveKind
 
     def position(self, t: float) -> float:
         return self.x0 + self.speed * (t - self.t0)
@@ -236,7 +236,7 @@ class FrontHistory(Sequence):
         self.speed = array("d")
         self.left = array("q")
         self.right = array("q")
-        self.kind: list[WaveKind | None] = []
+        self.kind: list[WaveKind] = []
         self.mesh = mesh
 
     def __len__(self) -> int:

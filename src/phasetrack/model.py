@@ -489,32 +489,42 @@ def _solve_marker_density(v_f, p, w: float, rho_hint_hi: float) -> float:
     return invert_increasing(f, float(xs[i]), float(xs[i + 1]), w)
 
 
+# the keys of the [model] config block, lowercase as configparser gives them
+MODEL_KEYS = ("family", "v_max", "r", "gamma", "v_ref", "rho_max",
+              "r_f_prime", "w_c", "r_f_second", "w_max", "v_c")
+
+
 def laws_from_config(cfg: dict) -> ModelLaws:
     """Build laws from a flat mapping (the [model] config block).
 
-    Keys: family (linear), V_max, R, gamma, v_ref, rho_max,
-    R_f_prime or W_c, R_f_second or W_max, V_c.
+    Keys, of MODEL_KEYS only: family (linear), v_max, r (default inf), gamma
+    (2), v_ref, rho_max (1), v_c, and each free-band edge once: r_f_prime or
+    its marker w_c, r_f_second or its marker w_max.
     """
+    for key in cfg:
+        if key not in MODEL_KEYS:
+            raise ValueError(f"unknown [model] key {key!r}")
     family = str(cfg.get("family", "linear")).lower()
     if family != "linear":
         raise ValueError(f"unknown speed family {family!r}; plug custom laws in via the API")
     if "v_max" not in cfg or "v_c" not in cfg:
         raise ValueError("[model] needs V_max and V_c")
-    R = float(cfg.get("r", cfg.get("R", math.inf)))
+    R = float(cfg.get("r", math.inf))
     v_f = LinearFreeSpeed(float(cfg["v_max"]), R)
     p = PowerPressure(float(cfg.get("gamma", 2.0)),
                       cfg.get("v_ref") and float(cfg["v_ref"]),
                       float(cfg.get("rho_max", 1.0)))
-    if "r_f_prime" in cfg:
-        rf1 = float(cfg["r_f_prime"])
-    elif "w_c" in cfg:
-        rf1 = _solve_marker_density(v_f, p, float(cfg["w_c"]), 1.0 if math.isinf(R) else R / 2.0)
-    else:
-        raise ValueError("need R_f_prime or W_c")
-    if "r_f_second" in cfg:
-        rf2 = float(cfg["r_f_second"])
-    elif "w_max" in cfg:
-        rf2 = _solve_marker_density(v_f, p, float(cfg["w_max"]), 1.0 if math.isinf(R) else R / 2.0)
-    else:
-        raise ValueError("need R_f_second or W_max")
-    return validate_laws(v_f, p, rf1, rf2, float(cfg["v_c"]))
+
+    def edge(rho_key: str, w_key: str) -> float:
+        if rho_key in cfg and w_key in cfg:
+            raise ValueError(f"[model] keys {rho_key!r} and {w_key!r} set the same "
+                             f"free-band edge: give one of them")
+        if rho_key in cfg:
+            return float(cfg[rho_key])
+        if w_key in cfg:
+            return _solve_marker_density(v_f, p, float(cfg[w_key]),
+                                         1.0 if math.isinf(R) else R / 2.0)
+        raise ValueError(f"[model] needs {rho_key!r} or {w_key!r}")
+
+    return validate_laws(v_f, p, edge("r_f_prime", "w_c"), edge("r_f_second", "w_max"),
+                         float(cfg["v_c"]))

@@ -17,8 +17,7 @@ import numpy as np
 
 from .engine import PiecewiseConstantDatum, RunResult
 from .errors import NotReached, OutOfWindow
-from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
-                    TrafficState, validate_laws, _solve_marker_density)
+from .model import ModelLaws, Phase, TrafficState, laws_from_config
 from .numerics import interp_polyline
 from .riemann import sigma
 
@@ -34,7 +33,6 @@ class TrafficLightConfig:
     v_c: float = 0.02
     x1: float = -10.0
     x2: float = -7.0
-    n_levels: tuple[int, int] = (5, 9)
 
     def __post_init__(self):
         if not (self.x1 < self.x2 < 0.0):
@@ -44,11 +42,8 @@ class TrafficLightConfig:
 def build_scenario(cfg: TrafficLightConfig) -> tuple[ModelLaws, PiecewiseConstantDatum]:
     """Laws with linear free speed and power pressure, and the stopped-queue
     datum: heavy class on [x1, x2), light class on [x2, 0), vacuum outside."""
-    v_f = LinearFreeSpeed(cfg.v_max, 1.0)
-    p = PowerPressure(cfg.gamma)  # rho^gamma
-    rf1 = _solve_marker_density(v_f, p, cfg.w_c, 0.5)
-    rf2 = _solve_marker_density(v_f, p, cfg.w_max, 0.5)
-    laws = validate_laws(v_f, p, rf1, rf2, cfg.v_c)
+    laws = laws_from_config(dict(v_max=cfg.v_max, r=1.0, gamma=cfg.gamma,
+                                 w_c=cfg.w_c, w_max=cfg.w_max, v_c=cfg.v_c))
     vac = laws.vacuum()
     datum = PiecewiseConstantDatum(
         (cfg.x1, cfg.x2, 0.0),

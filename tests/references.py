@@ -348,8 +348,7 @@ def entropy_report_per_record(run, k_grid=None):
         is_step = rec.kind is WaveKind.RAREFACTION_STEP
         for k in k_grid:
             u = entropy_production(rec.speed, rec.left, rec.right, k)
-            rep.records.append((rec.t0, rec.t1, rec.x0,
-                                rec.kind.value if rec.kind else "initial", k, u))
+            rep.records.append((rec.t0, rec.t1, rec.x0, rec.kind.value, k, u))
             if not is_step:
                 rep.min_sharp = min(rep.min_sharp, u)
     return rep

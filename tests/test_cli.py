@@ -134,7 +134,7 @@ def test_scenario_run_outputs(tmp_path):
     some = [float(v) for v in prows[len(prows) // 2]]
     assert len(some) == 6
     meta = json.loads((out / "metadata.json").read_text())
-    assert meta["marker_band"]["w_max"] > meta["marker_band"]["w_c"]
+    assert meta["scenario"]["w_max"] > meta["scenario"]["w_c"]
 
 
 def test_run_determinism(tmp_path):
@@ -480,10 +480,19 @@ TRAFFIC_LIGHT_INI = (CONFIGS / "traffic_light.ini").read_text()
     (RANDOM_INI, "V_c = 0.02\n", "", "[model] needs V_max and V_c", "\n"),
     (RANDOM_INI, "v_max = 0.05\n", "", "[model] needs V_max and V_c", "\n"),
     (CONSTANT_INI, "breaks = 0.0\n", "", "missing [datum] key 'breaks'", "\n"),
+    # a config without a section it needs, or with a kind or level no run takes
+    (CONSTANT_INI, "[datum]\nkind = inline\nbreaks = 0.0\n"
+     "states = congested:0.37,0.01 | congested:0.37,0.01\n", "",
+     "config needs a [datum] section", "\n"),
+    (CONSTANT_INI, "kind = inline\n", "kind = spline\n", "unknown datum kind 'spline'", "\n"),
+    (CONSTANT_INI, "[model]\n", "[Model]\n", "config needs a [scenario] or [model] section",
+     "\n"),
+    (FLAT_INI, "\nn = 5\n", "\nn = 0\n", "n must be >= 1", "\n"),
 ], ids=["snapshots-outside-t_end", "snapshot-after-the-default-t_end",
         "descending-window", "one-x-point", "entropy-not-a-boolean",
         "datum-jumps-below-3", "datum-descending-span", "datum-empty-span",
-        "model-without-V_c", "model-without-v_max", "datum-without-breaks"])
+        "model-without-V_c", "model-without-v_max", "datum-without-breaks",
+        "model-without-datum", "datum-kind-unknown", "no-scenario-or-model", "level-0"])
 def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, new,
                                                     message, tail):
     assert text.count(old) == 1
@@ -533,6 +542,53 @@ def test_unknown_config_key_exit_2(tmp_path, capsys, text, old, new, section, ke
     assert not out.exists()
 
 
+# (config, old text, new text, the message): a key the config's shape does
+# not read, or a free-band edge given twice, would each be silently ignored
+IGNORED_KEYS = {
+    "scenario-and-model": (SCENARIO_INI, "[run]\n", "[model]\nv_max = 0.05\n\n[run]\n",
+                           "unknown [model] key 'v_max'"),
+    "scenario-and-datum": (SCENARIO_INI, "[run]\n", "[datum]\nkind = inline\n\n[run]\n",
+                           "unknown [datum] key 'kind'"),
+    "scenario-n_min": (SCENARIO_INI, "x2 = -7\n", "x2 = -7\nn_min = 5\n",
+                       "unknown [scenario] key 'n_min'"),
+    **{f"inline-{key}": (CONSTANT_INI, "kind = inline\n", f"kind = inline\n{key} = {value}\n",
+                         f"unknown [datum] key {key!r}")
+       for key, value in (("jumps", "7"), ("x_lo", "5"), ("x_hi", "3"))},
+    **{f"random-{key}": (RANDOM_INI, "jumps = 8\n", f"jumps = 8\n{key} = {value}\n",
+                         f"unknown [datum] key {key!r}")
+       for key, value in (("breaks", "0.0"), ("states", "vacuum"))},
+    "misspelt-run": (FLAT_INI, "[run]\n", "[Run]\n", "unknown [Run] key 'n'"),
+    "R_f_prime-and-W_c": (FLAT_INI, "V_c = 0.02\n", "V_c = 0.02\nW_c = 0.9\n",
+                          "[model] keys 'r_f_prime' and 'w_c' set the same free-band edge"),
+    "R_f_second-and-W_max": (FLAT_INI, "V_c = 0.02\n", "V_c = 0.02\nW_max = 0.9\n",
+                             "[model] keys 'r_f_second' and 'w_max' set the same "
+                             "free-band edge"),
+}
+
+
+@pytest.mark.parametrize("case", list(IGNORED_KEYS))
+@pytest.mark.parametrize("command", ["run", "ladder"])
+def test_every_ignored_config_shape_exit_2(tmp_path, capsys, case, command):
+    # the config is read whole before a command looks at its shape, so
+    # both commands reject it with the same message
+    text, old, new, message = IGNORED_KEYS[case]
+    assert text.count(old) == 1
+    cfgf = tmp_path / "i.ini"
+    cfgf.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, str(cfgf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert not out.exists()
+
+
+def test_model_run_without_t_end_ends_at_100(tmp_path):
+    cfgf = tmp_path / "r.ini"
+    cfgf.write_text(RANDOM_INI.replace("t_end = 60\n", ""))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["t_end"] == 100.0
+
+
 def _with_value(text, section, key, value):
     """text with `key = value` in [section], in place of the key's line if
     the section has one (keys match case-insensitively, as configparser's)."""
@@ -549,7 +605,7 @@ def _with_value(text, section, key, value):
 
 NUMBER_KEYS = [
     *((SCENARIO_INI, "scenario", key) for key in
-      ("n_min", "n_max", "gamma", "v_max", "w_max", "w_c", "v_c", "x1", "x2")),
+      ("gamma", "v_max", "w_max", "w_c", "v_c", "x1", "x2")),
     *((RANDOM_INI, "model", key) for key in
       ("v_max", "r", "gamma", "v_ref", "rho_max", "r_f_prime", "w_c", "r_f_second",
        "w_max", "v_c")),

@@ -181,8 +181,11 @@ def test_laws_from_config_matches_scenario(laws):
     cfg = dict(family="linear", v_max=0.05, r=1.0, gamma=2.0,
                w_c=0.125, w_max=4.0 / 30.0, v_c=0.02)
     built = pt.laws_from_config(cfg)
-    assert built.rho_free_crit == pytest.approx(laws.rho_free_crit, abs=1e-9)
-    assert built.rho_free_max == pytest.approx(laws.rho_free_max, abs=1e-9)
+    # the scenario builds its laws through laws_from_config, so every
+    # derived constant is the same float
+    for name in ("rho_free_crit", "rho_free_max", "R_c", "R_max", "W_min", "W_c",
+                 "W_max", "V_f"):
+        assert getattr(built, name) == getattr(laws, name), name
 
 
 def test_degenerate_free_band(flat_laws):
