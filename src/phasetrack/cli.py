@@ -65,6 +65,15 @@ def _floats(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
+def _some_floats(text: str) -> list[float]:
+    """`_floats` of a list key whose empty value would otherwise run as if
+    the key were absent, or check nothing."""
+    values = _floats(text)
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
+
+
 class RunConfig:
     """Resolved configuration for a single run.
 
@@ -122,7 +131,7 @@ class RunConfig:
         self.t_end = self._read(r, "t_end", float, None)   # 0 is a valid end
         if self.t_end is not None and not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        self.snapshots = self._read(r, "snapshots", _floats, [])
+        self.snapshots = self._read(r, "snapshots", _some_floats, [])
         self.x_points = self._read(r, "x_points", int, 400)
         self.x_lo = self._read(r, "x_lo", float, None)
         self.x_hi = self._read(r, "x_hi", float, None)
@@ -131,7 +140,7 @@ class RunConfig:
             raise ValueError(f"[run] entropy must be one of {', '.join(cp.BOOLEAN_STATES)}, "
                              f"got {entropy!r}")
         self.entropy_enabled = cp.BOOLEAN_STATES[entropy]
-        self.k_grid = self._read(r, "k_grid", _floats, None)
+        self.k_grid = self._read(r, "k_grid", _some_floats, None)
         if self.k_grid is not None and not all(0.0 <= k <= self.laws.V_f for k in self.k_grid):
             raise ValueError(f"k_grid speeds must lie in [0, V_f = {self.laws.V_f}], "
                              f"got {self.k_grid}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EventOverflow, InvariantViolation
 from .grid import GridMesh, VACUUM_IW, solve_approx
-from .invariants import event_order_violations, row_violations
+from .invariants import event_order_violations, functional_violations
 from .model import ModelLaws, TrafficState
 from .riemann import WaveKind
 
@@ -369,15 +369,14 @@ class RunResult:
     def profile(self, t: float, xs) -> list[TrafficState]:
         return self.diagram_at(t).profile(xs)
 
-    def l1_distance(self, t: float, s: float, window: tuple[float, float] | None = None) -> float:
-        """Coordinate-metric L1 distance between the profiles at two times."""
+    def l1_distance(self, t: float, s: float) -> float:
+        """Coordinate-metric L1 distance between the profiles at two times,
+        over the fronts of both and one unit beyond them."""
         da, db = self.diagram_at(t), self.diagram_at(s)
         pos = sorted(set(da.positions()) | set(db.positions()))
-        if window is None:
-            if not pos:
-                return 0.0
-            window = (pos[0] - 1.0, pos[-1] + 1.0)
-        lo, hi = window
+        if not pos:
+            return 0.0
+        lo, hi = pos[0] - 1.0, pos[-1] + 1.0
         cuts = [lo] + [p for p in pos if lo < p < hi] + [hi]
         return l1_distance(self.laws, da.profile, db.profile, cuts)
 
@@ -405,18 +404,6 @@ def l1_distance(laws: ModelLaws, profile_a, profile_b, cuts: list[float],
 # the time loop
 
 
-def _snapshot(head: _F | None, t: float, states, left: TrafficState) -> FrontDiagram:
-    """The live list from head at time t; left is the leftmost state when
-    the list is empty."""
-    fronts = []
-    f = head
-    while f is not None:
-        fronts.append(DiagramFront(f.position(t), f.speed, states[f.l],
-                                   states[f.r], f.kind))
-        f = f.next
-    return FrontDiagram(t, fronts[0].left if fronts else left, fronts)
-
-
 def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         event_cap: int = 10_000_000, strict: bool = False) -> RunResult:
     """Advance a diagram to t_end, resolving collisions as they come due.
@@ -432,9 +419,10 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     `solve_approx` call on the node states of its group's outer ids: the
     one state-level Riemann solve that callers and profilers see, it finds
     the ids again by a (rho, v) probe each.  States are otherwise looked up
-    only for the two snapshots.  A new front takes its jump's functional
-    terms and its left neighbour when built, and is linked in then.  Each
-    front closing is appended as one row by the history's column appends.
+    only for the two snapshots, read as the datum is resolved and as the
+    survivors close.  A new front takes its jump's functional terms and its
+    left neighbour when built, and is linked in then.  Each front closing is
+    appended as one row by the history's column appends.
 
     Fronts never change once built, so a heap entry stays valid exactly as
     long as its two fronts are adjacent: dead fronts are unlinked, and an
@@ -476,10 +464,11 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         heappush(heap, (t, next(counter), a, b))
 
     # initial resolution of the datum jumps, each front linked as it is
-    # built and queued with the one before it
+    # built, queued with the one before it and read into the initial snapshot
     tot_tv = tot_temple = 0.0
     n_waves = n_pts = 0
     head = f = None
+    fronts = []
     for raw in diagram.fronts:
         for s, a, b, kind, tv, temple, pt in solve(mesh, raw.left, raw.right):
             nf = _F(raw.x, 0.0, s, a, b, kind, f, tv, temple, pt)
@@ -487,12 +476,13 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
                 head = nf
             else:
                 push(f, nf, 0.0)
+            fronts.append(DiagramFront(nf.position(0.0), s, states[a], states[b], kind))
             tot_tv += tv
             tot_temple += temple
             n_waves += 1
             n_pts += pt
             f = nf
-    initial = _snapshot(head, 0.0, states, diagram.left_state)
+    initial = FrontDiagram(0.0, fronts[0].left if fronts else diagram.left_state, fronts)
 
     log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
 
@@ -599,7 +589,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             x_before = before.position(t_star) if before is not None else -math.inf
             x_after = after.position(t_star) if after is not None else math.inf
             bad = event_order_violations(i, t_star, x_star, x_before, x_after)
-            bad += row_violations(log, i, eps_w)
+            bad += functional_violations(log, eps_w, i)
             if bad:
                 raise InvariantViolation(bad[0])
 
@@ -607,10 +597,12 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         if events > event_cap:
             raise EventOverflow(f"more than {event_cap} interactions")
 
-    # close out the survivors in list order, unlinking each
-    final = _snapshot(head, t_end, states, initial.left_state)
+    # close out the survivors in list order, each read into the final
+    # snapshot and unlinked
+    fronts = []
     f = head
     while f is not None:
+        fronts.append(DiagramFront(f.position(t_end), f.speed, states[f.l], states[f.r], f.kind))
         add_t0(f.t0)
         add_t1(t_end)
         add_x0(f.x0)
@@ -621,6 +613,7 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         nxt = f.next
         f.prev = f.next = None
         f = nxt
+    final = FrontDiagram(t_end, fronts[0].left if fronts else initial.left_state, fronts)
     stats = RunStats(stale, clamped, max(log.waves))
     return RunResult(laws, mesh, t_end, history, log, initial, final, events, stats)
 

@@ -58,38 +58,33 @@ def momentum_conserved(laws: ModelLaws, left_congested, right_congested):
     return True if laws.degenerate_free else left_congested & right_congested
 
 
-def row_violations(log: FunctionalLog, i: int, eps_w: float) -> list[str]:
-    """Violations of the four functional rules at log row i, compared with
-    row i - 1; eps_w is the marker quantum."""
-    bad: list[str] = []
-    t = log.ts[i]
-    dtv = log.tv[i] - log.tv[i - 1]
-    dtemple = log.temple[i] - log.temple[i - 1]
-    if dtv > MONO_TOL:
-        bad.append(f"TV increased by {dtv} at t={t}")
-    if dtemple > MONO_TOL:
-        bad.append(f"wave potential increased by {dtemple} at t={t}")
-    if log.waves[i] > log.waves[i - 1] and dtemple > -eps_w + MONO_TOL:
-        bad.append(f"wave count grew without paying a quantum "
-                   f"(potential changed by {dtemple}) at t={t}")
-    dpt = log.phase_transitions[i] - log.phase_transitions[i - 1]
-    if dpt > 0 or dpt % 2 != 0:
-        bad.append(f"phase-transition count changed by {dpt} at t={t}")
-    return bad
-
-
 def functional_violations(log: FunctionalLog, eps_w: float, first: int = 1) -> list[str]:
-    """`row_violations` of log rows first..end, in order: rows are flagged
-    over numpy views of the log's columns, with the same float operations
-    as `row_violations`, which words only the flagged ones."""
+    """Violations of the four functional rules at log rows first..end, each
+    compared with the row before it, row by row and rule by rule; eps_w is
+    the marker quantum.  Rows are flagged by numpy differences of the log's
+    columns and worded from the same differences; no view of a column
+    outlives the call, since a column cannot grow while one is alive."""
     cols = ((log.tv, np.float64), (log.temple, np.float64), (log.waves, np.int64),
             (log.phase_transitions, np.int64))
     dtv, dtemple, dwaves, dpt = (np.diff(np.frombuffer(c, dtype)[first - 1:])
                                  for c, dtype in cols)
-    flagged = (dtv > MONO_TOL) | (dtemple > MONO_TOL) \
-        | ((dwaves > 0) & (dtemple > -eps_w + MONO_TOL)) | (dpt > 0) | (dpt % 2 != 0)
-    return [msg for i in (np.flatnonzero(flagged) + first).tolist()
-            for msg in row_violations(log, i, eps_w)]
+    tv_up, temple_up = dtv > MONO_TOL, dtemple > MONO_TOL
+    unpaid = (dwaves > 0) & (dtemple > -eps_w + MONO_TOL)
+    unpaired = (dpt > 0) | (dpt % 2 != 0)
+    bad: list[str] = []
+    for j in np.flatnonzero(tv_up | temple_up | unpaid | unpaired).tolist():
+        # Python scalars: numpy 2 reprs a scalar as np.float64(...)
+        t, d_tv, d_temple = log.ts[first + j], dtv[j].tolist(), dtemple[j].tolist()
+        if tv_up[j]:
+            bad.append(f"TV increased by {d_tv} at t={t}")
+        if temple_up[j]:
+            bad.append(f"wave potential increased by {d_temple} at t={t}")
+        if unpaid[j]:
+            bad.append(f"wave count grew without paying a quantum "
+                       f"(potential changed by {d_temple}) at t={t}")
+        if unpaired[j]:
+            bad.append(f"phase-transition count changed by {dpt[j].tolist()} at t={t}")
+    return bad
 
 
 def snapshot_violations(diagram: FrontDiagram) -> list[str]:

@@ -419,15 +419,15 @@ class ExactSolution:
         return out
 
 
-def last_passage_time(run: RunResult, x_light: float = 0.0) -> float:
-    """Arrival time at the light of the trailing vacuum-backed front."""
+def last_passage_time(run: RunResult) -> float:
+    """Arrival time at the light, at x = 0, of the trailing vacuum-backed front."""
     crossings = []
     for _, (t0, t1, x0, speed), (rl, _, cl, _), (rr, *_) in \
             run.history.sides("t0", "t1", "x0", "speed"):
         pick = np.flatnonzero(~cl & (rl <= 1e-12) & (rr > 1e-12) & (speed != 0.0))
-        tc = t0[pick] + (x_light - x0[pick]) / speed[pick]
+        tc = t0[pick] + (0.0 - x0[pick]) / speed[pick]
         crossings += tc[(t0[pick] <= tc) & (tc <= t1[pick])].tolist()
-    probe = run.final.evaluate(x_light - 1e-6)
+    probe = run.final.evaluate(0.0 - 1e-6)
     if not crossings or probe.rho > 1e-12:
         raise NotReached("the queue has not fully passed the light in the run window")
     return max(crossings)

@@ -458,6 +458,21 @@ FLAT_INI = (CONFIGS / "flat_free_random.ini").read_text()
 TRAFFIC_LIGHT_INI = (CONFIGS / "traffic_light.ini").read_text()
 
 
+def test_vacuum_datum_writes_header_only_fronts_and_entropy(tmp_path):
+    # a constant datum has no front: the run succeeds, strict or not, and
+    # its per-front outputs hold their headers alone
+    cfgf = tmp_path / "v.ini"
+    cfgf.write_text(CONSTANT_INI.replace("breaks = 0.0", "breaks =").replace(
+        "congested:0.37,0.01 | congested:0.37,0.01", "vacuum"))
+    for flags in ([], ["--strict"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["run", str(cfgf), *flags, "--out", str(out)]) == 0
+        assert read_csv(out / "fronts.csv") == (
+            ["t0", "t1", "x0", "x1", "speed", "kind", "left_rho", "left_v", "left_phase",
+             "right_rho", "right_v", "right_phase"], [])
+        assert read_csv(out / "entropy.csv") == (["t0", "t1", "x0", "kind", "k", "upsilon"], [])
+
+
 @pytest.mark.parametrize("text, old, new, message, tail", [
     (FLAT_INI, "snapshots = 0 50 100 150", "snapshots = -3 0 500",
      "snapshots must lie in [0, t_end = 150.0]", "got [-3.0, 0.0, 500.0]\n"),
@@ -488,11 +503,18 @@ TRAFFIC_LIGHT_INI = (CONFIGS / "traffic_light.ini").read_text()
     (CONSTANT_INI, "[model]\n", "[Model]\n", "config needs a [scenario] or [model] section",
      "\n"),
     (FLAT_INI, "\nn = 5\n", "\nn = 0\n", "n must be >= 1", "\n"),
+    # an empty k_grid would audit no speed and write a header-only
+    # entropy.csv; empty snapshots would silently write the default times
+    (FLAT_INI, "[run]\n", "[run]\nk_grid =\n", "[run] k_grid = '': needs at least one value",
+     "\n"),
+    (FLAT_INI, "snapshots = 0 50 100 150", "snapshots =",
+     "[run] snapshots = '': needs at least one value", "\n"),
 ], ids=["snapshots-outside-t_end", "snapshot-after-the-default-t_end",
         "descending-window", "one-x-point", "entropy-not-a-boolean",
         "datum-jumps-below-3", "datum-descending-span", "datum-empty-span",
         "model-without-V_c", "model-without-v_max", "datum-without-breaks",
-        "model-without-datum", "datum-kind-unknown", "no-scenario-or-model", "level-0"])
+        "model-without-datum", "datum-kind-unknown", "no-scenario-or-model", "level-0",
+        "empty-k_grid", "empty-snapshots"])
 def test_profile_options_that_cannot_be_met_exit_2(tmp_path, capsys, text, old, new,
                                                     message, tail):
     assert text.count(old) == 1

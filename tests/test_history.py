@@ -116,6 +116,48 @@ def test_diagram_at_keeps_the_record_rule(mesh5, flat_mesh5):
                 [(r.position(t), r.speed, r.left, r.right, r.kind) for r in live]
 
 
+@pytest.mark.parametrize("mesh_name", [
+    "mesh5",
+    pytest.param("flat_mesh5", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+], ids=["traffic_light", "flat"])
+def test_diagram_at_the_run_ends_is_its_snapshots(request, mesh_name):
+    # the history read at t = 0 and at t_end gives, front by front, the
+    # snapshots `run` reads off its live list while resolving the datum and
+    # closing out the survivors; constant-free-speed histories are read out
+    # of list order at co-located fronts
+    mesh = request.getfixturevalue(mesh_name)
+    for seed in range(40):
+        res = _random_run(mesh, seed)
+        for t, snapshot in ((0.0, res.initial), (res.t_end, res.final)):
+            assert [repr(f) for f in res.diagram_at(t).fronts] == \
+                [repr(f) for f in snapshot.fronts], (seed, t)
+
+
+def test_a_zero_front_run_reads_empty_everywhere(mesh5, flat_mesh5):
+    # a constant datum resolves to no front: every reader of the run sees an
+    # empty history, and both snapshots hold the datum's one state
+    for mesh in (mesh5, flat_mesh5):
+        for u in (mesh.laws.vacuum(), mesh.state(0, mesh.iw_c)):
+            diagram0 = pt.approximate_datum(pt.PiecewiseConstantDatum((), (u,)), mesh)
+            assert diagram0.fronts == []
+            res = pt.run(diagram0, 50.0, mesh)
+            assert len(res.history) == 0 and res.events == 0
+            assert res.initial.fronts == res.final.fronts == []
+            assert res.initial.left_state is res.final.left_state is diagram0.left_state
+            assert list(res.log.rows()) == [(0.0, 0.0, 0.0, 0, 0)]
+            assert audit_run(res) == []
+            assert entropy_report(res).records == []
+            assert step_deficit_totals(res) == (0.0, 0.0)
+            assert pt.weak_residual(res, pt.BumpTestFunction(25.0, 10.0, 0.0, 2.0)) == (0.0, 0.0)
+            for t in (0.0, 20.0, 50.0):
+                d = res.diagram_at(t)
+                assert d.fronts == [] and d.left_state is diagram0.left_state
+            assert res.l1_distance(0.0, 50.0) == 0.0
+            strict = pt.run(diagram0, 50.0, mesh, strict=True)
+            assert list(strict.log.rows()) == list(res.log.rows())
+            assert strict.final.fronts == []
+
+
 # ---------------------------------------------------------------------------
 # the audit against its per-record reference
 
