@@ -5,16 +5,14 @@ __version__ = "0.1.0"
 from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
                     RiemannCoords, TrafficState, laws_from_config,
                     validate_laws)
-from .riemann import (Wave, WaveFan, WaveKind, check_consistency, sigma,
-                      solve_arz, solve_coupled, solve_lwr)
+from .riemann import WaveKind, sigma
 from .grid import GridMesh, solve_approx
 from .engine import (FrontDiagram, FrontRecord, FunctionalLog,
                      PiecewiseConstantDatum, RunResult, approximate_datum,
                      random_mesh_datum, run)
-from .analysis import (BumpTestFunction, EntropyReport, classify_transition,
-                       entropy_k_grid, entropy_pair, entropy_production,
+from .analysis import (BumpTestFunction, EntropyReport, entropy_k_grid,
                        entropy_report, lwr_entropy_pair, rh_residual,
-                       step_entropy_deficit_bound, weak_residual)
+                       weak_residual)
 from .scenario import (ExactEventTable, ExactSolution, TrafficLightConfig,
                        build_scenario, closed_form_table, last_passage_time)
 
@@ -23,13 +21,9 @@ __all__ = [
     "FrontDiagram", "FrontRecord", "FunctionalLog", "GridMesh",
     "LinearFreeSpeed", "ModelLaws", "Phase", "PiecewiseConstantDatum",
     "PowerPressure", "RiemannCoords", "RunResult", "TrafficLightConfig",
-    "TrafficState", "Wave", "WaveFan", "WaveKind", "approximate_datum",
-    "build_scenario", "check_consistency", "classify_transition",
-    "closed_form_table", "entropy_k_grid",
-    "entropy_pair", "entropy_production", "entropy_report",
-    "last_passage_time", "laws_from_config",
-    "lwr_entropy_pair", "random_mesh_datum",
-    "rh_residual", "run", "sigma", "solve_approx",
-    "solve_arz", "solve_coupled", "solve_lwr", "step_entropy_deficit_bound",
+    "TrafficState", "WaveKind", "approximate_datum", "build_scenario",
+    "closed_form_table", "entropy_k_grid", "entropy_report",
+    "last_passage_time", "laws_from_config", "lwr_entropy_pair",
+    "random_mesh_datum", "rh_residual", "run", "sigma", "solve_approx",
     "validate_laws", "weak_residual",
 ]

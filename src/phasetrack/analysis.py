@@ -1,5 +1,5 @@
-"""Diagnostics on computed front histories: phase-boundary admissibility
-classes, entropy production per front, and Green-Gauss weak-form residuals
+"""Diagnostics on computed front histories: entropy production per front,
+the fan-step entropy deficits, and Green-Gauss weak-form residuals
 against smooth test functions.  `rh_residual`, the jump-condition rule,
 lives in `invariants` and is re-exported here."""
 
@@ -11,76 +11,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import RunResult
-from .errors import OutOfDomain, SamePhase, UnsupportedTestFunction
+from .errors import OutOfDomain, UnsupportedTestFunction
 from .invariants import column_residuals, rh_residual  # rh_residual is re-exported
-from .model import ModelLaws, Phase, TrafficState
+from .model import ModelLaws, TrafficState
 from .numerics import gauss_integrate
 from .riemann import WaveKind
-
-CLASS_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# phase-boundary admissibility
-
-
-@dataclass(frozen=True)
-class TransitionClass:
-    in_weak: bool
-    in_entropy: bool
-    label: str  # G1 | G2 | G3 | G1T | G2T | none
-
-
-def classify_transition(laws: ModelLaws, u_minus: TrafficState,
-                        u_plus: TrafficState) -> TransitionClass:
-    """Membership of a phase-boundary jump in the weak and entropy classes."""
-    if u_minus.phase is u_plus.phase:
-        raise SamePhase(f"{u_minus} and {u_plus} share a phase")
-
-    def low_free(u):     # strictly below the critical free density
-        return u.phase is Phase.FREE and u.rho < laws.rho_free_crit - CLASS_TOL
-
-    def high_free(u):    # free at or above the critical density
-        return u.phase is Phase.FREE and u.rho >= laws.rho_free_crit - CLASS_TOL
-
-    w2m, w2p = laws.w2(u_minus), laws.w2(u_plus)
-    label = "none"
-    if low_free(u_minus) and u_plus.phase is Phase.CONGESTED and \
-            abs((w2p - laws.W_c) * u_minus.rho) <= CLASS_TOL:
-        label = "G1"
-    elif high_free(u_minus) and u_plus.phase is Phase.CONGESTED and \
-            abs(w2m - w2p) <= CLASS_TOL:
-        label = "G2"
-    elif u_minus.phase is Phase.CONGESTED and high_free(u_plus) and \
-            abs(w2m - w2p) <= CLASS_TOL and abs(u_minus.v - laws.V_c) <= CLASS_TOL:
-        label = "G3"
-    elif u_plus.phase is Phase.FREE and low_free(u_plus) and \
-            abs((w2m - laws.W_c) * u_plus.rho) <= CLASS_TOL:
-        label = "G1T"
-    elif u_minus.phase is Phase.CONGESTED and high_free(u_plus) and \
-            abs(w2m - w2p) <= CLASS_TOL:
-        label = "G2T"
-    in_entropy = label in ("G1", "G2", "G3")
-    # equivalent characterization of the weak class
-    in_weak = abs(u_minus.rho * u_plus.rho *
-                  (laws.marker_W(u_minus) - laws.marker_W(u_plus))) <= CLASS_TOL
-    return TransitionClass(in_weak, in_entropy, label)
-
 
 # ---------------------------------------------------------------------------
 # entropy pairs and production
 
 
-def entropy_pair(laws: ModelLaws, u: TrafficState, k: float) -> tuple[float, float]:
-    """Extended entropy/flux pair built on the marker-level intersection
-    density; defined for reference speeds k in [0, V_f]."""
-    return _pair(laws, u.rho, u.v, laws.marker_W(u), k)
-
-
 def _pair(laws: ModelLaws, rho: float, v: float, marker: float,
           k: float) -> tuple[float, float]:
-    """The rule of `entropy_pair`, on a state's density, velocity and
-    conserved marker."""
+    """Extended entropy/flux pair of a state, given as its density,
+    velocity and conserved marker, for a reference speed k in [0, V_f]:
+    built on `ModelLaws.R_k`, the marker-level intersection density."""
     if v <= k:
         return 0.0, 0.0
     rk = laws.R_k(marker, k)
@@ -93,15 +38,6 @@ def lwr_entropy_pair(laws: ModelLaws, u: TrafficState, h: float) -> tuple[float,
         raise OutOfDomain(f"reference density {h} outside [0, {laws.rho_free_max}]")
     s = math.copysign(1.0, u.rho - h) if u.rho != h else 0.0
     return abs(u.rho - h), s * (u.flow - h * laws.v_f(h))
-
-
-def entropy_production(laws: ModelLaws, speed: float, left: TrafficState,
-                       right: TrafficState, k: float) -> float:
-    """Rate of entropy production of a single front for reference speed k;
-    nonnegative for admissible fronts."""
-    el, ql = entropy_pair(laws, left, k)
-    er, qr = entropy_pair(laws, right, k)
-    return speed * (er - el) - (qr - ql)
 
 
 def entropy_k_grid(laws: ModelLaws, eps_v: float) -> list[float]:
@@ -150,8 +86,9 @@ def step_deficit_totals(run: RunResult) -> tuple[float, float]:
 
 
 def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> EntropyReport:
-    """`entropy_production` of every history row at every k (by default
-    `entropy_k_grid`), in its float operations, and its least sharp value."""
+    """Entropy production speed * (e_r - e_l) - (q_r - q_l) of every history
+    row at every k (by default `entropy_k_grid`), with the pair `_pair`,
+    and its least sharp value."""
     laws = run.laws
     if k_grid is None:
         k_grid = entropy_k_grid(laws, run.mesh.eps_v)
@@ -170,15 +107,6 @@ def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> Entropy
                 if kd is not step:
                     rep.min_sharp = min(rep.min_sharp, u)
     return rep
-
-
-def step_entropy_deficit_bound(laws: ModelLaws, samples: int = 1025) -> float:
-    """Dense-sampling evaluation of max over the congested densities of
-    2 + rho p'' / p', the constant in the per-jump deficit bound."""
-    lo = laws.rho_congested_min
-    hi = laws.R_max
-    r = lo + (hi - lo) * np.arange(samples) / (samples - 1)
-    return float(np.max(2.0 + r * laws.p.deriv2(r) / laws.p.deriv(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -202,16 +202,6 @@ class FrontRecord(NamedTuple):
     right: TrafficState
     kind: WaveKind
 
-    def position(self, t: float) -> float:
-        return self.x0 + self.speed * (t - self.t0)
-
-    @property
-    def x1(self) -> float:
-        return self.position(self.t1)
-
-    def alive_at(self, t: float) -> bool:
-        return (self.t0 < t <= self.t1) or (t == self.t0 == 0.0)
-
 
 CHUNK_ROWS = 1024     # rows per numpy pass over a history's columns
 
@@ -349,7 +339,7 @@ class RunResult:
 
     def diagram_at(self, t: float) -> FrontDiagram:
         """Left-continuous-in-time snapshot from the history's columns: the
-        rows alive at t (`FrontRecord.alive_at`) at their `position(t)`."""
+        rows alive at t, t0 < t <= t1 (or t = t0 = 0), at x0 + speed (t - t0)."""
         if not (0.0 <= t <= self.t_end):
             from .errors import OutOfWindow
             raise OutOfWindow(f"t={t} outside [0, {self.t_end}]")

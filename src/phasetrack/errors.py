@@ -30,19 +30,11 @@ class EqualDensities(PhasetrackError):
     pass
 
 
-class MiddleStateOutOfDomain(PhasetrackError):
-    pass
-
-
 class NotOnMesh(PhasetrackError):
     pass
 
 
 class ValueOutsideOmega(PhasetrackError):
-    pass
-
-
-class SamePhase(PhasetrackError):
     pass
 
 

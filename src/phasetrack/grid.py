@@ -164,16 +164,6 @@ class GridMesh:
         marker_col.append(laws.marker_W(u))
         return u
 
-    def nodes(self):
-        """(iv, iw) of every node: the congested box, then the free line."""
-        for iw in range(self.iw_c, len(self.w_values)):
-            for iv in range(self.iv_vc + 1):
-                yield (iv, iw)
-        for iw in range(len(self.w_values)):
-            yield (self.iv_free, iw)
-        if self.laws.degenerate_free:
-            yield (self.iv_free, VACUUM_IW)
-
     # -- coordinate -> index -------------------------------------------------
 
     def brackets(self, u: TrafficState) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -217,12 +207,6 @@ class GridMesh:
         if w2 >= w[last] - 1e-9 * self.eps_w:
             return last
         return min(max(int(math.floor((w2 - w[0]) / self.eps_w + _IDX_GUARD)), iw_min), last)
-
-    def snap(self, u: TrafficState) -> TrafficState:
-        """The low corner of the state's brackets: componentwise floor of the
-        coordinates to mesh lines, clamped into the admissible box."""
-        (iv, _), (iw, _) = self.brackets(u)
-        return self.state(iv, iw)
 
     def index_of(self, u: TrafficState) -> Node:
         """The corner of the state's brackets that equals it within 1e-9."""

@@ -66,8 +66,10 @@ def functional_violations(log: FunctionalLog, eps_w: float, first: int = 1) -> l
     outlives the call, since a column cannot grow while one is alive."""
     cols = ((log.tv, np.float64), (log.temple, np.float64), (log.waves, np.int64),
             (log.phase_transitions, np.int64))
-    dtv, dtemple, dwaves, dpt = (np.diff(np.frombuffer(c, dtype)[first - 1:])
-                                 for c, dtype in cols)
+    # v[1:] - v[:-1] is np.diff's floats at under half its per-call cost,
+    # which dominates on the two-row window of a strict run's event
+    views = (np.frombuffer(c, dtype)[first - 1:] for c, dtype in cols)
+    dtv, dtemple, dwaves, dpt = (v[1:] - v[:-1] for v in views)
     tv_up, temple_up = dtv > MONO_TOL, dtemple > MONO_TOL
     unpaid = (dwaves > 0) & (dtemple > -eps_w + MONO_TOL)
     unpaired = (dpt > 0) | (dpt % 2 != 0)

@@ -39,10 +39,6 @@ class TrafficState:
     def flow(self) -> float:
         return self.rho * self.v
 
-    @property
-    def is_vacuum(self) -> bool:
-        return self.phase is Phase.FREE and self.rho == 0.0
-
     def __repr__(self) -> str:  # compact, phase-tagged
         tag = "F" if self.phase is Phase.FREE else "C"
         return f"({self.rho:.6g},{self.v:.6g}|{tag})"
@@ -137,33 +133,6 @@ class PowerPressure:
         if y <= 0.0:
             return 0.0
         return self.rho_max * (g * y / self.v_ref) ** (1.0 / g)
-
-
-def _elementwise(f: Callable[[float], float], rho):
-    """f(rho), mapped over the elements of an array as Python floats."""
-    if isinstance(rho, np.ndarray):
-        return np.fromiter(map(f, rho.tolist()), float, rho.size)
-    return f(rho)
-
-
-class CustomLaw:
-    """Wrap plain callables (value, first, second derivative) as a law.
-
-    The callables take floats; an array argument is mapped over
-    elementwise, so the law evaluates arrays with the callables' bits."""
-
-    def __init__(self, f: Callable[[float], float], df: Callable[[float], float],
-                 ddf: Callable[[float], float]):
-        self._f, self._df, self._ddf = f, df, ddf
-
-    def __call__(self, rho: float) -> float:
-        return _elementwise(self._f, rho)
-
-    def deriv(self, rho: float) -> float:
-        return _elementwise(self._df, rho)
-
-    def deriv2(self, rho: float) -> float:
-        return _elementwise(self._ddf, rho)
 
 
 def _sample_points(lo: float, hi: float, n: int = _N_SAMPLES) -> np.ndarray:
@@ -506,7 +475,9 @@ def laws_from_config(cfg: dict) -> ModelLaws:
             raise ValueError(f"unknown [model] key {key!r}")
     family = str(cfg.get("family", "linear")).lower()
     if family != "linear":
-        raise ValueError(f"unknown speed family {family!r}; plug custom laws in via the API")
+        raise ValueError(f"unknown speed family {family!r}; build other laws with "
+                         f"validate_laws from objects whose __call__, deriv and deriv2 take "
+                         f"floats and numpy arrays, with an optional closed-form inverse inv")
     if "v_max" not in cfg or "v_c" not in cfg:
         raise ValueError("[model] needs V_max and V_c")
     R = float(cfg.get("r", math.inf))

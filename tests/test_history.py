@@ -14,9 +14,9 @@ from phasetrack.invariants import audit_run
 from phasetrack.riemann import WaveKind
 
 from faults import mass_fault, momentum_fault
-from references import (audit_run_per_record, diagram_at_per_record,
+from references import (alive_at, audit_run_per_record, diagram_at_per_record,
                         entropy_report_per_record, last_passage_time_per_record,
-                        step_deficit_totals_per_record, weak_residual_per_record)
+                        position, step_deficit_totals_per_record, weak_residual_per_record)
 
 
 def _random_run(mesh, seed, max_jumps=15, t_end=100.0):
@@ -102,18 +102,18 @@ def test_state_ids_are_mesh_node_ids(mesh5, flat_mesh5):
 
 
 def test_diagram_at_keeps_the_record_rule(mesh5, flat_mesh5):
-    # the live rows picked from the columns are those FrontRecord.alive_at
+    # the live rows picked from the columns are those references.alive_at
     # keeps, in the same order
     for mesh in (mesh5, flat_mesh5):
         res = _random_run(mesh, 12)
         records = list(res.records)
         times = [0.0, res.t_end, 0.5 * res.t_end, records[0].t1, records[-1].t0]
         for t in times:
-            live = [r for r in records if r.alive_at(t)]
-            live.sort(key=lambda r: (r.position(t), r.speed))
+            live = [r for r in records if alive_at(r, t)]
+            live.sort(key=lambda r: (position(r, t), r.speed))
             d = res.diagram_at(t)
             assert [(f.x, f.speed, f.left, f.right, f.kind) for f in d.fronts] == \
-                [(r.position(t), r.speed, r.left, r.right, r.kind) for r in live]
+                [(position(r, t), r.speed, r.left, r.right, r.kind) for r in live]
 
 
 @pytest.mark.parametrize("mesh_name", [

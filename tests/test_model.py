@@ -6,10 +6,10 @@ import pytest
 
 import phasetrack as pt
 from phasetrack.errors import HypothesisViolation, OrderingViolation, OutOfDomain
-from phasetrack.model import CustomLaw, _solve_marker_density
+from phasetrack.model import _solve_marker_density
 
-from references import per_sample_laws, plain_invert_increasing
-from statespace import random_state
+from references import CustomLaw, per_sample_laws, plain_invert_increasing
+from statespace import mesh_nodes, random_state
 
 
 def test_scenario_laws_constants(laws):
@@ -67,7 +67,7 @@ def test_vacuum_coords(laws):
 def test_coords_round_trip(laws, mesh5):
     # the mesh builds each node's state from its coordinates (v, w); the
     # coordinates of that state are (v, w) again
-    for iv, iw in mesh5.nodes():
+    for iv, iw in mesh_nodes(mesh5):
         c = laws.to_coords(mesh5.state(iv, iw))
         assert c.w1 == pytest.approx(mesh5.v_values[iv], abs=1e-12), (iv, iw)
         assert c.w2 == pytest.approx(mesh5.w_values[iw], abs=1e-10), (iv, iw)

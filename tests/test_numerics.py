@@ -21,11 +21,10 @@ import mpmath as mp
 import pytest
 
 import phasetrack as pt
-from phasetrack.model import CustomLaw
 from phasetrack.scenario import ExactSolution, _Curves, closed_form_table
 
-from references import (plain_invert_increasing, project_by_ray_pos,
-                        project_by_segment_scan, rk4_curves)
+from references import (CustomLaw, plain_invert_increasing, project_by_ray_pos,
+                        project_by_segment_scan, ray_pos, rk4_curves)
 
 U = 2.0 ** -53      # unit roundoff of a double
 GAMMAS = (0.0, 0.5, 1.0, 2.0, 3.0)
@@ -319,7 +318,7 @@ def test_project_is_accurate(exact):
     interior = 0
     for _ in range(600):
         t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
-        first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
+        first, last = ray_pos(cur, cur.t_a2, t), ray_pos(cur, cur.t_b2, t)
         pad = 0.2 * abs(last - first)
         x = rng.uniform(min(first, last) - pad, max(first, last) + pad)
         got = cur.project(t, x)
@@ -349,7 +348,7 @@ def test_project_is_bit_identical(exact):
     segments = set()
     for _ in range(6000):
         t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
-        first, last = cur.ray_pos(cur.t_a2, t), cur.ray_pos(cur.t_b2, t)
+        first, last = ray_pos(cur, cur.t_a2, t), ray_pos(cur, cur.t_b2, t)
         x = rng.uniform(min(first, last) - 0.1, max(first, last) + 0.1)
         got = cur.project(t, x)
         assert bits(got) == bits(project_by_segment_scan(cur, t, x)), (t, x)
