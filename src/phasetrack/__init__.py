@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .model import (LinearFreeSpeed, ModelLaws, Phase, PowerPressure,
-                    RiemannCoords, TrafficState, laws_from_config,
-                    validate_laws)
+                    TrafficState, laws_from_config, validate_laws)
 from .riemann import WaveKind, sigma
 from .grid import GridMesh, solve_approx
 from .engine import (FrontDiagram, FrontRecord, FunctionalLog,
@@ -20,7 +19,7 @@ __all__ = [
     "BumpTestFunction", "EntropyReport", "ExactEventTable", "ExactSolution",
     "FrontDiagram", "FrontRecord", "FunctionalLog", "GridMesh",
     "LinearFreeSpeed", "ModelLaws", "Phase", "PiecewiseConstantDatum",
-    "PowerPressure", "RiemannCoords", "RunResult", "TrafficLightConfig",
+    "PowerPressure", "RunResult", "TrafficLightConfig",
     "TrafficState", "WaveKind", "approximate_datum", "build_scenario",
     "closed_form_table", "entropy_k_grid", "entropy_report",
     "last_passage_time", "laws_from_config", "lwr_entropy_pair",

@@ -112,6 +112,8 @@ def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> Entropy
 # ---------------------------------------------------------------------------
 # weak-form residuals
 
+GAUSS_NODES = 32    # Gauss-Legendre nodes per panel of a front's path
+
 
 class BumpTestFunction:
     """Tensor-product smooth bump exp(1 - 1/(1 - s^2)).  Only its values
@@ -139,8 +141,7 @@ class BumpTestFunction:
         return (self.t_center - self.t_radius, self.t_center + self.t_radius)
 
 
-def weak_residual(run: RunResult, phi: BumpTestFunction,
-                  nodes_per_segment: int = 32) -> tuple[float, float]:
+def weak_residual(run: RunResult, phi: BumpTestFunction) -> tuple[float, float]:
     """Green-Gauss line-integral residuals of the mass law and of its
     marker-weighted companion, a balance law only across fronts where
     `momentum_conserved` holds (others add their momentum residuals).
@@ -150,7 +151,7 @@ def weak_residual(run: RunResult, phi: BumpTestFunction,
     times phi along the front path; both components are returned.  A row
     of the history is one inter-event segment of a front; its lifetime is
     clipped to the bump support and sub-panelled against the bump radius so
-    the fixed Gauss rule stays resolved.
+    the fixed Gauss rule, GAUSS_NODES nodes per panel, stays resolved.
     """
     t_lo, t_hi = phi.t_support
     if t_lo < 0.0 or t_hi > run.t_end:
@@ -171,7 +172,7 @@ def weak_residual(run: RunResult, phi: BumpTestFunction,
             h = (b - a) / panels
             for j in range(panels):
                 w += gauss_integrate(lambda t: phi(t, r_x0 + s * (t - r_t0)),
-                                     a + j * h, a + (j + 1) * h, nodes_per_segment)
+                                     a + j * h, a + (j + 1) * h, GAUSS_NODES)
             res_mass += float(m * w)
             res_mom += float(q * w)
     return res_mass, res_mom

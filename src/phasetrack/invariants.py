@@ -27,23 +27,11 @@ MONO_TOL = 1e-10
 ORDER_TOL = 1e-9     # relative slack on front positions; rounding leaves ~1e-15
 
 
-def jump_residuals(speed: float, left: TrafficState, right: TrafficState,
-                   W_left: float | None = None,
-                   W_right: float | None = None) -> tuple[float, float | None]:
-    """(mass residual, momentum residual) of a jump; the momentum residual
-    is None unless the conserved markers max(w2, W_c) of both sides are
-    given."""
-    mass = speed * (right.rho - left.rho) - (right.flow - left.flow)
-    if W_left is None:
-        return mass, None
-    yl = left.rho * W_left
-    yr = right.rho * W_right
-    return mass, speed * (yr - yl) - (yr * right.v - yl * left.v)
-
-
 def column_residuals(speed, left, right):
-    """`jump_residuals` with both markers, in its float operations, over a
-    speed column and the side arrays of `FrontHistory.sides`: (mass, momentum)."""
+    """(mass, momentum) residuals of jumps, the momentum one on the
+    conserved marker rho * max(w2, W_c): over a speed column and the side
+    arrays of `FrontHistory.sides`, or one speed and two (rho, v,
+    congested, marker) tuples."""
     rl, vl, _, wl = left
     rr, vr, _, wr = right
     yl, yr = rl * wl, rr * wr
@@ -122,10 +110,11 @@ def event_order_violations(event: int, t: float, x: float, x_before: float,
 def rh_residual(laws: ModelLaws, speed: float, left: TrafficState,
                 right: TrafficState) -> tuple[float, float | None]:
     """(mass residual, momentum residual on the conserved marker
-    rho * max(w2, W_c) where `momentum_conserved` holds, else None)."""
-    if momentum_conserved(laws, left.phase is Phase.CONGESTED, right.phase is Phase.CONGESTED):
-        return jump_residuals(speed, left, right, laws.marker_W(left), laws.marker_W(right))
-    return jump_residuals(speed, left, right)
+    rho * max(w2, W_c) where `momentum_conserved` holds, else None), by
+    `column_residuals` on the two states."""
+    sides = [(u.rho, u.v, u.phase is Phase.CONGESTED, laws.marker_W(u)) for u in (left, right)]
+    mass, mom = column_residuals(speed, *sides)
+    return mass, (mom if momentum_conserved(laws, sides[0][2], sides[1][2]) else None)
 
 
 def audit_run(res: RunResult) -> list[str]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class TrafficState:
     def __repr__(self) -> str:  # compact, phase-tagged
         tag = "F" if self.phase is Phase.FREE else "C"
         return f"({self.rho:.6g},{self.v:.6g}|{tag})"
-
-
-class RiemannCoords(NamedTuple):
-    w1: float
-    w2: float
 
 
 class LinearFreeSpeed:
@@ -135,12 +130,12 @@ class PowerPressure:
         return self.rho_max * (g * y / self.v_ref) ** (1.0 / g)
 
 
-def _sample_points(lo: float, hi: float, n: int = _N_SAMPLES) -> np.ndarray:
-    """lo, n interior points lo + i (hi - lo) / (n + 1), and hi."""
+def _sample_points(lo: float, hi: float) -> np.ndarray:
+    """lo, n = _N_SAMPLES interior points lo + i (hi - lo) / (n + 1), and hi."""
     if hi <= lo:
         return np.array([lo])
-    step = (hi - lo) / (n + 1)
-    return np.concatenate(([lo], lo + np.arange(1, n + 1) * step, [hi]))
+    step = (hi - lo) / (_N_SAMPLES + 1)
+    return np.concatenate(([lo], lo + np.arange(1, _N_SAMPLES + 1) * step, [hi]))
 
 
 def _raise_first(which: str, r: np.ndarray, checks) -> None:
@@ -368,12 +363,8 @@ class ModelLaws:
         # continues along the free-speed deficit instead
         return self.W_c + self.v_f(self.rho_free_crit) - self.v_f(u.rho)
 
-    def to_coords(self, u: TrafficState) -> RiemannCoords:
-        return RiemannCoords(self.w1(u), self.w2(u))
-
     def coord_distance(self, a: TrafficState, b: TrafficState) -> float:
-        ca, cb = self.to_coords(a), self.to_coords(b)
-        return abs(ca.w1 - cb.w1) + abs(ca.w2 - cb.w2)
+        return abs(self.w1(a) - self.w1(b)) + abs(self.w2(a) - self.w2(b))
 
     def states_equal(self, a: TrafficState, b: TrafficState, tol: float = STATE_TOL) -> bool:
         return self.coord_distance(a, b) <= tol and abs(a.rho - b.rho) <= tol

@@ -14,19 +14,19 @@ BISECT_TOL = 1e-12
 
 
 def invert_increasing(f: Callable[[float], float], lo: float, hi: float,
-                      target: float, tol: float = BISECT_TOL) -> float:
+                      target: float) -> float:
     """Solve f(x) = target for increasing f on [lo, hi] by bisection.
 
     Values of `target` at or beyond the bracket endpoints clamp to the
     endpoint, so boundary inverses are exact.  An interior result lies
-    within `tol` of the root.  A pressure with a closed-form inverse is
+    within BISECT_TOL of the root.  A pressure with a closed-form inverse is
     not bisected: `ModelLaws.p_inv` returns that inverse.
     """
     if f(lo) >= target:
         return lo
     if f(hi) <= target:
         return hi
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) <= target:
             lo = mid
@@ -36,10 +36,10 @@ def invert_increasing(f: Callable[[float], float], lo: float, hi: float,
 
 
 def invert_decreasing(f: Callable[[float], float], lo: float, hi: float,
-                      target: float, tol: float = BISECT_TOL) -> float:
+                      target: float) -> float:
     """Solve f(x) = target for decreasing f on [lo, hi] by bisection: the
     increasing inversion of -f, since negation is exact."""
-    return invert_increasing(lambda x: -f(x), lo, hi, -target, tol)
+    return invert_increasing(lambda x: -f(x), lo, hi, -target)
 
 
 @lru_cache(maxsize=8)
@@ -49,8 +49,8 @@ def _leggauss(npts: int):
 
 
 def gauss_integrate(f: Callable[[float], float], a: float, b: float,
-                    npts: int = 32) -> float:
-    """Gauss-Legendre quadrature of f over [a, b]."""
+                    npts: int) -> float:
+    """Gauss-Legendre quadrature of f over [a, b] on npts nodes."""
     if b <= a:
         return 0.0
     x, w = _leggauss(npts)

@@ -11,7 +11,6 @@ from .model import TrafficState
 class WaveKind(Enum):
     SHOCK = "shock"
     CONTACT = "contact"
-    RAREFACTION = "rarefaction"            # exact centered fan
     RAREFACTION_STEP = "rarefaction-step"  # one discretized fan jump
     PHASE_TRANSITION = "phase-transition"
 

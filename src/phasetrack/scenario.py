@@ -88,10 +88,6 @@ class _Curves:
     points at s = t_b2, where c2 reaches the fan's last ray xi_b.
     """
 
-    # end knot of the c2 segment `project` found last: where its next
-    # search starts, and `source_speed`'s segment when it holds the source
-    _seg = 1
-
     def __init__(self, laws: ModelLaws, cfg: TrafficLightConfig):
         self.laws = laws
         self.cfg = cfg
@@ -156,16 +152,6 @@ class _Curves:
     def c2_pos(self, t: float) -> float:
         return interp_polyline(self._c2_ts, self._c2_xs, t)
 
-    def source_speed(self, t0: float) -> float:
-        """`interp_polyline` of the source speeds at t0, read on the segment
-        `project` last found when t0 lies in it."""
-        ts, j = self._c2_ts, self._seg
-        if ts[0] < t0 and ts[j - 1] <= t0 < ts[j]:
-            v0, i = self._c2_v0, j - 1
-            f = (t0 - ts[i]) / (ts[j] - ts[i])
-            return v0[i] + f * (v0[j] - v0[i])
-        return interp_polyline(ts, self._c2_v0, t0)
-
     def ray_slope(self, v0: float) -> float:
         """Slope v0 - rho p'(rho) of the re-emitted ray whose state has speed
         v0 and marker W_c: rho p' is gamma p = gamma (W_c - v0) for the
@@ -180,26 +166,18 @@ class _Curves:
 
         The ray position c2(s) + (t - s) lam(s), both interpolated, is
         linear in the source time s between two knots of the c2 path, and
-        moves up through the knots; the root is that of the first segment whose end ray reaches
-        x, a quadratic in the segment fraction.  The search walks from the
-        end knot found by the previous call (`_seg`), which successive points
-        of a profile keep within a few knots; each step tests the same
-        predicate, so any start gives that first knot.
+        moves up through the knots; the root is that of the first segment
+        whose end ray reaches x, a quadratic in the segment fraction.  That
+        end knot is found by a bisection over the knots on the same
+        predicate, which is monotone.
         """
         ts, xs, lams = self._c2_ts, self._c2_xs, self._c2_lam
         if xs[0] + (t - ts[0]) * lams[0] >= x:
             return ts[0]
         if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
             return ts[-1]
-        j = min(max(self._seg, 1), len(ts) - 1)
-        if xs[j] + (t - ts[j]) * lams[j] >= x:
-            while j > 1 and xs[j - 1] + (t - ts[j - 1]) * lams[j - 1] >= x:
-                j -= 1
-        else:
-            j += 1
-            while xs[j] + (t - ts[j]) * lams[j] < x:
-                j += 1
-        self._seg = j
+        j = _bisect.bisect_left(range(len(ts)), True,
+                                key=lambda k: xs[k] + (t - ts[k]) * lams[k] >= x)
         i = j - 1
         t_i, h = ts[i], ts[j] - ts[i]
         l_i, dl = lams[i], lams[j] - lams[i]
@@ -215,7 +193,7 @@ class _Curves:
 
     def reemitted_state(self, t: float, x: float) -> TrafficState:
         laws = self.laws
-        v = self.source_speed(self.project(t, x))
+        v = interp_polyline(self._c2_ts, self._c2_v0, self.project(t, x))
         return TrafficState(laws.p_inv(laws.W_c - v), v, Phase.CONGESTED)
 
     def first_ray(self, t: float) -> float:

@@ -2,10 +2,12 @@
 
 Plain versions of package routines, as references: `ModelLaws.p_inv` on a
 law without a closed-form inverse must return the bits of the plain
-bisection, `_Curves.project` those of its segment scan and of its cold
-bisection over the knots, the closed-form curved paths of `_Curves` the
-b-points of the RK4 integration they replaced, `invariants.audit_run` and
-`functional_violations` the messages of their per-row loops, the history's
+bisection, `_Curves.project`, a bisection over the knots, those of a
+linear scan over them (`project_by_segment_scan`) and, at its clamps, those
+of the plain bisection over the ray position (`project_by_ray_pos`), the
+closed-form curved paths of `_Curves` the b-points of the RK4 integration
+they replaced, `invariants.audit_run` and `functional_violations` the
+messages of their per-row loops, the history's
 column readers (`step_deficit_totals`, `last_passage_time`,
 `weak_residual`, `entropy_report`, `RunResult.diagram_at`) the bits of
 their record walks, the array sweeps of `ModelLaws` the first violation of
@@ -13,9 +15,12 @@ their per-sample loops, `grid.node_fan` the jumps of its path-building
 form, and the functional terms of each `grid.node_fan` jump those of
 `front_measures`.
 
-Oracles the package does not ship: the exact Riemann solver (`solve_lwr`,
-`solve_arz`, `solve_coupled`, with `check_consistency` for its gluing
-implications), which the mesh fans of `run` converge to; the G1-G3
+Oracles the package does not ship: the scalar jump rule on two states
+(`jump_residuals`), which `column_residuals` computes over the history's
+columns; the exact Riemann solver (`solve_lwr`, `solve_arz`,
+`solve_coupled`, with `check_consistency` for its gluing implications, and
+its own wave kind for exact centered fans, `FanKind`), which the mesh fans
+of `run` converge to; the G1-G3
 admissibility classes of phase boundaries (`classify_transition`); the
 extended entropy pair on states (`entropy_pair`, `entropy_production`)
 and the constant of the fan-step deficit bound
@@ -28,6 +33,7 @@ import bisect
 import copy
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +43,20 @@ from phasetrack.grid import GridMesh, Node
 from phasetrack.model import ModelLaws, Phase, TrafficState
 from phasetrack.numerics import interp_polyline, invert_decreasing, invert_increasing
 from phasetrack.riemann import WaveKind, sigma
+
+
+def jump_residuals(speed, left, right, W_left=None, W_right=None):
+    """(mass residual, momentum residual) of a jump between two states;
+    the momentum residual is None unless the conserved markers max(w2,
+    W_c) of both sides are given.  The scalar jump rule the package's
+    `column_residuals` and `rh_residual` compute in the same float
+    operations."""
+    mass = speed * (right.rho - left.rho) - (right.flow - left.flow)
+    if W_left is None:
+        return mass, None
+    yl = left.rho * W_left
+    yr = right.rho * W_right
+    return mass, speed * (yr - yl) - (yr * right.v - yl * left.v)
 
 
 def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
@@ -83,16 +103,18 @@ def project_by_ray_pos(cur, t, x):
     return 0.5 * (lo + hi)
 
 
-def _project_on(cur, t, x, first_reaching):
-    """`_Curves.project` with the end knot of its segment found by
-    `first_reaching(ts, xs, lams, t, x)`; the clamps and the root formula
-    are the same."""
+def project_by_segment_scan(cur, t, x):
+    """`_Curves.project` with the end knot of its segment found by a linear
+    scan over the knots from the first, not by a bisection; the clamps and
+    the root formula are the same."""
     ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
     if xs[0] + (t - ts[0]) * lams[0] >= x:
         return ts[0]
     if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
         return ts[-1]
-    j = first_reaching(ts, xs, lams, t, x)
+    j = 1
+    while xs[j] + (t - ts[j]) * lams[j] < x:
+        j += 1
     i = j - 1
     t_i, h = ts[i], ts[j] - ts[i]
     l_i, dl = lams[i], lams[j] - lams[i]
@@ -102,30 +124,6 @@ def _project_on(cur, t, x, first_reaching):
     if den <= 0.0:
         return ts[j]
     return min(max(t_i - 2.0 * qc / den * h, t_i), ts[j])
-
-
-def _bisect_knots(ts, xs, lams, t, x):
-    return bisect.bisect_left(range(len(ts)), True,
-                              key=lambda k: xs[k] + (t - ts[k]) * lams[k] >= x)
-
-
-def _scan_knots(ts, xs, lams, t, x):
-    j = 1
-    while xs[j] + (t - ts[j]) * lams[j] < x:
-        j += 1
-    return j
-
-
-def project_cold(cur, t, x):
-    """`_Curves.project` with its segment found by a bisection over all the
-    knots, started afresh on each call."""
-    return _project_on(cur, t, x, _bisect_knots)
-
-
-def project_by_segment_scan(cur, t, x):
-    """`_Curves.project` with its segment found by a linear scan over the
-    knots from the first."""
-    return _project_on(cur, t, x, _scan_knots)
 
 
 RK4_STEPS = 1024
@@ -196,7 +194,8 @@ def rk4_curves(cur):
         lambda t, x: fan_speed(cur, x / t), cur.t_a2, cur.cfg.x2,
         lambda t, x: x - cur.xi_b * t, cur.t_a2 / 64.0)
     ref.t_b1, ref.x_b1 = rk4_path(
-        lambda t, x: ref.source_speed(ref.project(t, x)), cur.t_a1, cur.cfg.x1,
+        lambda t, x: interp_polyline(ref._c2_ts, ref._c2_v0, ref.project(t, x)), cur.t_a1,
+        cur.cfg.x1,
         lambda t, x: x - ref.last_ray(t), (ref.t_b2 - cur.t_a2) / 16.0)
     return ref
 
@@ -206,8 +205,8 @@ def audit_run_per_record(res):
     columns: one Python pass over the records, one marker evaluation per
     state object.  The body is kept unchanged but for `momentum_conserved`'s
     arguments, now the two sides' congested flags."""
-    from phasetrack.invariants import (MONO_TOL, functional_violations, jump_residuals,
-                                       momentum_conserved, snapshot_violations)
+    from phasetrack.invariants import (MONO_TOL, functional_violations, momentum_conserved,
+                                       snapshot_violations)
 
     bad = functional_violations(res.log, res.mesh.eps_w)
     bad += snapshot_violations(res.initial) + snapshot_violations(res.final)
@@ -310,7 +309,6 @@ def weak_residual_per_record(run, phi, nodes_per_segment=32):
     columns: one pass over the records, `jump_residuals` on their states.
     The body is kept unchanged."""
     from phasetrack.errors import UnsupportedTestFunction
-    from phasetrack.invariants import jump_residuals
     from phasetrack.numerics import gauss_integrate
 
     t_lo, t_hi = phi.t_support
@@ -683,14 +681,21 @@ class MiddleStateOutOfDomain(PhasetrackError):
     pass
 
 
+class FanKind(Enum):
+    """The exact solver's own wave kind, an exact centered fan; its jumps
+    take the mesh's `WaveKind`s, whose fans are chains of
+    `RAREFACTION_STEP` jumps."""
+    RAREFACTION = "rarefaction"
+
+
 @dataclass(slots=True)
 class Wave:
-    kind: WaveKind
+    kind: WaveKind | FanKind
     left: TrafficState
     right: TrafficState
     speed_lo: float
     speed_hi: float
-    # for RAREFACTION only: xi in [speed_lo, speed_hi] -> state on the fan
+    # for FanKind.RAREFACTION only: xi in [speed_lo, speed_hi] -> state on the fan
     sampler: Optional[Callable[[float], TrafficState]] = None
 
     @property
@@ -698,7 +703,7 @@ class Wave:
         return self.speed_lo
 
     def is_fan(self) -> bool:
-        return self.kind is WaveKind.RAREFACTION and self.speed_hi > self.speed_lo
+        return self.kind is FanKind.RAREFACTION and self.speed_hi > self.speed_lo
 
 
 @dataclass(slots=True)
@@ -763,7 +768,7 @@ def solve_lwr(laws: ModelLaws, u_l: TrafficState, u_r: TrafficState) -> WaveFan:
         rho = invert_decreasing(_laws.lambda_free, _ur.rho, _ul.rho, xi)
         return TrafficState(rho, _laws.v_free(rho), Phase.FREE)
 
-    fan.waves.append(Wave(WaveKind.RAREFACTION, u_l, u_r, lo, hi, sampler))
+    fan.waves.append(Wave(FanKind.RAREFACTION, u_l, u_r, lo, hi, sampler))
     return fan
 
 
@@ -795,7 +800,7 @@ def solve_arz(laws: ModelLaws, u_l: TrafficState, u_r: TrafficState) -> WaveFan:
         else:
             lo, hi = laws.lambda1(u_l), laws.lambda1(u_m)
             sampler = _congested_fan_sampler(laws, w2l, u_l.rho, u_m.rho)
-            fan.waves.append(Wave(WaveKind.RAREFACTION, u_l, u_m, lo, hi, sampler))
+            fan.waves.append(Wave(FanKind.RAREFACTION, u_l, u_m, lo, hi, sampler))
     if not _null(laws, u_m, u_r):
         s = u_r.v
         fan.waves.append(Wave(WaveKind.CONTACT, u_m, u_r, s, s))

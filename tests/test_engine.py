@@ -372,7 +372,7 @@ def test_run_final_bounds(laws, mesh5, rng):
         assert _diagram_tv(laws, res.final) <= datum.tv_coords(laws) + 1e-10
         for f in res.final.fronts:
             for u in (f.left, f.right):
-                assert sum(map(abs, laws.to_coords(u))) <= C + 1e-12
+                assert abs(laws.w1(u)) + abs(laws.w2(u)) <= C + 1e-12
 
 
 def test_observers_called_at_events(laws, mesh5):

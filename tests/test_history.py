@@ -1,6 +1,7 @@
 """The column-store run history, read as a sequence of records, its
 column reader `FrontHistory.sides`, and the diagnostics that read it."""
 
+import math
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from phasetrack import cli, engine
 from phasetrack.analysis import entropy_report, step_deficit_totals
 from phasetrack.errors import NotReached
 from phasetrack.grid import VACUUM_IW
-from phasetrack.invariants import audit_run
+from phasetrack.invariants import audit_run, snapshot_violations
 from phasetrack.riemann import WaveKind
 
 from faults import mass_fault, momentum_fault
@@ -19,9 +20,13 @@ from references import (alive_at, audit_run_per_record, diagram_at_per_record,
                         position, step_deficit_totals_per_record, weak_residual_per_record)
 
 
-def _random_run(mesh, seed, max_jumps=15, t_end=100.0):
+def _random_diagram(mesh, seed, max_jumps=15):
     datum = pt.random_mesh_datum(mesh, random.Random(seed), max_jumps=max_jumps)
-    return pt.run(pt.approximate_datum(datum, mesh), t_end, mesh)
+    return pt.approximate_datum(datum, mesh)
+
+
+def _random_run(mesh, seed, max_jumps=15, t_end=100.0):
+    return pt.run(_random_diagram(mesh, seed, max_jumps), t_end, mesh)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +136,59 @@ def test_diagram_at_the_run_ends_is_its_snapshots(request, mesh_name):
         for t, snapshot in ((0.0, res.initial), (res.t_end, res.final)):
             assert [repr(f) for f in res.diagram_at(t).fronts] == \
                 [repr(f) for f in snapshot.fronts], (seed, t)
+
+
+# an event closer than this share of t to a probe is the same instant to
+# the probe (rounding leaves event times apart by a few ulps)
+PROBE_GAP = 1e-6
+
+
+def _probes(res, isolated, count=5):
+    """`count` times spread over the run's events: the event times with no
+    other event within PROBE_GAP t when isolated, else the midpoints of the
+    gaps between consecutive events wider than PROBE_GAP t."""
+    ts = sorted(res.log.ts[1:])
+    if isolated:
+        picks = [t for a, t, b in zip([-math.inf] + ts, ts, ts[1:] + [math.inf])
+                 if min(t - a, b - t) > PROBE_GAP * t]
+    else:
+        picks = [0.5 * (a + b) for a, b in zip(ts, ts[1:])
+                 if b - a > PROBE_GAP * 0.5 * (a + b)]
+    return [picks[i * len(picks) // count] for i in range(min(count, len(picks)))]
+
+
+@pytest.mark.parametrize("mesh_name", [
+    "mesh5",
+    pytest.param("flat_mesh5", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+], ids=["traffic_light", "flat"])
+def test_diagram_at_is_the_run_stopped_there(request, mesh_name):
+    # between two events, the history read at t gives, front by front, the
+    # final snapshot of the same datum run to t: an exact oracle for every
+    # snapshot; constant-free-speed histories are read out of list order at
+    # co-located fronts
+    mesh = request.getfixturevalue(mesh_name)
+    probed = 0
+    for seed in range(40):
+        diagram0 = _random_diagram(mesh, seed)
+        res = pt.run(diagram0, 100.0, mesh)
+        for t in _probes(res, isolated=False):
+            assert [repr(f) for f in res.diagram_at(t).fronts] == \
+                [repr(f) for f in pt.run(diagram0, t, mesh).final.fronts], (seed, t)
+            probed += 1
+    assert probed > 150, probed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the (position, speed) sort puts "
+                                       "colliding co-located fronts slowest-first")
+@pytest.mark.parametrize("mesh_name", ["mesh5", "flat_mesh5"], ids=["traffic_light", "flat"])
+def test_diagram_at_an_event_time_is_continuous(request, mesh_name):
+    # at an event the colliding fronts are shown (left-continuity), all at
+    # the event's point, and must still chain state to state
+    mesh = request.getfixturevalue(mesh_name)
+    for seed in range(40):
+        res = _random_run(mesh, seed)
+        for t in _probes(res, isolated=True):
+            assert snapshot_violations(res.diagram_at(t)) == [], (seed, t)
 
 
 def test_a_zero_front_run_reads_empty_everywhere(mesh5, flat_mesh5):

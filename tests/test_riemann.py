@@ -11,7 +11,7 @@ from phasetrack.errors import EqualDensities
 from phasetrack.invariants import rh_residual
 from phasetrack.riemann import WaveKind
 
-from references import check_consistency, solve_arz, solve_coupled, solve_lwr
+from references import FanKind, check_consistency, solve_arz, solve_coupled, solve_lwr
 from statespace import random_state
 
 
@@ -71,7 +71,7 @@ class TestLWR:
         ul, ur = free(laws, laws.rho_free_max), laws.vacuum()
         fan = solve_lwr(laws, ul, ur)
         (w,) = fan.waves
-        assert w.kind == WaveKind.RAREFACTION
+        assert w.kind == FanKind.RAREFACTION
         assert w.speed_lo == pytest.approx(laws.lambda_free(laws.rho_free_max))
         assert w.speed_hi == pytest.approx(laws.lambda_free(0.0))
         for i in range(33):
@@ -90,7 +90,7 @@ class TestARZ:
         ul = cong(laws, 0.13, 0.005)
         ur = cong(laws, 0.13, 0.015)
         fan = solve_arz(laws, ul, ur)
-        assert [w.kind for w in fan] == [WaveKind.RAREFACTION]
+        assert [w.kind for w in fan] == [FanKind.RAREFACTION]
 
     def test_pure_contact(self, laws):
         ul = cong(laws, 0.127, 0.01)
@@ -148,8 +148,8 @@ class TestCoupled:
         ur = laws.vacuum()
         fan = solve_coupled(laws, ul, ur)
         kinds = [w.kind for w in fan]
-        assert kinds == [WaveKind.RAREFACTION, WaveKind.PHASE_TRANSITION,
-                         WaveKind.RAREFACTION]
+        assert kinds == [FanKind.RAREFACTION, WaveKind.PHASE_TRANSITION,
+                         FanKind.RAREFACTION]
         assert all(b.speed_lo >= a.speed_hi - 1e-12 for a, b in zip(fan.waves, fan.waves[1:]))
 
     def test_delegates_within_phase(self, laws, rng):

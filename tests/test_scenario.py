@@ -13,9 +13,7 @@ from phasetrack.errors import NotReached, OutOfWindow
 from phasetrack.riemann import WaveKind
 from phasetrack.scenario import ExactSolution
 
-from phasetrack.numerics import interp_polyline
-
-from references import (car_count_residual, project_by_ray_pos, project_cold, ray_pos,
+from references import (FanKind, car_count_residual, project_by_ray_pos, ray_pos,
                         solve_coupled)
 from statespace import is_vacuum
 
@@ -55,8 +53,8 @@ def test_initial_riemann_fans(scenario_cfg, laws):
     assert fan2.waves[0].speed == 0.0
     # fan + phase transition + fan at the light
     fan3 = solve_coupled(laws, datum.states[2], datum.states[3])
-    assert [w.kind for w in fan3] == [WaveKind.RAREFACTION, WaveKind.PHASE_TRANSITION,
-                                      WaveKind.RAREFACTION]
+    assert [w.kind for w in fan3] == [FanKind.RAREFACTION, WaveKind.PHASE_TRANSITION,
+                                      FanKind.RAREFACTION]
 
 
 def test_first_interaction_times(table, scenario_cfg, laws):
@@ -299,51 +297,6 @@ def test_project_matches_bisection_over_ray_pos(exact):
         assert abs(got - ref) <= 16.0 * u * (size / slope + got), (t, x, got, ref)
     # both clamps and the interior are exercised
     assert min(ends.values()) > 50 and sum(ends.values()) < 1500, ends
-
-
-def test_project_is_independent_of_its_hint(exact):
-    # `project` starts its knot search where the last call ended; from any
-    # start it must land on the knot a cold bisection finds, bit for bit
-    cur = pickle.loads(pickle.dumps(exact.curves))
-    n = len(cur._c2_ts)
-    rng, hints = random.Random(5), random.Random(6)
-    interior = 0
-    for _ in range(2000):
-        t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
-        first, last = ray_pos(cur, cur.t_a2, t), ray_pos(cur, cur.t_b2, t)
-        x = rng.uniform(min(first, last) - 1.0, max(first, last) + 1.0)
-        ref = project_cold(cur, t, x)
-        # the hint the previous sample left, then both ends and a random knot
-        for hint in (None, 1, n - 1, hints.randrange(n)):
-            if hint is not None:
-                cur._seg = hint
-            got = cur.project(t, x)
-            assert got.hex() == ref.hex(), (t, x, hint, got, ref)
-        interior += ref not in (cur._c2_ts[0], cur._c2_ts[-1])
-    assert interior > 500, interior
-
-
-def test_source_speed_matches_interp_polyline(exact):
-    # read on the hinted segment or through `interp_polyline`, the source
-    # speed keeps interp_polyline's bits, whatever segment the hint names
-    cur = pickle.loads(pickle.dumps(exact.curves))
-    ts, v0 = cur._c2_ts, cur._c2_v0
-    n = len(ts)
-    rng = random.Random(7)
-    t0s = list(ts) + [ts[0] - 1.0, ts[-1] + 1.0]
-    t0s += [rng.uniform(ts[0], ts[-1]) for _ in range(2000)]
-    hinted = 0
-    for t0 in t0s:
-        k = bisect.bisect_right(ts, t0)       # the segment whose end is ts[k]
-        ref = interp_polyline(ts, v0, t0)
-        for hint in {1, n - 1, max(k - 1, 1), min(max(k, 1), n - 1),
-                     min(k + 1, n - 1), rng.randrange(1, n)}:
-            cur._seg = hint
-            got = cur.source_speed(t0)
-            assert got.hex() == ref.hex(), (t0, hint, got, ref)
-            hinted += ts[0] < t0 and ts[hint - 1] <= t0 < ts[hint]
-    # the hinted read is taken at the knots and inside the segments
-    assert hinted > 2000, hinted
 
 
 def _state_bits(u):
