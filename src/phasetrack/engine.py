@@ -446,9 +446,9 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         if dv <= 0.0:
             return
         t = (b.icpt - a.icpt) / dv
-        # a pair due earlier than TIME_GROUP_TOL * now before now was missed
-        # by the rounding of its intercepts alone: it collides now
-        if t < now - TIME_GROUP_TOL * now:
+        # a pair due before now was missed by the rounding of its
+        # intercepts alone: it collides now, so the log never steps back
+        if t < now:
             t = now
             clamped += 1
         heappush(heap, (t, next(counter), a, b))

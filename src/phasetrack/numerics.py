@@ -1,12 +1,10 @@
 """Small numeric helpers: bracketed bisection (the root finder of maps
-without a closed-form inverse), Gauss-Legendre panels, polyline
-interpolation."""
+without a closed-form inverse) and Gauss-Legendre panels."""
 
 from __future__ import annotations
 
-import bisect
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,13 +56,3 @@ def gauss_integrate(f: Callable[[float], float], a: float, b: float,
     half = 0.5 * (b - a)
     return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
 
-
-def interp_polyline(ts: Sequence[float], xs: Sequence[float], t: float) -> float:
-    """Linear interpolation on a monotone polyline, clamped at the ends."""
-    if t <= ts[0]:
-        return xs[0]
-    if t >= ts[-1]:
-        return xs[-1]
-    i = bisect.bisect_right(ts, t) - 1
-    f = (t - ts[i]) / (ts[i + 1] - ts[i])
-    return xs[i] + f * (xs[i + 1] - xs[i])

@@ -4,7 +4,7 @@ through a light at x = 0.
 Provides the model laws and datum, the closed-form interaction points and
 last-passage time, and a piecewise-exact reference solution (centered fans,
 a non-centered fan obtained by projecting along characteristic rays, and
-the two curved discontinuities tabulated from their closed forms).
+the two curved discontinuities evaluated in closed form).
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import numpy as np
 from .engine import PiecewiseConstantDatum, RunResult
 from .errors import NotReached, OutOfWindow
 from .model import ModelLaws, Phase, TrafficState, laws_from_config
-from .numerics import interp_polyline
+from .numerics import invert_increasing
 from .riemann import sigma
-
-PATH_KNOTS = 1025
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,7 @@ class ExactEventTable:
 
 
 class _Curves:
-    """The construction's two curved pieces, tabulated from their closed
-    forms at PATH_KNOTS source times s evenly spaced over [t_a2, t_b2].
+    """The construction's two curved pieces, evaluated in closed form.
 
     On the main fan v = (gamma W_max + x/t) / (1 + gamma), or x/t + v_ref
     for the log law, so the accelerating contact c2 (x' = v) solves a
@@ -84,8 +81,11 @@ class _Curves:
     phase boundary pt1 meets it at (s + tau, c2(s) + tau lam) and moves at
     v0(s); since c2' = v0 this gives tau' (lam - v0) + tau lam' = 0, so
     tau(s) = tau(t_a2) ((W_c - v0(t_a2)) / (W_c - v0(s)))^((1 + gamma) / gamma),
-    or tau(t_a2) exp((v0(s) - v0(t_a2)) / v_ref).  b2 and b1 are the
-    points at s = t_b2, where c2 reaches the fan's last ray xi_b.
+    or tau(t_a2) exp((v0(s) - v0(t_a2)) / v_ref).  The source times s run
+    over [t_a2, t_b2]; b2 and b1 are the points at s = t_b2, where c2
+    reaches the fan's last ray xi_b.  pt1's time and a ray's position at a
+    fixed time both increase with s, so `pt1_pos` and `project` find their
+    source time by bisection.
     """
 
     def __init__(self, laws: ModelLaws, cfg: TrafficLightConfig):
@@ -106,34 +106,16 @@ class _Curves:
 
         p, w, t_a2 = laws.p, laws.W_max, self.t_a2
         if p.gamma == 0.0:
-            c = cfg.x2 / t_a2 - p.v_ref * math.log(t_a2)
-            self.t_b2 = math.exp((self.xi_b - c) / p.v_ref)
+            self.c = cfg.x2 / t_a2 - p.v_ref * math.log(t_a2)
+            self.t_b2 = math.exp((self.xi_b - self.c) / p.v_ref)
         else:
-            q = 1.0 / (1.0 + p.gamma)
-            c = (cfg.x2 - w * t_a2) / t_a2 ** q
-            self.t_b2 = (c / (self.xi_b - w)) ** (1.0 + 1.0 / p.gamma)
-        h = (self.t_b2 - t_a2) / (PATH_KNOTS - 1)
-        ss = [t_a2 + k * h for k in range(PATH_KNOTS - 1)] + [self.t_b2]
-        if p.gamma == 0.0:
-            logs = [math.log(s) for s in ss]
-            xs = [s * (c + p.v_ref * ln) for s, ln in zip(ss, logs)]
-            v0 = [c + p.v_ref * (ln + 1.0) for ln in logs]
-            growth = [math.exp((v - v0[0]) / p.v_ref) for v in v0]
-        else:
-            xs = [w * s + c * s ** q for s in ss]
-            v0 = [w + q * c * s ** (q - 1.0) for s in ss]
-            w_c = laws.W_c
-            growth = [((w_c - v0[0]) / (w_c - v)) ** (1.0 + 1.0 / p.gamma) for v in v0]
-        lams = [self.ray_slope(v) for v in v0]
-        tau0 = self.t_a1 - t_a2
-        # both paths start at their interaction points a2 and a1
-        self._pt1_ts = [self.t_a1] + [s + tau0 * g for s, g in zip(ss[1:], growth[1:])]
-        self._pt1_xs = [cfg.x1] + [x + tau0 * g * lam for x, g, lam
-                                   in zip(xs[1:], growth[1:], lams[1:])]
-        xs[0] = cfg.x2
-        self._c2_ts, self._c2_xs, self._c2_v0, self._c2_lam = ss, xs, v0, lams
-        self.x_b2 = xs[-1]
-        self.t_b1, self.x_b1 = self._pt1_ts[-1], self._pt1_xs[-1]
+            self.q = 1.0 / (1.0 + p.gamma)
+            self.c = (cfg.x2 - w * t_a2) / t_a2 ** self.q
+            self.t_b2 = (self.c / (self.xi_b - w)) ** (1.0 + 1.0 / p.gamma)
+        self.v0_a2 = self.source_speed(t_a2)
+        self.tau_a2 = self.t_a1 - t_a2
+        self.x_b2 = self.c2_pos(self.t_b2)
+        self.t_b1, self.x_b1 = self.pt1_at(self.t_b2)
 
     # main centered fan, where lambda_1 = W_max - g(rho) = xi with
     # g = p + rho p'; the scenario's power law has g = (1 + gamma) p, its
@@ -150,7 +132,29 @@ class _Curves:
         return TrafficState(rho, self.laws.W_max - self.laws.p(rho), Phase.CONGESTED)
 
     def c2_pos(self, t: float) -> float:
-        return interp_polyline(self._c2_ts, self._c2_xs, t)
+        """The contact c2 at time t, which is its own source time."""
+        p = self.laws.p
+        if p.gamma == 0.0:
+            return t * (self.c + p.v_ref * math.log(t))
+        return self.laws.W_max * t + self.c * t ** self.q
+
+    def source_speed(self, s: float) -> float:
+        """v0(s) = c2'(s), the speed of the rays leaving c2 at s."""
+        p = self.laws.p
+        if p.gamma == 0.0:
+            return self.c + p.v_ref * (math.log(s) + 1.0)
+        return self.laws.W_max + self.q * self.c * s ** (self.q - 1.0)
+
+    def pt1_at(self, s: float) -> tuple[float, float]:
+        """pt1's point (s + tau, c2(s) + tau lam) on the ray from c2(s)."""
+        p, v = self.laws.p, self.source_speed(s)
+        if p.gamma == 0.0:
+            growth = math.exp((v - self.v0_a2) / p.v_ref)
+        else:
+            w_c = self.laws.W_c
+            growth = ((w_c - self.v0_a2) / (w_c - v)) ** (1.0 + 1.0 / p.gamma)
+        tau = self.tau_a2 * growth
+        return s + tau, self.c2_pos(s) + tau * self.ray_slope(v)
 
     def ray_slope(self, v0: float) -> float:
         """Slope v0 - rho p'(rho) of the re-emitted ray whose state has speed
@@ -162,38 +166,14 @@ class _Curves:
         return (1.0 + p.gamma) * v0 - p.gamma * self.laws.W_c
 
     def project(self, t: float, x: float) -> float:
-        """Source time whose ray passes through (t, x); clamped to the fan.
-
-        The ray position c2(s) + (t - s) lam(s), both interpolated, is
-        linear in the source time s between two knots of the c2 path, and
-        moves up through the knots; the root is that of the first segment
-        whose end ray reaches x, a quadratic in the segment fraction.  That
-        end knot is found by a bisection over the knots on the same
-        predicate, which is monotone.
-        """
-        ts, xs, lams = self._c2_ts, self._c2_xs, self._c2_lam
-        if xs[0] + (t - ts[0]) * lams[0] >= x:
-            return ts[0]
-        if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
-            return ts[-1]
-        j = _bisect.bisect_left(range(len(ts)), True,
-                                key=lambda k: xs[k] + (t - ts[k]) * lams[k] >= x)
-        i = j - 1
-        t_i, h = ts[i], ts[j] - ts[i]
-        l_i, dl = lams[i], lams[j] - lams[i]
-        # the ray position at fraction f is x_i + f dx + (t - t_i - f h)(l_i + f dl);
-        # setting it to x gives -h dl f^2 + qb f + qc = 0 with qc < 0, and
-        # this root form is the stable one for the root in [0, 1]
-        qb = xs[j] - xs[i] - h * l_i + (t - t_i) * dl
-        qc = xs[i] + (t - t_i) * l_i - x
-        den = qb + max(qb * qb + 4.0 * h * dl * qc, 0.0) ** 0.5
-        if den <= 0.0:      # by rounding alone: x is reached at the end knot
-            return ts[j]
-        return min(max(t_i - 2.0 * qc / den * h, t_i), ts[j])
+        """Source time whose ray passes through (t, x); clamped to the fan."""
+        return invert_increasing(
+            lambda s: self.c2_pos(s) + (t - s) * self.ray_slope(self.source_speed(s)),
+            self.t_a2, self.t_b2, x)
 
     def reemitted_state(self, t: float, x: float) -> TrafficState:
         laws = self.laws
-        v = interp_polyline(self._c2_ts, self._c2_v0, self.project(t, x))
+        v = self.source_speed(self.project(t, x))
         return TrafficState(laws.p_inv(laws.W_c - v), v, Phase.CONGESTED)
 
     def first_ray(self, t: float) -> float:
@@ -203,7 +183,8 @@ class _Curves:
         return self.x_b2 + (t - self.t_b2) * self.lam_last
 
     def pt1_pos(self, t: float) -> float:
-        return interp_polyline(self._pt1_ts, self._pt1_xs, t)
+        s = invert_increasing(lambda s: self.pt1_at(s)[0], self.t_a2, self.t_b2, t)
+        return self.pt1_at(s)[1]
 
 
 def closed_form_table(cfg: TrafficLightConfig, laws: ModelLaws | None = None,

@@ -2,11 +2,10 @@
 
 Plain versions of package routines, as references: `ModelLaws.p_inv` on a
 law without a closed-form inverse must return the bits of the plain
-bisection, `_Curves.project`, a bisection over the knots, those of a
-linear scan over them (`project_by_segment_scan`) and, at its clamps, those
-of the plain bisection over the ray position (`project_by_ray_pos`), the
-closed-form curved paths of `_Curves` the b-points of the RK4 integration
-they replaced, `invariants.audit_run` and `functional_violations` the
+bisection, `_Curves.project` the clamps of the plain bisection over the
+ray position (`project_by_ray_pos`) and a source time close to its roots,
+the closed-form curved paths of `_Curves` the b-points of the RK4
+integration they replaced, `invariants.audit_run` and `functional_violations` the
 messages of their per-row loops, the history's
 column readers (`step_deficit_totals`, `last_passage_time`,
 `weak_residual`, `entropy_report`, `RunResult.diagram_at`) the bits of
@@ -41,7 +40,7 @@ import numpy as np
 from phasetrack.errors import PhasetrackError
 from phasetrack.grid import GridMesh, Node
 from phasetrack.model import ModelLaws, Phase, TrafficState
-from phasetrack.numerics import interp_polyline, invert_decreasing, invert_increasing
+from phasetrack.numerics import invert_decreasing, invert_increasing
 from phasetrack.riemann import WaveKind, sigma
 
 
@@ -77,9 +76,8 @@ def plain_invert_increasing(f, lo, hi, target, tol=1e-12):
 def ray_pos(cur, t0, t):
     """Position at time t of the re-emitted ray of `_Curves` cur that
     leaves the contact c2 at source time t0: c2(t0) + (t - t0) lam(t0),
-    both interpolated on the knots."""
-    lam = interp_polyline(cur._c2_ts, cur._c2_lam, t0)
-    return cur.c2_pos(t0) + (t - t0) * lam
+    both from their closed forms."""
+    return cur.c2_pos(t0) + (t - t0) * cur.ray_slope(cur.source_speed(t0))
 
 
 def project_by_ray_pos(cur, t, x):
@@ -101,29 +99,6 @@ def project_by_ray_pos(cur, t, x):
                 break
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def project_by_segment_scan(cur, t, x):
-    """`_Curves.project` with the end knot of its segment found by a linear
-    scan over the knots from the first, not by a bisection; the clamps and
-    the root formula are the same."""
-    ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
-    if xs[0] + (t - ts[0]) * lams[0] >= x:
-        return ts[0]
-    if xs[-1] + (t - ts[-1]) * lams[-1] <= x:
-        return ts[-1]
-    j = 1
-    while xs[j] + (t - ts[j]) * lams[j] < x:
-        j += 1
-    i = j - 1
-    t_i, h = ts[i], ts[j] - ts[i]
-    l_i, dl = lams[i], lams[j] - lams[i]
-    qb = xs[j] - xs[i] - h * l_i + (t - t_i) * dl
-    qc = xs[i] + (t - t_i) * l_i - x
-    den = qb + max(qb * qb + 4.0 * h * dl * qc, 0.0) ** 0.5
-    if den <= 0.0:
-        return ts[j]
-    return min(max(t_i - 2.0 * qc / den * h, t_i), ts[j])
 
 
 RK4_STEPS = 1024
@@ -194,7 +169,7 @@ def rk4_curves(cur):
         lambda t, x: fan_speed(cur, x / t), cur.t_a2, cur.cfg.x2,
         lambda t, x: x - cur.xi_b * t, cur.t_a2 / 64.0)
     ref.t_b1, ref.x_b1 = rk4_path(
-        lambda t, x: interp_polyline(ref._c2_ts, ref._c2_v0, ref.project(t, x)), cur.t_a1,
+        lambda t, x: cur.source_speed(cur.project(t, x)), cur.t_a1,
         cur.cfg.x1,
         lambda t, x: x - ref.last_ray(t), (ref.t_b2 - cur.t_a2) / 16.0)
     return ref

@@ -191,6 +191,19 @@ def test_diagram_at_an_event_time_is_continuous(request, mesh_name):
             assert snapshot_violations(res.diagram_at(t)) == [], (seed, t)
 
 
+@pytest.mark.parametrize("mesh_name", ["mesh5", "flat_mesh5"], ids=["traffic_light", "flat"])
+def test_the_event_log_never_steps_back(request, mesh_name):
+    # a pair whose rounded collision time lies before the present collides
+    # at the present, so the log's times never decrease and no front of the
+    # history dies before it is born
+    mesh = request.getfixturevalue(mesh_name)
+    for seed in range(40):
+        res = _random_run(mesh, seed)
+        ts = res.log.ts
+        assert all(a <= b for a, b in zip(ts, ts[1:])), seed
+        assert all(a <= b for a, b in zip(res.history.t0, res.history.t1)), seed
+
+
 def test_a_zero_front_run_reads_empty_everywhere(mesh5, flat_mesh5):
     # a constant datum resolves to no front: every reader of the run sees an
     # empty history, and both snapshots hold the datum's one state

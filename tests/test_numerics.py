@@ -3,16 +3,17 @@ bisection that laws without one keep returns the plain bisection's bits.
 
 `ModelLaws.p_inv` returns the pressure's closed-form inverse when the law
 has one, `ModelLaws.rho_f` and `v_f_inv` the free line's and the free
-speed's, and the exact construction's fan states and ray projections are
-closed forms: each is compared against `mpmath` roots of the equation it
-solves, within a bound derived from its roundings.  Its two curved paths
-are closed forms too: `mpmath` derivatives check them against the ODEs
-they solve, and an RK4 integration of those ODEs bounds their b-points.  A law without a
-closed form (`CustomLaw`) is inverted by `invert_increasing`, compared bit
-for bit against the plain bisection of `references`.
+speed's, and the exact construction's fan states are closed forms: each is
+compared against `mpmath` roots of the equation it solves, within a bound
+derived from its roundings.  Its ray projection bisects a closed-form ray
+position and is compared against the `mpmath` root of the exact ray.  Its
+two curved paths are closed forms too: `mpmath` derivatives check them
+against the ODEs they solve, and an RK4 integration of those ODEs bounds
+their b-points.  A law without a closed form (`CustomLaw`) is inverted by
+`invert_increasing`, compared bit for bit against the plain bisection of
+`references`.
 """
 
-import bisect
 import math
 import random
 import struct
@@ -21,10 +22,11 @@ import mpmath as mp
 import pytest
 
 import phasetrack as pt
-from phasetrack.scenario import ExactSolution, _Curves, closed_form_table
+from phasetrack.numerics import BISECT_TOL
+from phasetrack.scenario import ExactSolution, closed_form_table
 
-from references import (CustomLaw, plain_invert_increasing, project_by_ray_pos,
-                        project_by_segment_scan, ray_pos, rk4_curves)
+from references import (CustomLaw, plain_invert_increasing, project_by_ray_pos, ray_pos,
+                        rk4_curves)
 
 U = 2.0 ** -53      # unit roundoff of a double
 GAMMAS = (0.0, 0.5, 1.0, 2.0, 3.0)
@@ -284,35 +286,46 @@ def test_fan_states_are_accurate(exact):
         assert math.copysign(1.0, got) == 1.0, xi      # no -0.0 at xi = V_max
 
 
-def _mp_ray_root(cur, t, x):
-    """Source time whose interpolated ray reaches x at time t, in exact
-    arithmetic (at the caller's working precision), with the slope of the
-    ray position there and the size of the terms the float root combines."""
-    ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
-    T, X = mp.mpf(t), mp.mpf(x)
-    # the first knot whose ray reaches x: rays move up through the knots
-    j = bisect.bisect_left(range(len(ts)), True,
-                           key=lambda k: mp.mpf(xs[k]) + (T - ts[k]) * lams[k] >= X)
-    i = j - 1
-    h, dx, dl = (mp.mpf(ts[j]) - ts[i], mp.mpf(xs[j]) - xs[i],
-                 mp.mpf(lams[j]) - lams[i])
+def _mp_curve(cur):
+    """The contact c2 and its source speed v0 = c2' of `_Curves` cur in exact
+    arithmetic (at the caller's working precision), from the float a2."""
+    laws = cur.laws
+    g, v_ref, w = (mp.mpf(v) for v in (laws.p.gamma, laws.p.v_ref, laws.W_max))
+    t_a2, x2 = mp.mpf(cur.t_a2), mp.mpf(cur.cfg.x2)
+    if g == 0:
+        c = x2 / t_a2 - v_ref * mp.log(t_a2)
+        return lambda s: s * (c + v_ref * mp.log(s)), lambda s: c + v_ref * (mp.log(s) + 1)
+    q = 1 / (1 + g)
+    c = (x2 - w * t_a2) / t_a2 ** q
+    return lambda s: w * s + c * s ** q, lambda s: w + q * c * s ** (q - 1)
 
-    def pos(s):
-        f = (s - ts[i]) / h
-        return xs[i] + f * dx + (T - s) * (lams[i] + f * dl)
 
-    root = mp.findroot(lambda s: pos(s) - X, (mp.mpf(ts[i]), mp.mpf(ts[j])),
-                       solver="anderson")
-    f = (root - ts[i]) / h
-    slope = dx / h - (lams[i] + f * dl) + (T - root) * dl / h
-    size = abs(x) + abs(xs[i]) + abs(xs[j]) \
-        + (abs(t - ts[i]) + ts[j] - ts[i]) * (abs(lams[i]) + abs(lams[j]))
-    return root, slope, size
+def _ray_terms(cur, t, s):
+    """Sum of the magnitudes of the terms the float ray position through
+    c2(s) at time t rounds: c2's two terms, and |t - s| times those of the
+    ray slope and the source speed it is built from."""
+    p, c, w = cur.laws.p, cur.c, cur.laws.W_max
+    if p.gamma == 0.0:
+        ln = abs(math.log(s))
+        return s * (abs(c) + p.v_ref * ln) \
+            + abs(t - s) * (abs(c) + p.v_ref * (ln + 2.0))
+    q, g = cur.q, p.gamma
+    return abs(w * s) + abs(c) * s ** q \
+        + abs(t - s) * ((1.0 + g) * (abs(w) + q * abs(c) * s ** (q - 1.0))
+                        + g * abs(cur.laws.W_c))
 
 
 @mp.workdps(40)
 def test_project_is_accurate(exact):
-    cur = exact.curves
+    # against the source time of the exact ray through (t, x), which leaves
+    # c2(s) with the slope `ray_slope(v0(s))`, in 40-digit arithmetic
+    cur, laws = exact.curves, exact.laws
+    c2, v0 = _mp_curve(cur)
+    g, v_ref, w_c = (mp.mpf(v) for v in (laws.p.gamma, laws.p.v_ref, laws.W_c))
+
+    def lam(s):
+        return v0(s) - v_ref if g == 0 else (1 + g) * v0(s) - g * w_c
+
     rng = random.Random(11)
     ends = {cur.t_a2: 0, cur.t_b2: 0}
     interior = 0
@@ -328,48 +341,22 @@ def test_project_is_accurate(exact):
             assert got in ends and got == project_by_ray_pos(cur, t, x), (t, x)
             ends[got] += 1
             continue
-        root, slope, size = _mp_ray_root(cur, t, x)
-        # qb and qc each sum at most four rounded terms no larger than
-        # `size`: the float root is the exact one of an x moved by at most
-        # 8u size, which moves it by 8u size / slope.  The square root, the
-        # quotient, the products and the subtraction from t_i add at most
-        # six roundings relative to t0: below 8u t0.
-        assert abs(got - root) <= 8.0 * U * (size / slope + root), (t, x, got, root)
+        T = mp.mpf(t)
+
+        def ray(s):
+            return c2(s) + (T - s) * lam(s)
+
+        root = mp.findroot(lambda s: ray(s) - x, mp.mpf(got))
+        # the bisection ends within BISECT_TOL / 2 of the float ray's
+        # crossing; that ray rounds fewer than 16 times on terms no larger
+        # than x and `_ray_terms`, which moves the crossing by at most
+        # 16u of their sum over the ray's slope in s
+        size = abs(x) + _ray_terms(cur, t, got)
+        bound = 0.5 * BISECT_TOL + 16.0 * U * size / mp.diff(ray, root)
+        assert abs(got - root) <= bound, (t, x, got, root)
         interior += 1
     # both clamps and the interior are exercised
     assert min(ends.values()) > 20 and interior > 300, (ends, interior)
-
-
-def test_project_is_bit_identical(exact):
-    # the bisection over the knots finds the segment a scan finds, so the
-    # roots agree bit for bit; the clamps are the plain bisection's
-    cur = exact.curves
-    rng = random.Random(11)
-    segments = set()
-    for _ in range(6000):
-        t = rng.uniform(cur.t_a2, 2.0 * cur.t_b1)
-        first, last = ray_pos(cur, cur.t_a2, t), ray_pos(cur, cur.t_b2, t)
-        x = rng.uniform(min(first, last) - 0.1, max(first, last) + 0.1)
-        got = cur.project(t, x)
-        assert bits(got) == bits(project_by_segment_scan(cur, t, x)), (t, x)
-        if x <= first or x >= last:
-            assert bits(got) == bits(project_by_ray_pos(cur, t, x)), (t, x)
-        segments.add(bisect.bisect_right(cur._c2_ts, got))
-    # the samples reach the clamps and most segments of the path
-    assert len(segments) > 0.9 * len(cur._c2_ts), (len(segments), len(cur._c2_ts))
-
-
-def test_project_resolves_a_tiny_segment():
-    # a fan path whose first segment reaches down to t = 1e-30, with
-    # vertical rays: the source time of x is x itself, and the segment's
-    # root returns it to one ulp however far below the segment's length
-    cur = object.__new__(_Curves)
-    cur._c2_ts = [1e-30, 1e-3, 1.0]
-    cur._c2_xs = list(cur._c2_ts)
-    cur._c2_lam = [0.0, 0.0, 0.0]
-    for x in (1e-20, 3e-17, 2e-25, 5e-4):
-        got = cur.project(2.0, x)
-        assert abs(got - x) <= math.ulp(x), (x, got)
 
 
 # the exact construction's configs: the default, a longer queue, a steeper
@@ -397,8 +384,9 @@ def test_curved_paths_solve_their_odes(kw):
     # derivative must be the main fan's speed at c2's ray; the ray slopes
     # from the law's own p and p' (not the closed-form slope); pt1 from its
     # closed form tau(s), whose point (s + tau, c2 + tau lam) must move at
-    # the source speed v0 = c2'.  The float knots at about 20 source times
-    # must lie on their rays and on those mp paths, within 64u of their size.
+    # the source speed v0 = c2'.  The float closed forms at about 40 source
+    # times must lie on their rays and on those mp paths, within 64u of
+    # their size.
     ex = ExactSolution(pt.TrafficLightConfig(**kw))
     cur, laws = ex.curves, ex.laws
     g, v_ref, r_max = (mp.mpf(v) for v in (laws.p.gamma, laws.p.v_ref, laws.p.rho_max))
@@ -442,17 +430,24 @@ def test_curved_paths_solve_their_odes(kw):
     def pt1_x(s):
         return c2(s) + tau(s) * lam(s)
 
-    n = len(cur._c2_ts)
-    for k in sorted({round(i * (n - 1) / 19) for i in range(20)}):
-        s = mp.mpf(cur._c2_ts[k])
-        x = c2(s)
-        # c2 solves x' = v(x / t), v the speed of the main fan's state
-        r = mp.findroot(lambda r: w - p(r) - r * dp(r) - x / s, mp.mpf(cur._fan_rho(float(x / s))))
-        assert abs(v0(s) - (w - p(r))) <= 1e-30, k
-        assert abs(cur._c2_xs[k] - x) <= 64 * U * (abs(s) + abs(x)), k
-        # pt1 moves at v0: dx/ds = v0 dt/ds along the source times
-        assert abs(mp.diff(pt1_x, s) - v0(s) * mp.diff(pt1_t, s)) <= 1e-30, k
-        t1, x1 = cur._pt1_ts[k], cur._pt1_xs[k]
-        size = 64 * U * (abs(t1) + abs(x1))
-        assert abs(x1 - (x + (t1 - s) * lam(s))) <= size, k       # on its ray
-        assert abs(t1 - pt1_t(s)) <= size and abs(x1 - pt1_x(s)) <= size, k
+    # 20 of 1,025 evenly spaced source times, and the midpoints after them
+    h = (cur.t_b2 - cur.t_a2) / 1024
+    for k in sorted({round(i * 1024 / 19) for i in range(20)}):
+        for s_f in [cur.t_a2 + k * h] if k == 1024 else [cur.t_a2 + k * h,
+                                                         cur.t_a2 + (k + 0.5) * h]:
+            s = mp.mpf(s_f)
+            x = c2(s)
+            # c2 solves x' = v(x / t), v the speed of the main fan's state
+            r = mp.findroot(lambda r: w - p(r) - r * dp(r) - x / s,
+                            mp.mpf(cur._fan_rho(float(x / s))))
+            assert abs(v0(s) - (w - p(r))) <= 1e-30, s_f
+            assert abs(cur.c2_pos(s_f) - x) <= 64 * U * (abs(s) + abs(x)), s_f
+            # pt1 moves at v0: dx/ds = v0 dt/ds along the source times
+            dx = mp.diff(pt1_x, s)
+            assert abs(dx - v0(s) * mp.diff(pt1_t, s)) <= 1e-30, s_f
+            t1, x1 = cur.pt1_at(s_f)
+            size = 64 * U * (abs(t1) + abs(x1))
+            assert abs(x1 - (x + (t1 - s) * lam(s))) <= size, s_f      # on its ray
+            assert abs(t1 - pt1_t(s)) <= size and abs(x1 - pt1_x(s)) <= size, s_f
+            # pt1_pos bisects for a source time within BISECT_TOL of s
+            assert abs(cur.pt1_pos(t1) - x1) <= BISECT_TOL * abs(dx) + size, s_f

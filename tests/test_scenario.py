@@ -10,6 +10,7 @@ import pytest
 
 import phasetrack as pt
 from phasetrack.errors import NotReached, OutOfWindow
+from phasetrack.numerics import BISECT_TOL
 from phasetrack.riemann import WaveKind
 from phasetrack.scenario import ExactSolution
 
@@ -228,21 +229,25 @@ def test_exact_solution_pickle_round_trip(exact):
     assert {"fan_main", "fan_reemitted", "fan_free"} <= regions
 
 
-# sha256 of the construction with closed-form fan states, ray projections
-# and curved paths: the c2 and pt1 paths with their source speeds and ray
-# slopes, the b-points, the event table and `evaluate` on a grid that
-# crosses every fan; any change to a bit of any of them changes a digest
+# sha256 of the construction with closed-form fan states and curved paths
+# and bisected ray projections: the c2 and pt1 paths with their source
+# speeds and ray slopes at 1,025 evenly spaced source times, the b-points,
+# the event table and `evaluate` on a grid that crosses every fan; any
+# change to a bit of any of them changes a digest
 CONSTRUCTION_DIGESTS = {
-    (): "1639cd35590b11ea0d4a67b3c9aa147a6912891b1c056825333c62f423c4c8c5",
+    (): "d6180a012648f9c24af6f97a06b277cc68e29204843b8639b5363a13589f4e35",
     (("x1", -13.0), ("x2", -5.0)):
-        "984ba3599df1d25f0a0b4f3cc040910c239a9e45e83983748c859907b1e5dbde",
+        "98281fe345bb1db0164f84d540c44a7f5e1bcc1866e202e944bdfb6e5c2817f0",
 }
 
 
 def _construction_digest(ex):
     cur, tab = ex.curves, ex.table
-    parts = [cur._c2_ts, cur._c2_xs, cur._c2_v0, cur._c2_lam,
-             cur._pt1_ts, cur._pt1_xs,
+    h = (cur.t_b2 - cur.t_a2) / 1024
+    ss = [cur.t_a2 + k * h for k in range(1024)] + [cur.t_b2]
+    v0 = [cur.source_speed(s) for s in ss]
+    parts = [ss, [cur.c2_pos(s) for s in ss], v0, [cur.ray_slope(v) for v in v0],
+             [cur.pt1_at(s) for s in ss],
              (cur.t_b2, cur.x_b2, cur.t_b1, cur.x_b1),
              [getattr(tab, f.name) for f in dataclasses.fields(tab)]]
     regions = set()
@@ -269,7 +274,6 @@ def test_exact_construction_bit_identity():
 
 def test_project_matches_bisection_over_ray_pos(exact):
     cur = exact.curves
-    ts, xs, lams = cur._c2_ts, cur._c2_xs, cur._c2_lam
     u = 2.0 ** -53
     rng = random.Random(5)
     ends = {cur.t_a2: 0, cur.t_b2: 0}
@@ -283,18 +287,17 @@ def test_project_matches_bisection_over_ray_pos(exact):
             assert got == ref and got in ends, (t, x)
             ends[got] += 1
             continue
-        # inside, the closed form and the bisection each lie within
-        # 8u (size / slope + t0) of the exact root: the bisection because
-        # `ray_pos` rounds fewer than eight times on terms no larger than
-        # `size`, then settles to one ulp of t0
-        i = min(bisect.bisect_right(ts, got), len(ts) - 1) - 1
-        h = ts[i + 1] - ts[i]
-        dl = lams[i + 1] - lams[i]
-        lam = lams[i] + (got - ts[i]) / h * dl
-        slope = (xs[i + 1] - xs[i]) / h - lam + (t - got) * dl / h
-        size = abs(x) + abs(xs[i]) + abs(xs[i + 1]) \
-            + (abs(t - ts[i]) + h) * (abs(lams[i]) + abs(lams[i + 1]))
-        assert abs(got - ref) <= 16.0 * u * (size / slope + got), (t, x, got, ref)
+        # inside, both bisect the same float ray position: `project` stops
+        # within BISECT_TOL / 2 of its crossing, the 80-step bisection
+        # settles to one ulp of it, and the crossing is blurred by the
+        # ray's rounding, fewer than eight roundings on terms no larger
+        # than `size`, over the ray's slope in s (a central difference)
+        lam = cur.ray_slope(cur.source_speed(got))
+        size = abs(x) + abs(cur.c2_pos(got)) + abs(t - got) * abs(lam)
+        dh = 1e-6 * got
+        slope = (ray_pos(cur, got + dh, t) - ray_pos(cur, got - dh, t)) / (2.0 * dh)
+        bound = 0.5 * BISECT_TOL + 16.0 * u * (size / slope + got)
+        assert abs(got - ref) <= bound, (t, x, got, ref)
     # both clamps and the interior are exercised
     assert min(ends.values()) > 50 and sum(ends.values()) < 1500, ends
 
@@ -304,9 +307,9 @@ def _state_bits(u):
 
 
 def test_profile_matches_evaluate(exact):
-    # a profile builds its region list once and carries the projection's
-    # knot hint from x to x; each state keeps the bits of a pointwise
-    # read: at t = 0, across every region and at the end of the window
+    # a profile builds its region list once; each state keeps the bits of
+    # a pointwise read: at t = 0, across every region and at the end of the
+    # window
     tab = exact.table
     t_hi = min(1.5 * tab.c1[0], exact.window_end)
     times = [0.0] + [t_hi * k / 40 for k in range(1, 41)] + [exact.window_end]
