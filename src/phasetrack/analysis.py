@@ -56,30 +56,47 @@ class EntropyReport:
     min_sharp: float = math.inf          # min production over non-fan-step fronts
 
 
-def _step_deficit(laws: ModelLaws, speed: float, left: tuple, right: tuple) -> float:
-    """Worst entropy deficit of one congested discretized-fan jump, its sides
-    given as (rho, v, marker_W), probed at interior reference speeds (mesh
-    speeds sit exactly on the conservation identity and produce nothing)."""
-    lo, hi = min(left[1], right[1]), max(left[1], right[1])
-    worst = 0.0
-    for q in (0.25, 0.5, 0.75):
-        k = lo + (hi - lo) * q
-        (el, ql), (er, qr) = (_pair(laws, rho, v, w, k) for rho, v, w in (left, right))
-        worst = max(worst, -(speed * (er - el) - (qr - ql)))
-    return worst
+STEP_PROBES = np.array([[0.25], [0.5], [0.75]])   # interior fractions of a step's speeds
+
+
+def _pair_columns(laws: ModelLaws, rho: np.ndarray, v: np.ndarray, marker: np.ndarray,
+                  k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_pair` of congested sides, given as (rho, v, marker) columns, at
+    the speeds k, an array of rows of the columns' length: its arithmetic
+    elementwise, with exact zeros where v <= k."""
+    on = v > k
+    rho, v, k_on = np.broadcast_to(rho, k.shape)[on], np.broadcast_to(v, k.shape)[on], k[on]
+    rk = laws.R_k_below_ceiling(np.broadcast_to(marker, k.shape)[on], k_on)
+    e, q = np.zeros(k.shape), np.zeros(k.shape)
+    e[on] = 1.0 - rho / rk
+    q[on] = k_on - rho * v / rk
+    return e, q
 
 
 def step_deficit_totals(run: RunResult) -> tuple[float, float]:
     """(lifetime-weighted, unweighted) sums of the fan-step entropy deficits
-    over the run's congested discretized-fan jumps; needs no k grid."""
-    step = WaveKind.RAREFACTION_STEP
+    over the run's congested discretized-fan jumps; needs no k grid.
+
+    A jump's deficit is its worst one at the interior reference speeds
+    between its sides' velocities, at STEP_PROBES (mesh speeds sit exactly
+    on the conservation identity and produce nothing), and no less than 0.
+    Deficits are evaluated over each chunk's columns, `_pair`'s arithmetic
+    on numpy floats, which round as Python's; the sums run in row order."""
+    laws, step = run.laws, WaveKind.RAREFACTION_STEP
     weighted = unweighted = 0.0
     for _, (kind, speed, t0, t1), (rl, vl, cl, wl), (rr, vr, cr, wr) in \
             run.history.sides("kind", "speed", "t0", "t1"):
         pick = np.flatnonzero(np.array([k is step for k in kind]) & cl & cr)
-        for s, a, b, *sides in zip(*(c[pick].tolist()
-                                     for c in (speed, t0, t1, rl, vl, wl, rr, vr, wr))):
-            d = _step_deficit(run.laws, s, sides[:3], sides[3:])
+        lo, hi = np.minimum(vl[pick], vr[pick]), np.maximum(vl[pick], vr[pick])
+        k = lo + (hi - lo) * STEP_PROBES
+        (el, ql), (er, qr) = (_pair_columns(laws, rho[pick], v[pick], w[pick], k)
+                              for rho, v, w in ((rl, vl, wl), (rr, vr, wr)))
+        deficits = -(speed[pick] * (er - el) - (qr - ql))
+        worst = np.zeros(len(pick))
+        for d in deficits:
+            # max(worst, d) of Python floats: d replaces worst only if larger
+            worst = np.where(d > worst, d, worst)
+        for d, a, b in zip(worst.tolist(), t0[pick].tolist(), t1[pick].tolist()):
             weighted += d * (b - a)
             unweighted += d
     return weighted, unweighted

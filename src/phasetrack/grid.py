@@ -22,11 +22,13 @@ from .riemann import WaveKind
 
 _IDX_GUARD = 1e-9      # index-space slack when flooring coordinates
 VACUUM_IW = -1         # synthetic marker index for vacuum under constant v_f
-# node_fan's jump kinds as module globals: a WaveKind member read costs
-# 125 ns against 17.5 ns for a global (timeit, Python 3.11.7), and those
-# reads were about 5% of engine.run on level-6 traffic-light data
+# node_fan's jump kinds and the node phases as module globals: a WaveKind
+# member read costs 125 ns against 17.5 ns for a global (timeit, Python
+# 3.11.7), and those reads were about 5% of engine.run on level-6
+# traffic-light data
 SHOCK, RAREFACTION_STEP = WaveKind.SHOCK, WaveKind.RAREFACTION_STEP
 CONTACT, PHASE_TRANSITION = WaveKind.CONTACT, WaveKind.PHASE_TRANSITION
+FREE, CONGESTED = Phase.FREE, Phase.CONGESTED
 
 Node = tuple[int, int]  # a node's line indices (iv, iw)
 
@@ -143,25 +145,28 @@ class GridMesh:
         if iv == self.iv_free:
             if iw != VACUUM_IW:
                 rho = laws.free_rho_from_marker(self.w_values[iw])
-                u = TrafficState(rho, laws.v_free(rho), Phase.FREE)
+                u = TrafficState(rho, laws.v_free(rho), FREE)
             elif laws.degenerate_free:
                 u = laws.vacuum()
             else:
                 raise NotOnMesh(f"no free node at (iv={iv}, iw={iw})")
+            rho, v, congested, marker = u.rho, u.v, False, laws.marker_W(u)
         else:
             if not (0 <= iv <= self.iv_vc and self.iw_c <= iw):
                 raise NotOnMesh(f"no congested node at (iv={iv}, iw={iw})")
             v = self.v_values[iv]
             rho = laws.p_inv(self.w_values[iw] - v)
-            u = TrafficState(rho, v, Phase.CONGESTED)
+            u = TrafficState(rho, v, CONGESTED)
+            # marker_W's arithmetic on a congested state
+            congested, marker = True, max(v + laws.p(rho), laws.W_c)
         self.states[sid] = u
-        self._rev[(u.rho, u.v)] = sid
+        self._rev[(rho, v)] = sid
         rho_col, v_col, congested_col, marker_col = self._values
         self._slot[sid] = len(rho_col) + 1
-        rho_col.append(u.rho)
-        v_col.append(u.v)
-        congested_col.append(u.phase is Phase.CONGESTED)
-        marker_col.append(laws.marker_W(u))
+        rho_col.append(rho)
+        v_col.append(v)
+        congested_col.append(congested)
+        marker_col.append(marker)
         return u
 
     # -- coordinate -> index -------------------------------------------------

@@ -262,6 +262,19 @@ def test_shipped_config_outputs_are_byte_identical(tmp_path, args):
     assert got == RUN_OUTPUT_GOLDENS[args]
 
 
+# sha256 of the ladder.csv that `phasetrack ladder` writes on the shipped
+# traffic-light config over its default levels 5..9, serially: the output
+# the benchmark's ladder workload times
+LADDER_5_9_SHA256 = "0b475f9cad7dac375798647fc72a89face50545aca38c06c60fb6fead771a3d7"
+
+
+def test_shipped_ladder_output_is_byte_identical(tmp_path):
+    out = tmp_path / "lad"
+    assert main(["ladder", str(CONFIGS / "traffic_light.ini"), "--n-min", "5", "--n-max", "9",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "ladder.csv").read_bytes()).hexdigest() == LADDER_5_9_SHA256
+
+
 @pytest.mark.parametrize("seed, events", [(1, 974), (7, 1089)])
 def test_flat_config_moved_far_from_zero_keeps_its_events(tmp_path, seed, events):
     # the shipped constant-free-speed config with its datum window moved

@@ -15,7 +15,7 @@ from phasetrack.invariants import audit_run, snapshot_violations
 from phasetrack.riemann import WaveKind
 
 from faults import mass_fault, momentum_fault
-from references import (alive_at, audit_run_per_record, diagram_at_per_record,
+from references import (CustomLaw, alive_at, audit_run_per_record, diagram_at_per_record,
                         entropy_report_per_record, last_passage_time_per_record,
                         position, step_deficit_totals_per_record, weak_residual_per_record)
 
@@ -341,6 +341,42 @@ def test_readers_match_their_record_walks_on_the_ladder(scenario_cfg, laws):
         res = pt.run(pt.approximate_datum(datum, mesh), t_end, mesh)
         assert step_deficit_totals(res)[0] > 0.0
         _assert_readers_match(res, [pt.BumpTestFunction(0.5 * t_end, 0.4 * t_end, -5.0, 6.0)])
+
+
+# the two other pressure laws CI's smoke ladders run: gamma = 3, and the log
+# law (gamma = 0) with the markers of the free band [0.3, 0.35]
+LADDER_LAW_CONFIGS = {"gamma3": {"gamma": 3.0},
+                      "log-law": {"gamma": 0.0, "w_max": -1.0173221244986779,
+                                  "w_c": -1.1689728043259362}}
+
+
+@pytest.mark.parametrize("kw", list(LADDER_LAW_CONFIGS.values()), ids=list(LADDER_LAW_CONFIGS))
+def test_step_deficits_match_their_record_walk_on_every_law(kw):
+    # the traffic-light release of each law at ladder levels 4..6, run to
+    # the ladder's t_end
+    cfg = pt.TrafficLightConfig(**kw)
+    laws, datum = pt.build_scenario(cfg)
+    t_end = 1.25 * pt.closed_form_table(cfg, laws=laws).t_last
+    for n in (4, 5, 6):
+        mesh = pt.GridMesh(laws, n)
+        res = pt.run(pt.approximate_datum(datum, mesh), t_end, mesh)
+        assert step_deficit_totals(res)[0] > 0.0
+        assert repr(step_deficit_totals(res)) == repr(step_deficit_totals_per_record(res))
+
+
+def test_step_deficits_match_their_record_walk_on_a_bisected_law(laws):
+    # the traffic-light laws with the pressure as a CustomLaw, which has no
+    # closed-form inverse, so every congested node and every R_k bisects
+    p = laws.p
+    custom = pt.validate_laws(laws.v_f, CustomLaw(p, p.deriv, p.deriv2),
+                              laws.rho_free_crit, laws.rho_free_max, laws.V_c)
+    assert custom._p_closed_inv is None
+    for n in (4, 5):
+        mesh = pt.GridMesh(custom, n)
+        for seed in (1, 2):
+            res = _random_run(mesh, seed)
+            assert step_deficit_totals(res)[0] > 0.0
+            assert repr(step_deficit_totals(res)) == repr(step_deficit_totals_per_record(res))
 
 
 def test_readers_match_their_record_walks_on_criterion_6(flat_laws):

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 
 import phasetrack as pt
 from phasetrack.errors import HypothesisViolation, OrderingViolation, OutOfDomain
-from phasetrack.model import _solve_marker_density
+from phasetrack.model import STATE_TOL, _solve_marker_density
 
 from references import CustomLaw, per_sample_laws, plain_invert_increasing
 from statespace import mesh_nodes, random_state
@@ -167,6 +168,70 @@ def test_p_inv_monotone(laws):
     ys = [y for y in ys if y <= laws.W_max]
     vals = [laws.p_inv(y) for y in ys]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+def _ceiling_laws(laws, name):
+    """The traffic-light laws (gamma2), their gamma = 3 and log-law (gamma
+    = 0) variants, or the gamma = 2 pressure as a CustomLaw, which has no
+    closed-form inverse and so bisects (custom)."""
+    if name == "gamma2":
+        return laws
+    if name == "custom":
+        p = laws.p
+        return pt.validate_laws(laws.v_f, CustomLaw(p, p.deriv, p.deriv2),
+                                laws.rho_free_crit, laws.rho_free_max, laws.V_c)
+    kw = {"gamma3": dict(gamma=3.0),
+          "log-law": dict(gamma=0.0, w_max=-1.0173221244986779, w_c=-1.1689728043259362)}
+    return pt.build_scenario(pt.TrafficLightConfig(**kw[name]))[0]
+
+
+@pytest.mark.parametrize("name", ["gamma2", "gamma3", "log-law", "custom"])
+def test_R_k_below_ceiling_is_R_k_bit_for_bit(laws, name):
+    lw = _ceiling_laws(laws, name)
+    tol = STATE_TOL
+    # a dense sweep of [W_c, W_max] x [0, V_c] with the markers' slack
+    # edges, markers below W_max at the speeds' slack edge (above W_max it
+    # would take y past W_max + STATE_TOL), and random points; the bisected
+    # law gets a coarser sweep
+    n_w, n_k = (129, 33) if name == "custom" else (401, 65)
+    ws = np.concatenate(([lw.W_c - tol, lw.W_max + tol], np.linspace(lw.W_c, lw.W_max, n_w)))
+    w, k = (a.ravel() for a in np.meshgrid(ws, np.linspace(0.0, lw.V_c, n_k)))
+    rng = np.random.default_rng(5)
+    w = np.concatenate((w, np.delete(ws, 1), rng.uniform(lw.W_c, lw.W_max, 500)))
+    k = np.concatenate((k, np.full(n_w + 1, -tol), rng.uniform(0.0, lw.V_c, 500)))
+    got = lw.R_k_below_ceiling(w, k)
+    assert _bits(got) == _bits([lw.R_k(a, b) for a, b in zip(w.tolist(), k.tolist())])
+    assert lw.R_k_below_ceiling(w[:0], k[:0]).shape == (0,)
+
+    # one element off the domain fails the whole array, as the scalar form
+    # fails on it; a k above V_c fails too, where R_k takes its chord
+    def fails(bad_w, bad_k, scalar_fails=True):
+        with pytest.raises(OutOfDomain):
+            lw.R_k_below_ceiling(np.append(w[:50], bad_w), np.append(k[:50], bad_k))
+        if scalar_fails:
+            with pytest.raises(OutOfDomain):
+                lw.R_k(bad_w, bad_k)
+        else:
+            lw.R_k(bad_w, bad_k)
+
+    fails(lw.W_max + 2.0 * tol, 0.0)
+    fails(lw.W_c - 2.0 * tol, 0.0)
+    fails(lw.W_c, -2.0 * tol)
+    fails(lw.W_max, lw.V_f + 2.0 * tol)
+    fails(lw.W_max, math.nextafter(lw.V_c, math.inf), scalar_fails=False)
+    # no validated law has a marker minus a speed of [0, V_c] below p(R_f')
+    # (W_c - V_c = p(R_f') + v_f(R_f') - V_c), so p_inv's own check is
+    # reached on a copy whose p_inv domain starts above W_c - V_c
+    raised = copy.copy(lw)
+    raised._p_crit = lw.W_c
+    with pytest.raises(OutOfDomain, match="p_inv"):
+        raised.R_k_below_ceiling(np.array([lw.W_max, lw.W_c]), np.array([0.0, 0.5 * lw.V_c]))
+    with pytest.raises(OutOfDomain, match="p_inv"):
+        raised.R_k(lw.W_c, 0.5 * lw.V_c)
 
 
 def test_capacity_drop(laws):
