@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -19,17 +20,6 @@ from .riemann import WaveKind
 
 # ---------------------------------------------------------------------------
 # entropy pairs and production
-
-
-def _pair(laws: ModelLaws, rho: float, v: float, marker: float,
-          k: float) -> tuple[float, float]:
-    """Extended entropy/flux pair of a state, given as its density,
-    velocity and conserved marker, for a reference speed k in [0, V_f]:
-    built on `ModelLaws.R_k`, the marker-level intersection density."""
-    if v <= k:
-        return 0.0, 0.0
-    rk = laws.R_k(marker, k)
-    return 1.0 - rho / rk, k - rho * v / rk
 
 
 def lwr_entropy_pair(laws: ModelLaws, u: TrafficState, h: float) -> tuple[float, float]:
@@ -61,12 +51,14 @@ STEP_PROBES = np.array([[0.25], [0.5], [0.75]])   # interior fractions of a step
 
 def _pair_columns(laws: ModelLaws, rho: np.ndarray, v: np.ndarray, marker: np.ndarray,
                   k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_pair` of congested sides, given as (rho, v, marker) columns, at
-    the speeds k, an array of rows of the columns' length: its arithmetic
-    elementwise, with exact zeros where v <= k."""
+    """Extended entropy/flux pair (1 - rho / R_k, k - rho v / R_k) of states
+    given as (rho, v, marker) columns, at the reference speeds k in [0, V_f],
+    rows of the columns' length: exact zeros where v <= k, and elsewhere
+    arithmetic on numpy floats, which round as Python's, with
+    `ModelLaws.R_k` the marker-level intersection density."""
     on = v > k
     rho, v, k_on = np.broadcast_to(rho, k.shape)[on], np.broadcast_to(v, k.shape)[on], k[on]
-    rk = laws.R_k_below_ceiling(np.broadcast_to(marker, k.shape)[on], k_on)
+    rk = laws.R_k(np.broadcast_to(marker, k.shape)[on], k_on)
     e, q = np.zeros(k.shape), np.zeros(k.shape)
     e[on] = 1.0 - rho / rk
     q[on] = k_on - rho * v / rk
@@ -80,8 +72,8 @@ def step_deficit_totals(run: RunResult) -> tuple[float, float]:
     A jump's deficit is its worst one at the interior reference speeds
     between its sides' velocities, at STEP_PROBES (mesh speeds sit exactly
     on the conservation identity and produce nothing), and no less than 0.
-    Deficits are evaluated over each chunk's columns, `_pair`'s arithmetic
-    on numpy floats, which round as Python's; the sums run in row order."""
+    Deficits are evaluated over each chunk's columns by `_pair_columns`;
+    the sums run in row order."""
     laws, step = run.laws, WaveKind.RAREFACTION_STEP
     weighted = unweighted = 0.0
     for _, (kind, speed, t0, t1), (rl, vl, cl, wl), (rr, vr, cr, wr) in \
@@ -104,25 +96,28 @@ def step_deficit_totals(run: RunResult) -> tuple[float, float]:
 
 def entropy_report(run: RunResult, k_grid: list[float] | None = None) -> EntropyReport:
     """Entropy production speed * (e_r - e_l) - (q_r - q_l) of every history
-    row at every k (by default `entropy_k_grid`), with the pair `_pair`,
-    and its least sharp value."""
+    row at every k (by default `entropy_k_grid`), with the pair
+    `_pair_columns` over each chunk's columns, and its least sharp value.
+    Rows run in history order and, within a row, in k_grid order; the least
+    sharp value is the one a walk over them in that order keeps."""
     laws = run.laws
     if k_grid is None:
         k_grid = entropy_k_grid(laws, run.mesh.eps_v)
     rep = EntropyReport(k_grid=k_grid)
-    add, step = rep.records.append, WaveKind.RAREFACTION_STEP
+    add, step = rep.records.extend, WaveKind.RAREFACTION_STEP
+    ks = np.array(k_grid, dtype=float)[:, None]
     for _, (t0, t1, x0, speed, kind), (rl, vl, _, wl), (rr, vr, _, wr) in \
             run.history.sides("t0", "t1", "x0", "speed", "kind"):
-        sides = [zip(*(c.tolist() for c in side)) for side in ((rl, vl, wl), (rr, vr, wr))]
-        for a, b, x, s, kd, left, right in zip(t0.tolist(), t1.tolist(), x0.tolist(),
-                                               speed.tolist(), kind, *sides):
-            label = kd.value
-            for k in k_grid:
-                (el, ql), (er, qr) = _pair(laws, *left, k), _pair(laws, *right, k)
-                u = s * (er - el) - (qr - ql)
-                add((a, b, x, label, k, u))
-                if kd is not step:
-                    rep.min_sharp = min(rep.min_sharp, u)
+        k = np.broadcast_to(ks, (len(ks), len(speed)))
+        (el, ql), (er, qr) = (_pair_columns(laws, rho, v, w, k)
+                              for rho, v, w in ((rl, vl, wl), (rr, vr, wr)))
+        production = (speed * (er - el) - (qr - ql)).T.tolist()
+        for a, b, x, kd, us in zip(t0.tolist(), t1.tolist(), x0.tolist(), kind, production):
+            add(zip(repeat(a), repeat(b), repeat(x), repeat(kd.value), k_grid, us))
+            if kd is not step:
+                # min of Python floats in walk order: a value replaces the
+                # least only if smaller
+                rep.min_sharp = min([rep.min_sharp, *us])
     return rep
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EventOverflow, InvariantViolation
+from .errors import EventOverflow, InvariantViolation, OutOfWindow
 from .grid import GridMesh, VACUUM_IW, solve_approx
 from .invariants import event_order_violations, functional_violations
 from .model import ModelLaws, TrafficState
@@ -46,6 +46,8 @@ class PiecewiseConstantDatum:
     def __post_init__(self):
         if len(self.states) != len(self.breaks) + 1:
             raise ValueError("need len(states) == len(breaks) + 1")
+        if not all(map(math.isfinite, self.breaks)):
+            raise ValueError(f"breakpoints must be finite, got {list(self.breaks)}")
         for a, b in zip(self.breaks, self.breaks[1:]):
             if b <= a:
                 raise ValueError("breakpoints must increase strictly")
@@ -341,7 +343,6 @@ class RunResult:
         """Left-continuous-in-time snapshot from the history's columns: the
         rows alive at t, t0 < t <= t1 (or t = t0 = 0), at x0 + speed (t - t0)."""
         if not (0.0 <= t <= self.t_end):
-            from .errors import OutOfWindow
             raise OutOfWindow(f"t={t} outside [0, {self.t_end}]")
         h = self.history
         live = []

@@ -395,49 +395,47 @@ class ModelLaws:
 
     def R_k(self, w: float, k: float) -> float:
         """Abscissa where the line f = rho k meets the extended flow curve of
-        marker level w.
+        marker level w, over scalars (a float back) and numpy arrays alike.
 
-        For k below the congested ceiling this is the usual pressure inverse;
-        above it, the intersection lies on the chord joining the congested
-        ceiling state to the free state of the same marker.
-        """
-        if w < self.W_c - STATE_TOL or w > self.W_max + STATE_TOL:
-            raise OutOfDomain(f"R_k marker {w} outside [{self.W_c}, {self.W_max}]")
-        if k < -STATE_TOL or k > self.V_f + STATE_TOL:
-            raise OutOfDomain(f"R_k speed {k} outside [0, {self.V_f}]")
-        if k <= self.V_c:
-            return self.p_inv(w - k)
-        rho_hi = self.p_inv(w - self.V_f)   # free-side endpoint of the chord
-        rho_lo = self.p_inv(w - self.V_c)   # congested ceiling endpoint
-        s = (rho_lo * self.V_c - rho_hi * self.V_f) / (rho_lo - rho_hi)
-        return (self.V_f - s) / (k - s) * rho_hi
-
-    def R_k_below_ceiling(self, w: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """`R_k` over arrays of markers w and speeds k in [0, V_c], where it
-        is p_inv(w - k), bit for bit: `R_k`'s and `p_inv`'s domain checks on
-        every element, raising the same OutOfDomain (a k above V_c too, which
-        `R_k` takes to its chord), then the law's scalar inverse mapped over
-        the elements and clamped to [R_f', R_max].
+        For k up to the congested ceiling V_c this is the pressure inverse
+        p_inv(w - k); above it, the intersection lies on the chord joining
+        the congested ceiling state p_inv(w - V_c) to the free state
+        p_inv(w - V_f) of the same marker.  Every element meets the domain
+        checks of R_k and p_inv, and the law's scalar inverse, mapped over
+        the elements and clamped to [R_f', R_max], as p_inv clamps it.
 
         The scalar inverse is mapped because numpy's rounds differently:
         np.power, ** and np.sqrt differ from Python's ** on 863 of 10^6
         inputs in [0.001, 0.3] at exponent 0.5, and on 50,025 of 10^6 at
         exponent 1/3 (numpy 2.4.6, Python 3.11.7, x86_64 with AVX-512).
         A law without a closed form maps `_p_inv_band`, which the clamp
-        leaves as it is."""
+        leaves as it is.
+        """
+        scalar = np.ndim(w) == np.ndim(k) == 0
+        w, k = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(k, dtype=float))
         bad = (w < self.W_c - STATE_TOL) | (w > self.W_max + STATE_TOL)
         if bad.any():
             raise OutOfDomain(f"R_k marker {w[bad][0]} outside [{self.W_c}, {self.W_max}]")
-        bad = (k < -STATE_TOL) | (k > self.V_c)
+        bad = (k < -STATE_TOL) | (k > self.V_f + STATE_TOL)
         if bad.any():
-            raise OutOfDomain(f"R_k speed {k[bad][0]} outside [0, {self.V_c}]")
-        y = w - k
+            raise OutOfDomain(f"R_k speed {k[bad][0]} outside [0, {self.V_f}]")
+        chord = k > self.V_c
+        # p_inv at w - k below the ceiling and at the chord's free end w - V_f
+        # above it, then at the chord's ceiling end w - V_c
+        y = np.concatenate((np.where(chord, w - self.V_f, w - k).ravel(),
+                            w[chord] - self.V_c))
         bad = (y < self._p_crit - STATE_TOL) | (y > self.W_max + STATE_TOL)
         if bad.any():
             raise OutOfDomain(f"p_inv({y[bad][0]}) outside [{self._p_crit}, {self.W_max}]")
         inv = self._p_closed_inv or self._p_inv_band
         rho = np.array([inv(x) for x in y.tolist()], dtype=float)
-        return np.minimum(np.maximum(rho, self.rho_free_crit), self.R_max)
+        rho = np.minimum(np.maximum(rho, self.rho_free_crit), self.R_max)
+        rho, rho_lo = rho[:w.size].reshape(w.shape), rho[w.size:]
+        if rho_lo.size:
+            rho_hi = rho[chord]
+            s = (rho_lo * self.V_c - rho_hi * self.V_f) / (rho_lo - rho_hi)
+            rho[chord] = (self.V_f - s) / (k[chord] - s) * rho_hi
+        return float(rho) if scalar else rho
 
     def vacuum(self) -> TrafficState:
         return TrafficState(0.0, self.V_max, Phase.FREE)

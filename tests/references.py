@@ -12,7 +12,8 @@ column readers (`step_deficit_totals`, `last_passage_time`,
 their record walks, the array sweeps of `ModelLaws` the first violation of
 their per-sample loops, `grid.node_fan` the jumps of its path-building
 form, and the functional terms of each `grid.node_fan` jump those of
-`front_measures`.
+`front_measures`, and `ModelLaws.R_k` over arrays the bits of its scalar
+body (`R_k`).
 
 Oracles the package does not ship: the scalar jump rule on two states
 (`jump_residuals`), which `column_residuals` computes over the history's
@@ -37,9 +38,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from phasetrack.errors import PhasetrackError
+from phasetrack.errors import OutOfDomain, PhasetrackError
 from phasetrack.grid import GridMesh, Node
-from phasetrack.model import ModelLaws, Phase, TrafficState
+from phasetrack.model import STATE_TOL, ModelLaws, Phase, TrafficState
 from phasetrack.numerics import invert_decreasing, invert_increasing
 from phasetrack.riemann import WaveKind, sigma
 
@@ -572,12 +573,33 @@ class CustomLaw:
 # the extended entropy pair on states
 
 
+def R_k(laws: ModelLaws, w: float, k: float) -> float:
+    """`ModelLaws.R_k` on one marker w and one speed k, in scalar floats:
+    the abscissa where the line f = rho k meets the extended flow curve of
+    marker level w.
+
+    For k below the congested ceiling this is the usual pressure inverse;
+    above it, the intersection lies on the chord joining the congested
+    ceiling state to the free state of the same marker.
+    """
+    if w < laws.W_c - STATE_TOL or w > laws.W_max + STATE_TOL:
+        raise OutOfDomain(f"R_k marker {w} outside [{laws.W_c}, {laws.W_max}]")
+    if k < -STATE_TOL or k > laws.V_f + STATE_TOL:
+        raise OutOfDomain(f"R_k speed {k} outside [0, {laws.V_f}]")
+    if k <= laws.V_c:
+        return laws.p_inv(w - k)
+    rho_hi = laws.p_inv(w - laws.V_f)   # free-side endpoint of the chord
+    rho_lo = laws.p_inv(w - laws.V_c)   # congested ceiling endpoint
+    s = (rho_lo * laws.V_c - rho_hi * laws.V_f) / (rho_lo - rho_hi)
+    return (laws.V_f - s) / (k - s) * rho_hi
+
+
 def entropy_pair(laws: ModelLaws, u: TrafficState, k: float) -> tuple[float, float]:
     """Extended entropy/flux pair built on the marker-level intersection
-    density; defined for reference speeds k in [0, V_f]."""
+    density `R_k`; defined for reference speeds k in [0, V_f]."""
     if u.v <= k:
         return 0.0, 0.0
-    rk = laws.R_k(laws.marker_W(u), k)
+    rk = R_k(laws, laws.marker_W(u), k)
     return 1.0 - u.rho / rk, k - u.rho * u.v / rk
 
 

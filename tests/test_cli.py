@@ -469,6 +469,20 @@ def test_k_grid_outside_zero_to_v_f_exit_2(tmp_path, capsys, text, k_grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("breaks", ["0 nan", "0 inf", "nan 0"])
+def test_non_finite_datum_break_exit_2(tmp_path, capsys, breaks):
+    # x_lo and x_hi are set, so the profile window does not read the breaks
+    cfgf = tmp_path / "b.ini"
+    cfgf.write_text(CONSTANT_INI.replace("breaks = 0.0", f"breaks = {breaks}").replace(
+        "congested:0.37,0.01 | congested:0.37,0.01", "vacuum | free:0.33 | vacuum").replace(
+        "[run]\n", "[run]\nx_lo = -10\nx_hi = 10\n"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: breakpoints must be finite, got [")
+    assert not out.exists()
+
+
 FLAT_INI = (CONFIGS / "flat_free_random.ini").read_text()
 TRAFFIC_LIGHT_INI = (CONFIGS / "traffic_light.ini").read_text()
 

@@ -10,6 +10,7 @@ from phasetrack.errors import HypothesisViolation, OrderingViolation, OutOfDomai
 from phasetrack.model import STATE_TOL, _solve_marker_density
 
 from references import CustomLaw, per_sample_laws, plain_invert_increasing
+from references import R_k as ref_R_k
 from statespace import mesh_nodes, random_state
 
 
@@ -190,48 +191,53 @@ def _ceiling_laws(laws, name):
 
 
 @pytest.mark.parametrize("name", ["gamma2", "gamma3", "log-law", "custom"])
-def test_R_k_below_ceiling_is_R_k_bit_for_bit(laws, name):
+def test_R_k_over_arrays_is_its_scalar_reference_bit_for_bit(laws, name):
     lw = _ceiling_laws(laws, name)
     tol = STATE_TOL
-    # a dense sweep of [W_c, W_max] x [0, V_c] with the markers' slack
-    # edges, markers below W_max at the speeds' slack edge (above W_max it
-    # would take y past W_max + STATE_TOL), and random points; the bisected
-    # law gets a coarser sweep
+    # a dense sweep of [W_c, W_max] x [0, V_f], both branches and the
+    # speeds either side of the ceiling V_c, with the markers' slack edges;
+    # markers below W_max at the speeds' lower slack edge (above W_max it
+    # would take y past W_max + STATE_TOL), every marker at the upper one,
+    # and random points; the bisected law gets a coarser sweep
     n_w, n_k = (129, 33) if name == "custom" else (401, 65)
     ws = np.concatenate(([lw.W_c - tol, lw.W_max + tol], np.linspace(lw.W_c, lw.W_max, n_w)))
-    w, k = (a.ravel() for a in np.meshgrid(ws, np.linspace(0.0, lw.V_c, n_k)))
+    ks = np.concatenate((np.linspace(0.0, lw.V_f, n_k), [lw.V_c, math.nextafter(lw.V_c, 1.0)]))
+    got = lw.R_k(ws[:, None], ks)
+    assert got.shape == (len(ws), len(ks))
+    assert _bits(got.ravel()) == _bits([ref_R_k(lw, a, b) for a in ws.tolist()
+                                        for b in ks.tolist()])
     rng = np.random.default_rng(5)
-    w = np.concatenate((w, np.delete(ws, 1), rng.uniform(lw.W_c, lw.W_max, 500)))
-    k = np.concatenate((k, np.full(n_w + 1, -tol), rng.uniform(0.0, lw.V_c, 500)))
-    got = lw.R_k_below_ceiling(w, k)
-    assert _bits(got) == _bits([lw.R_k(a, b) for a, b in zip(w.tolist(), k.tolist())])
-    assert lw.R_k_below_ceiling(w[:0], k[:0]).shape == (0,)
+    w = np.concatenate((np.delete(ws, 1), ws, rng.uniform(lw.W_c, lw.W_max, 500)))
+    k = np.concatenate((np.full(len(ws) - 1, -tol), np.full(len(ws), lw.V_f + tol),
+                        rng.uniform(0.0, lw.V_f, 500)))
+    assert _bits(lw.R_k(w, k)) == _bits([ref_R_k(lw, a, b)
+                                         for a, b in zip(w.tolist(), k.tolist())])
+    assert lw.R_k(w[:0], k[:0]).shape == (0,)
+    # a scalar call gives a float, on both branches
+    for a, b in ((lw.W_c, 0.5 * lw.V_c), (lw.W_max, 0.5 * (lw.V_c + lw.V_f))):
+        got = lw.R_k(a, b)
+        assert type(got) is float and _bits(got) == _bits(ref_R_k(lw, a, b))
 
-    # one element off the domain fails the whole array, as the scalar form
-    # fails on it; a k above V_c fails too, where R_k takes its chord
-    def fails(bad_w, bad_k, scalar_fails=True):
-        with pytest.raises(OutOfDomain):
-            lw.R_k_below_ceiling(np.append(w[:50], bad_w), np.append(k[:50], bad_k))
-        if scalar_fails:
-            with pytest.raises(OutOfDomain):
-                lw.R_k(bad_w, bad_k)
-        else:
-            lw.R_k(bad_w, bad_k)
+    # one element off the domain fails the whole array, as the reference
+    # and a scalar call fail on it
+    def fails(law, bad_w, bad_k, match="R_k"):
+        for call in (lambda: law.R_k(np.append(w[:50], bad_w), np.append(k[:50], bad_k)),
+                     lambda: ref_R_k(law, bad_w, bad_k), lambda: law.R_k(bad_w, bad_k)):
+            with pytest.raises(OutOfDomain, match=match):
+                call()
 
-    fails(lw.W_max + 2.0 * tol, 0.0)
-    fails(lw.W_c - 2.0 * tol, 0.0)
-    fails(lw.W_c, -2.0 * tol)
-    fails(lw.W_max, lw.V_f + 2.0 * tol)
-    fails(lw.W_max, math.nextafter(lw.V_c, math.inf), scalar_fails=False)
-    # no validated law has a marker minus a speed of [0, V_c] below p(R_f')
-    # (W_c - V_c = p(R_f') + v_f(R_f') - V_c), so p_inv's own check is
-    # reached on a copy whose p_inv domain starts above W_c - V_c
+    fails(lw, lw.W_max + 2.0 * tol, 0.0)
+    fails(lw, lw.W_c - 2.0 * tol, 0.0)
+    fails(lw, lw.W_c, -2.0 * tol)
+    fails(lw, lw.W_max, lw.V_f + 2.0 * tol)
+    # no validated law has a marker minus a speed of [0, V_c], or minus V_f,
+    # below p(R_f') (W_c - V_c = p(R_f') + v_f(R_f') - V_c), so p_inv's own
+    # check is reached on a copy whose p_inv domain starts above W_c - V_c,
+    # below the ceiling and on the chord
     raised = copy.copy(lw)
     raised._p_crit = lw.W_c
-    with pytest.raises(OutOfDomain, match="p_inv"):
-        raised.R_k_below_ceiling(np.array([lw.W_max, lw.W_c]), np.array([0.0, 0.5 * lw.V_c]))
-    with pytest.raises(OutOfDomain, match="p_inv"):
-        raised.R_k(lw.W_c, 0.5 * lw.V_c)
+    fails(raised, lw.W_c, 0.5 * lw.V_c, match="p_inv")
+    fails(raised, lw.W_c, lw.V_f, match="p_inv")
 
 
 def test_capacity_drop(laws):
