@@ -285,28 +285,13 @@ class FrontHistory(Sequence):
 
 class _F:
     """Live front in the simulation's doubly linked list, between the mesh
-    nodes of state ids l and r, with its jump's (tv, temple, pt), linked
-    after prev when built; `run` reads this class as a global per build."""
+    nodes of state ids l and r, with its jump's (tv, temple, pt) and its
+    line's intercept at t = 0, which collision times are read from.  `run`
+    builds each one inline, object.__new__ plus slot stores, with no
+    Python-level constructor, and reads this class once per run."""
 
     __slots__ = ("x0", "t0", "speed", "icpt", "l", "r", "kind",
                  "prev", "next", "tv", "temple", "pt")
-
-    def __init__(self, x0, t0, speed, l, r, kind, prev, tv, temple, pt):
-        self.x0 = x0
-        self.t0 = t0
-        self.speed = speed
-        # the line's intercept at t = 0, which collision times are read from
-        self.icpt = x0 - speed * t0
-        self.l = l
-        self.r = r
-        self.kind = kind
-        self.prev = prev
-        self.next = None
-        if prev is not None:
-            prev.next = self
-        self.tv = tv
-        self.temple = temple
-        self.pt = pt
 
     def position(self, t: float) -> float:
         return self.x0 + self.speed * (t - self.t0)
@@ -320,6 +305,18 @@ class RunStats(NamedTuple):
     stale_pops: int
     clamped_pushes: int
     peak_fronts: int
+
+
+class Event(NamedTuple):
+    """What `run` hands each observer at an event: its time and point and
+    the functionals after it, the values of its functional-log row."""
+
+    t: float
+    x: float
+    tv: float
+    temple: float
+    waves: int
+    phase_transitions: int
 
 
 @dataclass
@@ -400,25 +397,32 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     """Advance a diagram to t_end, resolving collisions as they come due.
 
     Raw (unclassified) fronts of the initial diagram are first resolved into
-    mesh Riemann fans at t = 0.  The functional log gets one row at t = 0 and
-    one per interaction; with strict=True each event's point is checked
-    against the fronts on either side of its group
-    (`invariants.event_order_violations`) and its row against the
-    functional rules, and the first violation raises InvariantViolation.
-    Fronts carry mesh state ids, unchanged from the fan that builds them to
-    the history row that closes them.  Each collision is resolved by one
-    `solve_approx` call on the node states of its group's outer ids: the
-    one state-level Riemann solve that callers and profilers see, it finds
-    the ids again by a (rho, v) probe each.  States are otherwise looked up
-    only for the two snapshots, read as the datum is resolved and as the
-    survivors close.  A new front takes its jump's functional terms and its
-    left neighbour when built, and is linked in then.  Each front closing is
-    appended as one row by the history's column appends.
+    mesh Riemann fans at t = 0, each datum jump a splice after the list's
+    tail.  The functional log gets one row at t = 0 and one per
+    interaction, and each observer is called with an `Event` per
+    interaction; with strict=True each event's point is checked against the
+    fronts on either side of its group (`invariants.event_order_violations`)
+    and its row against the functional rules, and the first violation
+    raises InvariantViolation.  Fronts carry mesh state ids, unchanged from
+    the fan that builds them to the history row that closes them.  Each
+    datum jump and each collision is resolved by one `solve_approx` call on
+    node states, for a collision those of its group's outer ids: the one
+    state-level Riemann solve that callers and profilers see, it finds the
+    ids again by identity.  States are otherwise looked up only for the two
+    snapshots, read after the datum is resolved and as the survivors close.
+    One block splices a fan in, for the datum jumps and the events alike:
+    it builds each front inline (object.__new__ and slot stores), links it
+    after the one before it, and queues the pairs new at the fan's two ends
+    inline.  Each front closing is appended as one row by the history's
+    column appends.
 
     Fronts never change once built, so a heap entry stays valid exactly as
     long as its two fronts are adjacent: dead fronts are unlinked, and an
     entry popped later is stale.  Two adjacent fronts a, b collide at
-    (b.icpt - a.icpt) / (a.speed - b.speed) when a is the faster.
+    (b.icpt - a.icpt) / (a.speed - b.speed) when a is the faster; a pair
+    due before the present was missed by the rounding of its intercepts
+    alone and is queued at the present, so the log never steps back.  A
+    fan's own speeds never decrease, so only its two ends make pairs.
     `RunResult.stats` counts stale pops, clamped pushes and the peak number
     of live fronts.  A negative or non-finite t_end raises ValueError.
     """
@@ -435,117 +439,118 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         log.ts.append, log.tv.append, log.temple.append, log.waves.append,
         log.phase_transitions.append)
     # looked up once per run, so a patched module attribute is honoured
-    solve = solve_approx
+    solve, F = solve_approx, _F
+    new = object.__new__
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     heap: list[tuple[float, int, _F, _F]] = []
-    clamped = 0
-
-    def push(a: _F, b: _F, now: float):
-        nonlocal clamped
-        dv = a.speed - b.speed
-        if dv <= 0.0:
-            return
-        t = (b.icpt - a.icpt) / dv
-        # a pair due before now was missed by the rounding of its
-        # intercepts alone: it collides now, so the log never steps back
-        if t < now:
-            t = now
-            clamped += 1
-        heappush(heap, (t, next(counter), a, b))
-
-    # initial resolution of the datum jumps, each front linked as it is
-    # built, queued with the one before it and read into the initial snapshot
+    clamped = events = stale = 0
     tot_tv = tot_temple = 0.0
     n_waves = n_pts = 0
-    head = f = None
-    fronts = []
-    for raw in diagram.fronts:
-        for s, a, b, kind, tv, temple, pt in solve(mesh, raw.left, raw.right):
-            nf = _F(raw.x, 0.0, s, a, b, kind, f, tv, temple, pt)
+    now = 0.0
+    eps_w = mesh.eps_w
+    head = f = initial = None
+    raws = iter(diagram.fronts)
+    raw = next(raws, None)
+    while True:
+        if raw is not None:
+            # a datum jump, resolved at t = 0 as a splice after the tail f
+            x_star, t_star, before, after = raw.x, 0.0, f, None
+            fan = solve(mesh, raw.left, raw.right)
+            raw = next(raws, None)
+        else:
+            if initial is None:
+                # the datum is resolved: its snapshot and the log's t = 0 row
+                fronts = []
+                g = head
+                while g is not None:
+                    fronts.append(DiagramFront(g.position(0.0), g.speed, states[g.l],
+                                               states[g.r], g.kind))
+                    g = g.next
+                initial = FrontDiagram(0.0, fronts[0].left if fronts else diagram.left_state,
+                                       fronts)
+                log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
+            if not heap:
+                break
+            t_star, _, fa, fb = heappop(heap)
+            if fa.next is not fb:
+                stale += 1
+                continue
+            if t_star > t_end:
+                break
+            if t_star > now:
+                now = t_star
+            x_star = fa.x0 + fa.speed * (t_star - fa.t0)
+
+            # gather every front arriving at (t_star, x_star): first..last.
+            # The position slack is relative to |x_star| plus V_max t_star,
+            # the farthest a front can have moved, so it is positive at x = 0
+            tol_t = TIME_GROUP_TOL * abs(t_star)
+            tol_x = 1e-9 * (abs(x_star) + laws.V_max * t_star)
+            first = fa
+            g = first.prev
+            while g is not None:
+                dv = g.speed - first.speed
+                if dv <= 0.0:
+                    break
+                t = (first.icpt - g.icpt) / dv
+                if abs(t - t_star) > tol_t or abs(g.x0 + g.speed * (t - g.t0) - x_star) > tol_x:
+                    break
+                first = g
+                g = g.prev
+            last = fb
+            g = last.next
+            while g is not None:
+                dv = last.speed - g.speed
+                if dv <= 0.0:
+                    break
+                t = (g.icpt - last.icpt) / dv
+                if abs(t - t_star) > tol_t or abs(last.x0 + last.speed * (t - last.t0) - x_star) > tol_x:
+                    break
+                last = g
+                g = g.next
+
+            fan = solve(mesh, states[first.l], states[last.r])
+
+            before, after = first.prev, last.next
+            g = first
+            while g is not after:
+                add_t0(g.t0)
+                add_t1(t_star)
+                add_x0(g.x0)
+                add_speed(g.speed)
+                add_left(g.l)
+                add_right(g.r)
+                add_kind(g.kind)
+                tot_tv -= g.tv
+                tot_temple -= g.temple
+                n_waves -= 1
+                n_pts -= g.pt
+                # unlinked, a dead front is freed by reference counting alone
+                nxt = g.next
+                g.prev = g.next = None
+                g = nxt
+
+        # the fan's fronts, between before and after, each built inline and
+        # linked after the one before it
+        f = before
+        for s, a, b, kind, tv, temple, pt in fan:
+            nf = new(F)
+            nf.x0 = x_star
+            nf.t0 = t_star
+            nf.speed = s
+            nf.icpt = x_star - s * t_star
+            nf.l = a
+            nf.r = b
+            nf.kind = kind
+            nf.tv = tv
+            nf.temple = temple
+            nf.pt = pt
+            nf.prev = f
             if f is None:
                 head = nf
             else:
-                push(f, nf, 0.0)
-            fronts.append(DiagramFront(nf.position(0.0), s, states[a], states[b], kind))
-            tot_tv += tv
-            tot_temple += temple
-            n_waves += 1
-            n_pts += pt
-            f = nf
-    initial = FrontDiagram(0.0, fronts[0].left if fronts else diagram.left_state, fronts)
-
-    log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
-
-    events = stale = 0
-    now = 0.0
-    eps_w = mesh.eps_w
-    while heap:
-        t_star, _, fa, fb = heappop(heap)
-        if fa.next is not fb:
-            stale += 1
-            continue
-        if t_star > t_end:
-            break
-        if t_star > now:
-            now = t_star
-        x_star = fa.x0 + fa.speed * (t_star - fa.t0)
-
-        # gather every front arriving at (t_star, x_star): first..last.  The
-        # position slack is relative to |x_star| plus V_max t_star, the
-        # farthest a front can have moved, so it is positive at x = 0 too
-        tol_t = TIME_GROUP_TOL * abs(t_star)
-        tol_x = 1e-9 * (abs(x_star) + laws.V_max * t_star)
-        first = fa
-        g = first.prev
-        while g is not None:
-            dv = g.speed - first.speed
-            if dv <= 0.0:
-                break
-            t = (first.icpt - g.icpt) / dv
-            if abs(t - t_star) > tol_t or abs(g.x0 + g.speed * (t - g.t0) - x_star) > tol_x:
-                break
-            first = g
-            g = g.prev
-        last = fb
-        g = last.next
-        while g is not None:
-            dv = last.speed - g.speed
-            if dv <= 0.0:
-                break
-            t = (g.icpt - last.icpt) / dv
-            if abs(t - t_star) > tol_t or abs(last.x0 + last.speed * (t - last.t0) - x_star) > tol_x:
-                break
-            last = g
-            g = g.next
-
-        fan = solve(mesh, states[first.l], states[last.r])
-
-        before, after = first.prev, last.next
-        g = first
-        while g is not after:
-            add_t0(g.t0)
-            add_t1(t_star)
-            add_x0(g.x0)
-            add_speed(g.speed)
-            add_left(g.l)
-            add_right(g.r)
-            add_kind(g.kind)
-            tot_tv -= g.tv
-            tot_temple -= g.temple
-            n_waves -= 1
-            n_pts -= g.pt
-            # unlinked, a dead front is freed by reference counting alone
-            nxt = g.next
-            g.prev = g.next = None
-            g = nxt
-
-        # the fan's fronts, each linked after the one before it as it is built
-        f = before
-        for s, a, b, kind, tv, temple, pt in fan:
-            nf = _F(x_star, t_star, s, a, b, kind, f, tv, temple, pt)
-            if f is None:
-                head = nf
+                f.next = nf
             tot_tv += tv
             tot_temple += temple
             n_waves += 1
@@ -559,21 +564,37 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
         if after is not None:
             after.prev = f
 
-        # the pairs new at the group's two ends: one pair when the fan is
-        # empty
-        if before is not None and before.next is not None:
-            push(before, before.next, now)
+        # the pairs new at the fan's two ends, one pair when it is empty
+        if before is not None:
+            g = before.next
+            if g is not None:
+                dv = before.speed - g.speed
+                if dv > 0.0:
+                    t = (g.icpt - before.icpt) / dv
+                    if t < now:
+                        t = now
+                        clamped += 1
+                    heappush(heap, (t, next(counter), before, g))
         if f is not before and after is not None:
-            push(f, after, now)
+            dv = f.speed - after.speed
+            if dv > 0.0:
+                t = (after.icpt - f.icpt) / dv
+                if t < now:
+                    t = now
+                    clamped += 1
+                heappush(heap, (t, next(counter), f, after))
+        if initial is None:
+            continue
 
         add_t(t_star)
         add_tv(tot_tv)
         add_temple(tot_temple)
         add_waves(n_waves)
         add_pts(n_pts)
-        for obs in observers:
-            obs(dict(t=t_star, x=x_star, tv=tot_tv, temple=tot_temple,
-                     waves=n_waves, phase_transitions=n_pts))
+        if observers:
+            event = Event(t_star, x_star, tot_tv, tot_temple, n_waves, n_pts)
+            for obs in observers:
+                obs(event)
 
         if strict:
             i = len(log.ts) - 1

@@ -93,9 +93,11 @@ class GridMesh:
         # a node as one integer, its state id: iv * id_stride + iw + 1, so
         # that marker index VACUUM_IW (-1) has an id too
         self.id_stride = len(self.w_values) + 1
-        # state id -> state, built on first lookup; _rev inverts it
+        # state id -> state, built on first lookup; _rev inverts it by
+        # identity, id(state) -> state id: the mesh holds each state it
+        # builds for its whole life, so an id found there is that state's
         self.states = _NodeStates(self)
-        self._rev: dict[tuple[float, float], int] = {}
+        self._rev: dict[int, int] = {}
         # each built node's (rho, v, congested, marker_W), appended as its
         # state is built, and its place among them by state id, plus 1 (0:
         # not built).  Columns indexed by state id would be simpler, but a
@@ -160,7 +162,7 @@ class GridMesh:
             # marker_W's arithmetic on a congested state
             congested, marker = True, max(v + laws.p(rho), laws.W_c)
         self.states[sid] = u
-        self._rev[(rho, v)] = sid
+        self._rev[id(u)] = sid
         rho_col, v_col, congested_col, marker_col = self._values
         self._slot[sid] = len(rho_col) + 1
         rho_col.append(rho)
@@ -197,7 +199,8 @@ class GridMesh:
         lo = self.marker_floor(w2, iw_min)
         iwb = (lo, lo if w[lo] >= w2 - 1e-12 else min(lo + 1, last))
         if ivb[0] != ivb[1] or iwb[0] != iwb[1]:
-            # compare the corners by value: _rev holds only the nodes built so far
+            # compare the corners by value: _rev finds only the state objects
+            # this mesh built, not a state equal to one
             for iv in ivb:
                 for iw in iwb:
                     if self.state(iv, iw) == u:
@@ -314,11 +317,11 @@ def node_fan(mesh: GridMesh, l: int, r: int) -> list[Jump]:
 
 def solve_approx(mesh: GridMesh, u_l: TrafficState, u_r: TrafficState) -> list[Jump]:
     """State-level adapter of node_fan: the mesh Riemann fan, as node_fan's
-    jumps, between the nodes of u_l and u_r.  A node state built by the
-    mesh is found by one probe of its (rho, v) in _rev (no node has id 0,
-    so only a missed probe is false); any other state goes through
-    index_of."""
+    jumps, between the nodes of u_l and u_r.  A state object this mesh
+    built is found by identity, one probe of id(u) in _rev (no node has id
+    0, so only a missed probe is false); any other state, a copy or another
+    mesh's node, goes through index_of."""
     rev = mesh._rev
-    l = rev.get((u_l.rho, u_l.v)) or mesh.state_id(mesh.index_of(u_l))
-    r = rev.get((u_r.rho, u_r.v)) or mesh.state_id(mesh.index_of(u_r))
+    l = rev.get(id(u_l)) or mesh.state_id(mesh.index_of(u_l))
+    r = rev.get(id(u_r)) or mesh.state_id(mesh.index_of(u_r))
     return node_fan(mesh, l, r)

@@ -29,18 +29,24 @@ def inflate_event_tv(monkeypatch, n_initial):
 def displace_front(monkeypatch, k, dx):
     """Make the k-th front built, counting from 0 with those of the t = 0
     resolution, lie dx to the right of its line: its position moves by dx,
-    while the collision times read from its line's intercept do not.
+    while the collision times read from its line's intercept do not.  The
+    run builds a front by storing its slots, x0 once per front, so the hook
+    is an x0 property over the front's own slot that shifts the k-th store.
     Returns the list of fronts built so far: clear it before each further
     run."""
     built = []
+    slot = engine._F.x0
 
     class Displaced(engine._F):
         __slots__ = ()
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            if len(built) == k:
-                self.x0 += dx
+        @property
+        def x0(self):
+            return slot.__get__(self)
+
+        @x0.setter
+        def x0(self, x):
+            slot.__set__(self, x + dx if len(built) == k else x)
             built.append(1)
 
     monkeypatch.setattr(engine, "_F", Displaced)

@@ -24,7 +24,8 @@ NO_SRC_MEMBER_READER = {
 # defaulted parameters that no call in src/ or bench/ passes, each kept for
 # a caller that is planned
 UNSET_PARAMETERS = {
-    "run.observers": "ROADMAP item 10's typed per-event records",
+    "run.observers": "called with one typed engine.Event per event; kept for "
+                     "callers outside src/ and bench/ and for ROADMAP item 10",
 }
 
 

@@ -381,9 +381,15 @@ def test_observers_called_at_events(laws, mesh5):
     c = mesh5.state(mesh5.iv_free, 45)
     d = pt.PiecewiseConstantDatum((-1.0, 0.0), (a, b, c))
     seen = []
-    pt.run(pt.approximate_datum(d, mesh5), 2000.0, mesh5, observers=[seen.append])
-    assert len(seen) == 1
-    assert set(seen[0]) >= {"t", "x", "tv", "temple", "waves", "phase_transitions"}
+    res = pt.run(pt.approximate_datum(d, mesh5), 2000.0, mesh5, observers=[seen.append])
+    assert len(seen) == res.events == 1
+    # a typed record whose functionals are the event's functional-log row
+    (event,) = seen
+    assert type(event) is engine.Event
+    assert event._fields == ("t", "x", "tv", "temple", "waves", "phase_transitions")
+    t, x, *functionals = event
+    assert (t, *functionals) == list(res.log.rows())[1]
+    assert x == res.history.x0[0] + res.history.speed[0] * (t - res.history.t0[0])
 
 
 @pytest.mark.parametrize("t_end", [-5.0, -1e-300, math.inf, math.nan])
@@ -453,8 +459,9 @@ def test_engine_bit_identity(laws, flat_laws):
 @pytest.mark.parametrize("family", ["traffic", "flat"])
 def test_events_resolve_on_node_ids(laws, flat_laws, monkeypatch, family):
     # run resolves each datum jump and each event by one solve_approx call
-    # on node states; solve_approx finds each node by one (rho, v) probe, so
-    # index_of's search for near copies never runs
+    # on the mesh's own node states; solve_approx finds each of those by
+    # identity, one id(state) probe, so index_of's search for other states
+    # never runs
     mesh = pt.GridMesh(laws if family == "traffic" else flat_laws, 5)
     datum = pt.random_mesh_datum(mesh, random.Random(11), max_jumps=20)
     diagram0 = pt.approximate_datum(datum, mesh)

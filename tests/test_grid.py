@@ -166,6 +166,42 @@ def test_solve_approx_not_on_mesh(laws, mesh5):
         pt.solve_approx(mesh5, off, mesh5.state(0, 40))
 
 
+@pytest.mark.parametrize("family", ["traffic", "flat"])
+def test_solve_approx_finds_other_states_by_value(laws, flat_laws, monkeypatch, family):
+    # solve_approx finds a state object its own mesh built by identity, with
+    # no index_of call; any other state object goes through index_of, one
+    # call a side, and gives the node's own fan: a fresh state equal to the
+    # node, a copy within 1e-9 of it, and the node of a second mesh on the
+    # same laws
+    lw = laws if family == "traffic" else flat_laws
+    mesh, twin = pt.GridMesh(lw, 5), pt.GridMesh(lw, 5)
+    calls = []
+    index_of = pt.GridMesh.index_of
+
+    def counted_index_of(self, u):
+        calls.append(self)
+        return index_of(self, u)
+
+    monkeypatch.setattr(pt.GridMesh, "index_of", counted_index_of)
+    nodes = list(mesh_nodes(mesh))
+    rng = random.Random(5)
+    for _ in range(150):
+        ends = [nodes[rng.randrange(len(nodes))] for _ in range(2)]
+        a, b = (mesh.state(*node) for node in ends)
+        want = pt.solve_approx(mesh, a, b)
+        assert calls == []
+        copies = {
+            "fresh": [pt.TrafficState(u.rho, u.v, u.phase) for u in (a, b)],
+            "near": [pt.TrafficState(u.rho, u.v - 1e-10, u.phase) for u in (a, b)],
+            "twin": [twin.state(*node) for node in ends],
+        }
+        for name, (u_l, u_r) in copies.items():
+            assert lw.states_equal(u_l, a, tol=1e-9) and lw.states_equal(u_r, b, tol=1e-9)
+            assert pt.solve_approx(mesh, u_l, u_r) == want, (name, ends)
+            assert calls == [mesh, mesh], name
+            calls.clear()
+
+
 def test_congested_two_step_chain(laws, mesh5):
     iw = mesh5.iw_c + 8
     ul = mesh5.state(4, iw)
