@@ -163,7 +163,8 @@ class FrontDiagram:
 class FunctionalLog:
     """Per-event history of the tracked functionals, one row per event, as
     columns: times and the two functionals array('d'), the wave and
-    phase-transition counts array('q')."""
+    phase-transition counts array('q').  `run` fills them by
+    array.fromlist, a chunk of rows at a time."""
 
     __slots__ = ("ts", "tv", "temple", "waves", "phase_transitions")
 
@@ -173,13 +174,6 @@ class FunctionalLog:
         self.temple = array("d")
         self.waves = array("q")
         self.phase_transitions = array("q")
-
-    def record(self, t, tv, temple, waves, pts):
-        self.ts.append(t)
-        self.tv.append(tv)
-        self.temple.append(temple)
-        self.waves.append(waves)
-        self.phase_transitions.append(pts)
 
     def rows(self):
         return zip(self.ts, self.tv, self.temple, self.waves, self.phase_transitions)
@@ -213,7 +207,8 @@ class FrontHistory(Sequence):
 
     Times, start positions and speeds are array('d') columns, the states on
     either side array('q') columns of mesh state ids (`GridMesh.states`),
-    and kinds a list.  `run` appends a row as each front closes.  Read as a
+    and kinds a list.  `run` types the rows of closing fronts into the
+    columns by array.fromlist, a chunk of rows at a time.  Read as a
     sequence, the history is read-only: each row is built into a
     `FrontRecord`, with the mesh's own state objects, when it is read, and
     none is kept.  Its readers in the package read columns (`sides`, `chunks`).
@@ -413,8 +408,10 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     One block splices a fan in, for the datum jumps and the events alike:
     it builds each front inline (object.__new__ and slot stores), links it
     after the one before it, and queues the pairs new at the fan's two ends
-    inline.  Each front closing is appended as one row by the history's
-    column appends.
+    inline.  Closing fronts and events append their rows to plain lists,
+    whose append CPython specializes; array.fromlist moves them into the
+    typed columns every CHUNK_ROWS history rows and at close-out, and a
+    strict run moves the log's at each event, before its row is checked.
 
     Fronts never change once built, so a heap entry stays valid exactly as
     long as its two fronts are adjacent: dead fronts are unlinked, and an
@@ -431,20 +428,20 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     laws = mesh.laws
     states = mesh.states
     history = FrontHistory(mesh)
-    add_t0, add_t1, add_x0, add_speed, add_left, add_right, add_kind = (
-        history.t0.append, history.t1.append, history.x0.append, history.speed.append,
-        history.left.append, history.right.append, history.kind.append)
     log = FunctionalLog()
-    add_t, add_tv, add_temple, add_waves, add_pts = (
-        log.ts.append, log.tv.append, log.temple.append, log.waves.append,
-        log.phase_transitions.append)
+    rows = t0s, t1s, x0s, speeds, lefts, rights = [], [], [], [], [], []
+    log_rows = ts, tvs, temples, waves, pts = [], [], [], [], []
+    kinds = history.kind
+    pending = list(zip((history.t0, history.t1, history.x0, history.speed, history.left,
+                        history.right, log.ts, log.tv, log.temple, log.waves,
+                        log.phase_transitions), rows + log_rows))
+    log_pending = pending[len(rows):]
     # looked up once per run, so a patched module attribute is honoured
-    solve, F = solve_approx, _F
-    new = object.__new__
+    solve, F, chunk = solve_approx, _F, CHUNK_ROWS
+    new, new_tuple = object.__new__, tuple.__new__
     heappush, heappop = heapq.heappush, heapq.heappop
-    counter = itertools.count()
     heap: list[tuple[float, int, _F, _F]] = []
-    clamped = events = stale = 0
+    clamped = events = stale = seq = 0
     tot_tv = tot_temple = 0.0
     n_waves = n_pts = 0
     now = 0.0
@@ -464,12 +461,13 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
                 fronts = []
                 g = head
                 while g is not None:
-                    fronts.append(DiagramFront(g.position(0.0), g.speed, states[g.l],
-                                               states[g.r], g.kind))
+                    fronts.append(new_tuple(DiagramFront, (g.x0 + g.speed * (0.0 - g.t0), g.speed,
+                                                           states[g.l], states[g.r], g.kind)))
                     g = g.next
                 initial = FrontDiagram(0.0, fronts[0].left if fronts else diagram.left_state,
                                        fronts)
-                log.record(0.0, tot_tv, tot_temple, n_waves, n_pts)
+                for col, value in zip(log_rows, (0.0, tot_tv, tot_temple, n_waves, n_pts)):
+                    col.append(value)
             if not heap:
                 break
             t_star, _, fa, fb = heappop(heap)
@@ -515,13 +513,13 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
             before, after = first.prev, last.next
             g = first
             while g is not after:
-                add_t0(g.t0)
-                add_t1(t_star)
-                add_x0(g.x0)
-                add_speed(g.speed)
-                add_left(g.l)
-                add_right(g.r)
-                add_kind(g.kind)
+                t0s.append(g.t0)
+                t1s.append(t_star)
+                x0s.append(g.x0)
+                speeds.append(g.speed)
+                lefts.append(g.l)
+                rights.append(g.r)
+                kinds.append(g.kind)
                 tot_tv -= g.tv
                 tot_temple -= g.temple
                 n_waves -= 1
@@ -530,6 +528,8 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
                 nxt = g.next
                 g.prev = g.next = None
                 g = nxt
+            if len(t0s) >= chunk:
+                _flush(pending)
 
         # the fan's fronts, between before and after, each built inline and
         # linked after the one before it
@@ -574,7 +574,8 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
                     if t < now:
                         t = now
                         clamped += 1
-                    heappush(heap, (t, next(counter), before, g))
+                    heappush(heap, (t, seq, before, g))
+                    seq += 1
         if f is not before and after is not None:
             dv = f.speed - after.speed
             if dv > 0.0:
@@ -582,21 +583,23 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
                 if t < now:
                     t = now
                     clamped += 1
-                heappush(heap, (t, next(counter), f, after))
+                heappush(heap, (t, seq, f, after))
+                seq += 1
         if initial is None:
             continue
 
-        add_t(t_star)
-        add_tv(tot_tv)
-        add_temple(tot_temple)
-        add_waves(n_waves)
-        add_pts(n_pts)
+        ts.append(t_star)
+        tvs.append(tot_tv)
+        temples.append(tot_temple)
+        waves.append(n_waves)
+        pts.append(n_pts)
         if observers:
             event = Event(t_star, x_star, tot_tv, tot_temple, n_waves, n_pts)
             for obs in observers:
                 obs(event)
 
         if strict:
+            _flush(log_pending)
             i = len(log.ts) - 1
             x_before = before.position(t_star) if before is not None else -math.inf
             x_after = after.position(t_star) if after is not None else math.inf
@@ -614,20 +617,29 @@ def run(diagram: FrontDiagram, t_end: float, mesh: GridMesh, observers=(),
     fronts = []
     f = head
     while f is not None:
-        fronts.append(DiagramFront(f.position(t_end), f.speed, states[f.l], states[f.r], f.kind))
-        add_t0(f.t0)
-        add_t1(t_end)
-        add_x0(f.x0)
-        add_speed(f.speed)
-        add_left(f.l)
-        add_right(f.r)
-        add_kind(f.kind)
+        fronts.append(new_tuple(DiagramFront, (f.x0 + f.speed * (t_end - f.t0), f.speed,
+                                               states[f.l], states[f.r], f.kind)))
+        t0s.append(f.t0)
+        t1s.append(t_end)
+        x0s.append(f.x0)
+        speeds.append(f.speed)
+        lefts.append(f.l)
+        rights.append(f.r)
+        kinds.append(f.kind)
         nxt = f.next
         f.prev = f.next = None
         f = nxt
+    _flush(pending)
     final = FrontDiagram(t_end, fronts[0].left if fronts else initial.left_state, fronts)
     stats = RunStats(stale, clamped, max(log.waves))
     return RunResult(laws, mesh, t_end, history, log, initial, final, events, stats)
+
+
+def _flush(pending):
+    """Move each (typed column, list of rows) pair's rows into its column."""
+    for col, rows in pending:
+        col.fromlist(rows)
+        rows.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def displace_front(monkeypatch, k, dx):
         @x0.setter
         def x0(self, x):
             slot.__set__(self, x + dx if len(built) == k else x)
-            built.append(1)
+            built.append(self)
 
     monkeypatch.setattr(engine, "_F", Displaced)
     return built

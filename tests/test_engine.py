@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ import pytest
 import phasetrack as pt
 from phasetrack import engine, grid
 from phasetrack.engine import DiagramFront, FrontDiagram
-from phasetrack.errors import ValueOutsideOmega
-from phasetrack.invariants import snapshot_violations
+from phasetrack.errors import InvariantViolation, ValueOutsideOmega
+from phasetrack.invariants import MONO_TOL, audit_run, snapshot_violations
 from phasetrack.riemann import WaveKind
 
+from faults import inflate_event_tv
 from statespace import is_vacuum, random_state, snap
 
 
@@ -405,6 +407,97 @@ def test_event_cap_overflow(laws, mesh5, rng):
     datum = pt.random_mesh_datum(mesh5, rng, max_jumps=30)
     with pytest.raises(EventOverflow):
         pt.run(pt.approximate_datum(datum, mesh5), 300.0, mesh5, event_cap=3)
+
+
+# ---------------------------------------------------------------------------
+# rows typed into the columns a chunk at a time
+
+
+@pytest.fixture(scope="module")
+def chunked_diagram(laws):
+    """A traffic-light datum whose run to t = 250 closes several chunks of
+    history rows (about 8000 rows, 3850 events)."""
+    mesh = pt.GridMesh(laws, 6)
+    datum = pt.random_mesh_datum(mesh, random.Random(6), max_jumps=30)
+    return pt.approximate_datum(datum, mesh), mesh
+
+
+def _watch_typed_rows(monkeypatch):
+    """Patch the run's history class to one that is remembered as it is
+    built; returns an observer and the list it fills, one entry an event:
+    the number of rows the history's typed columns hold after the event.
+    The count moves only at an event after which the run types a chunk."""
+    made, typed = [], []
+
+    class Watched(engine.FrontHistory):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "FrontHistory", Watched)
+    return (lambda event: typed.append(len(made[-1]))), typed
+
+
+def _events_after_a_chunk(typed):
+    """The indices of the events right after one that typed a chunk."""
+    return [e + 1 for e in range(len(typed) - 1) if typed[e] != (typed[e - 1] if e else 0)]
+
+
+LOG_COLUMNS = (("ts", "d"), ("tv", "d"), ("temple", "d"), ("waves", "q"),
+               ("phase_transitions", "q"))
+HISTORY_COLUMNS = (("t0", "d"), ("t1", "d"), ("x0", "d"), ("speed", "d"), ("left", "q"),
+                   ("right", "q"))
+
+
+def test_rows_are_typed_a_chunk_at_a_time(chunked_diagram, monkeypatch):
+    diagram0, mesh = chunked_diagram
+    runs = []
+    for strict in (False, True):
+        observe, typed = _watch_typed_rows(monkeypatch)
+        runs.append((pt.run(diagram0, 250.0, mesh, observers=[observe], strict=strict), typed))
+    (plain, typed), (strict, strict_typed) = runs
+    # several chunks, each of at least CHUNK_ROWS rows, typed during the
+    # run, at the same events in both runs
+    chunks = [b - a for a, b in zip([0] + typed, typed) if b != a]
+    assert len(chunks) >= 3 and min(chunks) >= engine.CHUNK_ROWS
+    assert strict_typed == typed
+    # after the run: typed columns of one length per part, bit-equal
+    # between the two runs
+    rows = {"history": len(plain.history.kind), "log": plain.events + 1}
+    for part, cols in (("history", HISTORY_COLUMNS), ("log", LOG_COLUMNS)):
+        for name, code in cols:
+            a, b = (getattr(getattr(res, part), name) for res in (plain, strict))
+            for col in (a, b):
+                assert type(col) is array and col.typecode == code and len(col) == rows[part]
+            assert a.tobytes() == b.tobytes(), name
+    assert plain.history.kind == strict.history.kind
+    assert (plain.stats, plain.events) == (strict.stats, strict.events)
+
+
+def test_strict_run_flags_the_first_event_after_a_chunk(chunked_diagram, monkeypatch):
+    diagram0, mesh = chunked_diagram
+    # a clean run, with the fronts built so far and the rows typed so far
+    # at each event
+    built_so_far = inflate_event_tv(monkeypatch, math.inf)
+    observe, typed = _watch_typed_rows(monkeypatch)
+    built = []
+    clean = pt.run(diagram0, 250.0, mesh,
+                   observers=[observe, lambda event: built.append(len(built_so_far))])
+    # the first event right after a chunk whose fan is not empty: every
+    # front it builds carries one unit of TV too many
+    e = next(e for e in _events_after_a_chunk(typed) if built[e] > built[e - 1])
+    monkeypatch.undo()
+    calls = inflate_event_tv(monkeypatch, built[e - 1])
+    faulted = pt.run(diagram0, 250.0, mesh)
+    # event e writes log row e + 1, the first whose TV rises
+    rises = np.flatnonzero(np.diff(np.frombuffer(faulted.log.tv)) > MONO_TOL) + 1
+    assert rises[0] == e + 1
+    bad = audit_run(faulted)
+    assert bad[0].startswith("TV increased by ") and bad[0].endswith(f" at t={clean.log.ts[e + 1]}")
+    calls.clear()
+    with pytest.raises(InvariantViolation) as exc:
+        pt.run(diagram0, 250.0, mesh, strict=True)
+    assert str(exc.value) == bad[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ EPS_W = 0.01
 
 def _log(*rows):
     log = pt.FunctionalLog()
-    for row in rows:
-        log.record(*row)
+    for col, values in zip((log.ts, log.tv, log.temple, log.waves, log.phase_transitions),
+                           zip(*rows)):
+        col.fromlist(list(values))
     return log
 
 
@@ -155,6 +156,13 @@ ORDER_MESSAGE = re.compile(r"front order broken by (\S+) at event (\d+) \(t=(\S+
                            r"the front (before|after) it is at (\S+)")
 
 
+def _closing_time(history, t0, x0, speed):
+    """t1 of the one history row born at t0 with this speed near x0."""
+    (i,) = [i for i in range(len(history)) if history.t0[i] == t0
+            and history.speed[i] == speed and abs(history.x0[i] - x0) <= 1e-9]
+    return history.t1[i]
+
+
 @pytest.mark.parametrize("built, dx", [(0, 0.1), (5, 0.1), (20, 1e-3)])
 def test_strict_run_reports_a_displaced_front_at_its_event(laws, mesh5, monkeypatch, built, dx):
     # one front born at an event lies dx off its line: the audit after the
@@ -163,9 +171,16 @@ def test_strict_run_reports_a_displaced_front_at_its_event(laws, mesh5, monkeypa
     datum = pt.random_mesh_datum(mesh5, random.Random(11), max_jumps=15)
     diagram0 = pt.approximate_datum(datum, mesh5)
     n_initial = pt.run(diagram0, 0.0, mesh5).log.waves[0]
+    clean = pt.run(diagram0, 100.0, mesh5)
     fronts = displace_front(monkeypatch, n_initial + built, dx)
     res = pt.run(diagram0, 100.0, mesh5)
     assert audit_run(res) == []
+    # the displaced front keeps its line's collision times: its row closes
+    # at its first collision, at the time its clean twin's row does
+    f = fronts[n_initial + built]
+    t1 = _closing_time(res.history, f.t0, f.x0, f.speed)
+    assert t1 < res.t_end
+    assert t1 == _closing_time(clean.history, f.t0, f.x0 - dx, f.speed)
     fronts.clear()
     with pytest.raises(InvariantViolation) as exc:
         pt.run(diagram0, 100.0, mesh5, strict=True)
